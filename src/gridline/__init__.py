@@ -2,7 +2,7 @@
 
 from .network import (Branch, Bus, Generator, HourlySeries, Network,
                       load_hourly_series, load_network, write_network)
-from .weather import WeatherGrid, WeatherSample, load_weather, nearest_cell, sample
+from .weather import WeatherGrid, WeatherSample, load_weather, nearest_cell
 from .ratings import (AAR, DLR, SLR, RatingParams, RatingSeries, branch_multiplier,
                       build_rating_series, estimate_diameter, eta_temperature,
                       eta_wind, k_angle, sweep_parameters)

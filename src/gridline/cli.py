@@ -11,10 +11,10 @@ from pathlib import Path
 import click
 
 from .errors import GridlineError
-from .pipeline import ALL_REGIMES, DEFAULT_EMISSION_FACTORS, RunConfig, run
+from .pipeline import ALL_REGIMES, DEFAULT_EMISSION_FACTORS, RunConfig, run, write_ratings
 from .ratings import RATED_REGIMES, RatingParams, build_rating_series, sweep_parameters
 from .network import load_hourly_series, load_network
-from .util import format_hour, parse_hour, write_csv
+from .util import parse_hour, write_csv
 from .weather import load_weather
 
 _PARAM_FIELDS = {f.name: f.type for f in fields(RatingParams)}
@@ -214,26 +214,16 @@ def ratings_command(case_dir, weather_file, regimes, hours_span, out_dir, tc, ta
                            contingency_ratio, eligibility_km)
     try:
         network = load_network(case_dir)
-        series = load_hourly_series(case_dir, network)
-        span = _parse_hours(hours_span)
-        hours = list(series.hours) if span is None else [
-            h for h in series.hours if span[0] <= h <= span[1]]
+        hours = load_hourly_series(case_dir, network).select(_parse_hours(hours_span))
         weather = load_weather(weather_file) if weather_file else None
-        rows = []
-        for regime in regime_list:
-            rating = build_rating_series(network, weather, hours, regime, params)
-            for h, hour in enumerate(rating.hours):
-                for l, branch_id in enumerate(rating.branch_ids):
-                    rows.append((format_hour(hour), branch_id, regime,
-                                 float(rating.multiplier[h, l]),
-                                 float(rating.normal_limit[h, l]),
-                                 float(rating.contingency_limit[h, l])))
+        ratings = [build_rating_series(network, weather, hours, regime, params)
+                   for regime in regime_list]
     except GridlineError as exc:
         raise click.ClickException(str(exc)) from None
-    write_csv(Path(out_dir) / "ratings.csv",
-              ["time", "branch_id", "regime", "multiplier",
-               "normal_limit_mva", "contingency_limit_mva"], rows)
-    click.echo(f"wrote {len(rows)} rating rows to {Path(out_dir) / 'ratings.csv'}")
+    path = Path(out_dir) / "ratings.csv"
+    write_ratings(path, ratings)
+    rows = sum(rating.multiplier.size for rating in ratings)
+    click.echo(f"wrote {rows} rating rows to {path}")
 
 
 @main.command("sweep")
@@ -255,10 +245,7 @@ def sweep_command(case_dir, weather_file, tc_list, phi_list, hours_span, out_dir
     base = _build_params(params_file, None, None, None, None, None, None)
     try:
         network = load_network(case_dir)
-        series = load_hourly_series(case_dir, network)
-        span = _parse_hours(hours_span)
-        hours = list(series.hours) if span is None else [
-            h for h in series.hours if span[0] <= h <= span[1]]
+        hours = load_hourly_series(case_dir, network).select(_parse_hours(hours_span))
         weather = load_weather(weather_file)
         table = sweep_parameters(network, weather, hours, tc_values,
                                  [math.radians(d) for d in phi_degrees], base)

@@ -75,6 +75,7 @@ class DispatchResult:
     row_duals: np.ndarray | None = None  # $/MWh shadow price per flow row, >= 0
     balance_dual: float | None = None  # system marginal price, $/MWh
     slack_values: np.ndarray | None = None  # MW per flow row (0 on hard rows)
+    message: str = ""  # solver's account of a non-optimal status
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None) -> D
     lp, layout = build_lp(problem)
     solution: LpSolution = solve_lp(lp)
     if solution.status != OPTIMAL:
-        return DispatchResult(problem.hour, solution.status)
+        return DispatchResult(problem.hour, solution.status, message=solution.message)
 
     n_gen = len(problem.cost_curves)
     p_gen = np.zeros(n_gen)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ProjectionError
 
 # WGS-84 ellipsoid
@@ -116,10 +118,10 @@ def wind_angle(v_x: float, v_y: float) -> tuple[float, float]:
     return angle, math.hypot(v_x, v_y)
 
 
-def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Haversine great-circle distance in km."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
+def great_circle_km(lat1, lon1, lat2, lon2):
+    """Haversine great-circle distance in km, broadcast over numpy arrays."""
+    p1, p2 = np.radians(lat1), np.radians(lat2)
     dp = p2 - p1
-    dl = math.radians(lon2 - lon1)
-    h = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+    dl = np.radians(np.subtract(lon2, lon1))
+    h = np.sin(dp / 2) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))

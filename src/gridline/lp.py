@@ -44,6 +44,7 @@ class LpSolution:
     eq_marginals: np.ndarray | None
     lower_marginals: np.ndarray | None
     upper_marginals: np.ndarray | None
+    message: str = ""  # the solver's own account of a non-optimal status
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -67,4 +68,5 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if result.status == 3:
         # all dispatch variables are box-bounded, so this signals bad data
         raise SolverError("LP unbounded; input data is inconsistent")
-    return LpSolution(ERROR, None, None, None, None, None, None)
+    return LpSolution(ERROR, None, None, None, None, None, None,
+                      f"HiGHS status {result.status}: {result.message}")

@@ -8,13 +8,15 @@ networks and series can be shared read-only across parallel workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CaseError
+from .errors import CaseError, GridlineError
 from .geo import great_circle_km
 from .util import HOUR, format_hour, parse_hour, read_rows, write_csv
 
@@ -90,11 +92,6 @@ class Network:
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_index[bus_id]]
 
-    def branch_midpoint(self, branch: Branch) -> tuple[float, float]:
-        a = self.bus(branch.from_bus)
-        b = self.bus(branch.to_bus)
-        return (a.latitude + b.latitude) / 2.0, (a.longitude + b.longitude) / 2.0
-
 
 @dataclass(frozen=True)
 class HourlySeries:
@@ -108,11 +105,26 @@ class HourlySeries:
     demand: np.ndarray  # (H, n_buses) MW
     availability: np.ndarray  # (H, n_generators) MW
 
+    @cached_property
+    def _positions(self) -> dict[datetime, int]:
+        return {h: i for i, h in enumerate(self.hours)}
+
     def hour_pos(self, hour: datetime) -> int:
         try:
-            return self.hours.index(hour)
-        except ValueError:
+            return self._positions[hour]
+        except KeyError:
             raise KeyError(f"hour {format_hour(hour)} not in series") from None
+
+    def select(self, span: tuple[datetime, datetime] | None) -> list[datetime]:
+        """The hours inside an inclusive (first, last) span, or every hour
+        for None. A span that selects no hour is an error."""
+        first, last = span or (self.hours[0], self.hours[-1])
+        hours = [h for h in self.hours if first <= h <= last]
+        if not hours:
+            raise GridlineError(
+                f"requested hours {format_hour(first)}..{format_hour(last)} "
+                "not covered by the demand series")
+        return hours
 
     def restrict(self, hours: list[datetime]) -> "HourlySeries":
         pos = [self.hour_pos(h) for h in hours]
@@ -129,6 +141,8 @@ def _parse_float(row, key, file, number, *, minimum=None, strict_min=False, opti
         value = float(raw)
     except ValueError:
         raise CaseError(f"bad number {raw!r} for '{key}'", file=file, row=number) from None
+    if not math.isfinite(value):
+        raise CaseError(f"non-finite value {raw!r} for '{key}'", file=file, row=number)
     if minimum is not None:
         if strict_min and not value > minimum:
             raise CaseError(f"'{key}' must be > {minimum}, got {value}", file=file, row=number)
@@ -182,7 +196,7 @@ def load_network(case_directory: str | Path) -> Network:
         raise CaseError("no buses", file="bus.csv")
     by_id = {b.id: b for b in buses}
 
-    branches: list[Branch] = []
+    fields = []  # Branch arguments; a blank length becomes the endpoint distance
     seen_branch: set[int] = set()
     required = ["id", "from_bus", "to_bus", "reactance_pu", "rating_mva", "kind"]
     for number, row in _rows(directory, "branch.csv", required):
@@ -207,13 +221,15 @@ def load_network(case_directory: str | Path) -> Network:
             raise CaseError(f"unknown branch kind {kind!r}", file="branch.csv", row=number)
         length = _parse_float(row, "length_km", "branch.csv", number,
                               minimum=0.0, optional=True)
-        if length is None:
-            a, b = by_id[from_bus], by_id[to_bus]
-            length = great_circle_km(a.latitude, a.longitude, b.latitude, b.longitude)
         diameter = _parse_float(row, "diameter_m", "branch.csv", number,
                                 minimum=0.0, strict_min=True, optional=True)
-        branches.append(Branch(branch_id, from_bus, to_bus, reactance, rating,
-                               kind, length, diameter))
+        fields.append((branch_id, from_bus, to_bus, reactance, rating, kind, length,
+                       diameter))
+    ends = np.array([(by_id[f[1]].latitude, by_id[f[1]].longitude, by_id[f[2]].latitude,
+                      by_id[f[2]].longitude) for f in fields]).reshape(-1, 4)
+    distance = great_circle_km(*ends.T).tolist()
+    branches = [Branch(*f[:6], km if f[6] is None else f[6], f[7])
+                for f, km in zip(fields, distance)]
 
     generators: list[Generator] = []
     seen_gen: set[int] = set()

@@ -23,7 +23,7 @@ import numpy as np
 from .dispatch import (DEFAULT_PENALTY, hour_data, solve_copperplate)
 from .errors import GridlineError
 from .factors import build_factors
-from .lp import OPTIMAL
+from .lp import ERROR, OPTIMAL
 from .network import (VARIABLE_FUELS, HourlySeries, Network, load_hourly_series,
                       load_network)
 from .ratings import (AAR, DLR, RATED_REGIMES, SLR, RatingParams, RatingSeries,
@@ -115,41 +115,48 @@ def _init_worker(state: _WorkerState) -> None:
 
 def _solve_task(state: _WorkerState, task: tuple[str, int]) -> HourOutcome:
     regime, pos = task
-    network, series = state.network, state.series
-    hour = series.hours[pos]
-    data = hour_data(network, series, hour)
+    hour = state.series.hours[pos]
     try:
-        if regime == UNCONGESTED:
-            result = solve_copperplate(network, data, state.factors)
-            outcome = HourOutcome(regime, hour, result.status, result.status == OPTIMAL,
-                                  result.objective, result.p_gen, result.flows)
-            if result.status == OPTIMAL:
-                outcome.trace = [(0, 0, result.objective)]
-            return outcome
-        rating = state.ratings[regime]
-        solution = solve_scdcopf(
-            network, state.factors, data,
-            rating.normal_limit[pos], rating.contingency_limit[pos],
-            state.max_iterations, state.penalty_price, state.slack_base_rows)
-        result = solution.dispatch
-        outcome = HourOutcome(regime, hour, result.status, solution.converged,
-                              result.objective, result.p_gen, result.flows,
-                              solution.iterations, len(solution.violations),
-                              trace=list(solution.trace))
-        if result.status == OPTIMAL:
-            for r, row in enumerate(solution.flow_rows):
-                dual = float(result.row_duals[r])
-                slack = float(result.slack_values[r])
-                if abs(dual) > BINDING_DUAL_TOL or slack > BINDING_DUAL_TOL:
-                    outage = ("" if row.outage_branch is None
-                              else network.branches[row.outage_branch].id)
-                    outcome.binding_rows.append(
-                        (network.branches[row.monitored_branch].id, outage,
-                         row.limit, dual, slack))
-        return outcome
+        outcome = _solve_hour(state, regime, pos, hour)
     except GridlineError as exc:
-        return HourOutcome(regime, hour, "error", False,
-                           message=f"{regime} {format_hour(hour)}: {exc}")
+        outcome = HourOutcome(regime, hour, ERROR, False, message=str(exc))
+    if outcome.status == ERROR:
+        outcome.message = f"{regime} {format_hour(hour)}: {outcome.message}"
+    return outcome
+
+
+def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime) -> HourOutcome:
+    network = state.network
+    data = hour_data(network, state.series, hour)
+    if regime == UNCONGESTED:
+        result = solve_copperplate(network, data, state.factors)
+        outcome = HourOutcome(regime, hour, result.status, result.status == OPTIMAL,
+                              result.objective, result.p_gen, result.flows,
+                              message=result.message)
+        if result.status == OPTIMAL:
+            outcome.trace = [(0, 0, result.objective)]
+        return outcome
+    rating = state.ratings[regime]
+    solution = solve_scdcopf(
+        network, state.factors, data,
+        rating.normal_limit[pos], rating.contingency_limit[pos],
+        state.max_iterations, state.penalty_price, state.slack_base_rows)
+    result = solution.dispatch
+    outcome = HourOutcome(regime, hour, result.status, solution.converged,
+                          result.objective, result.p_gen, result.flows,
+                          solution.iterations, len(solution.violations),
+                          trace=list(solution.trace), message=result.message)
+    if result.status == OPTIMAL:
+        for r, row in enumerate(solution.flow_rows):
+            dual = float(result.row_duals[r])
+            slack = float(result.slack_values[r])
+            if abs(dual) > BINDING_DUAL_TOL or slack > BINDING_DUAL_TOL:
+                outage = ("" if row.outage_branch is None
+                          else network.branches[row.outage_branch].id)
+                outcome.binding_rows.append(
+                    (network.branches[row.monitored_branch].id, outage,
+                     row.limit, dual, slack))
+    return outcome
 
 
 def _solve_task_global(task: tuple[str, int]) -> HourOutcome:
@@ -233,24 +240,12 @@ def congestion_by_branch(outcomes: list[HourOutcome]) -> list[tuple[int, float, 
     return table
 
 
-def _select_hours(series: HourlySeries, span) -> list[datetime]:
-    if span is None:
-        return list(series.hours)
-    first, last = span
-    hours = [h for h in series.hours if first <= h <= last]
-    if not hours:
-        raise GridlineError(
-            f"requested hours {format_hour(first)}..{format_hour(last)} "
-            "not covered by the demand series")
-    return hours
-
-
 def run(config: RunConfig) -> RunSummary:
     """Execute a full multi-regime study and write all report files."""
     network = load_network(config.case_directory)
     series = load_hourly_series(config.case_directory, network,
                                 strict=config.strict_availability)
-    hours = _select_hours(series, config.hours)
+    hours = series.select(config.hours)
     series = series.restrict(hours)
     factors = build_factors(network, config.slack_bus)
 
@@ -321,7 +316,7 @@ def _aggregate(config, network, series, by_regime, common_positions) -> RunSumma
                               if o.status == "infeasible"],
             unconverged_hours=[format_hour(o.hour) for o in outcomes
                                if o.status == OPTIMAL and not o.converged],
-            error_hours=[o.message for o in outcomes if o.status == "error"],
+            error_hours=[o.message for o in outcomes if o.status == ERROR],
         )
     if UNCONGESTED in totals:
         for regime, s in summaries.items():
@@ -329,6 +324,18 @@ def _aggregate(config, network, series, by_regime, common_positions) -> RunSumma
     tables = {regime: congestion_by_branch([o for o in outcomes if o.ok])
               for regime, outcomes in by_regime.items()}
     return RunSummary(summaries, hours, [hours[pos] for pos in common_positions], tables)
+
+
+def write_ratings(path: Path, ratings: list[RatingSeries]) -> None:
+    """ratings.csv: one row per (regime, hour, branch)."""
+    write_csv(path, ["time", "branch_id", "regime", "multiplier",
+                     "normal_limit_mva", "contingency_limit_mva"],
+              ((format_hour(hour), branch_id, rating.regime,
+                float(rating.multiplier[h, l]), float(rating.normal_limit[h, l]),
+                float(rating.contingency_limit[h, l]))
+               for rating in ratings
+               for h, hour in enumerate(rating.hours)
+               for l, branch_id in enumerate(rating.branch_ids)))
 
 
 def _write_outputs(config, network, series, by_regime, ratings, summary) -> None:
@@ -348,16 +355,7 @@ def _write_outputs(config, network, series, by_regime, ratings, summary) -> None
                    for o in outcomes if o.status == OPTIMAL and o.flows is not None
                    for l in range(len(branch_ids))))
         if regime in ratings:
-            rating = ratings[regime]
-            write_csv(regime_dir / "ratings.csv",
-                      ["time", "branch_id", "regime", "multiplier",
-                       "normal_limit_mva", "contingency_limit_mva"],
-                      ((format_hour(hour), branch_ids[l], regime,
-                        float(rating.multiplier[h, l]),
-                        float(rating.normal_limit[h, l]),
-                        float(rating.contingency_limit[h, l]))
-                       for h, hour in enumerate(rating.hours)
-                       for l in range(len(branch_ids))))
+            write_ratings(regime_dir / "ratings.csv", [ratings[regime]])
         write_csv(regime_dir / "congestion_by_branch.csv",
                   ["branch_id", "congestion_cost_proxy_usd", "binding_hours"],
                   summary.congestion_tables[regime])

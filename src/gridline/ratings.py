@@ -12,6 +12,9 @@ AAR applies eta_T alone (no floor: hot hours rate below static); DLR
 applies eta_T * max{1, eta_v} so wind never rates a line below its AAR.
 Multipliers apply only to lines shorter than the eligibility length;
 transformers and long lines keep their static ratings.
+
+The formulas take scalars or numpy arrays: series and sweeps evaluate them
+per hour over all eligible branches, ``branch_multiplier`` per branch-hour.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from datetime import datetime
 import numpy as np
 
 from .errors import GridlineError, RatingCollapseError
-from .geo import conductor_angle, to_utm, wind_angle
+from .geo import conductor_angle, to_utm
 from .network import Branch, Network
 from .util import format_hour
-from .weather import WeatherGrid, WeatherSample, nearest_cell, sample
+from .weather import WeatherGrid, WeatherSample, nearest_cell
 
 SLR = "slr"
 AAR = "aar"
@@ -36,16 +39,16 @@ RATED_REGIMES = (SLR, AAR, DLR)
 KELVIN_OFFSET = 273.15
 
 
-def k_angle(phi: float) -> float:
+def k_angle(phi):
     """Convective wind-angle weighting, IEEE-738 empirical polynomial.
 
     0.388 for wind along the conductor (phi = 0), 1.0 for perpendicular
     wind (phi = pi/2), the ideal cooling condition.
     """
-    return 1.194 - math.cos(phi) + 0.194 * math.cos(2 * phi) + 0.368 * math.sin(2 * phi)
+    return 1.194 - np.cos(phi) + 0.194 * np.cos(2 * phi) + 0.368 * np.sin(2 * phi)
 
 
-def fold_attack_angle(phi: float) -> float:
+def fold_attack_angle(phi):
     """Reduce a raw wind-minus-conductor angle into [0, pi/2].
 
     Wind along a line in either direction cools identically, so the angle
@@ -53,8 +56,8 @@ def fold_attack_angle(phi: float) -> float:
     the reduced domain, which removes the sign/branch ambiguity of the
     arctangents upstream.
     """
-    m = math.fmod(abs(phi), math.pi)
-    return min(m, math.pi - m)
+    m = np.fmod(np.abs(phi), np.pi)
+    return np.minimum(m, np.pi - m)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class RatingParams:
         return k_angle(fold_attack_angle(self.phi_slr))
 
 
-def eta_temperature(t_ambient_k: float, params: RatingParams) -> float:
+def eta_temperature(t_ambient_k, params: RatingParams):
     """Temperature-only capacity factor (the AAR multiplier).
 
     Exceeds 1 when ambient is below the static-rating assumption and drops
@@ -100,30 +103,41 @@ def eta_temperature(t_ambient_k: float, params: RatingParams) -> float:
     """
     t_c = params.t_conductor + KELVIN_OFFSET
     t_slr = params.t_ambient_slr + KELVIN_OFFSET
-    if t_ambient_k >= t_c:
+    if np.any(np.greater_equal(t_ambient_k, t_c)):
         raise RatingCollapseError(
-            f"ambient {t_ambient_k:.1f} K at or above conductor limit {t_c:.1f} K")
-    return math.sqrt((t_c - t_ambient_k) / (t_c - t_slr))
+            f"ambient {np.max(t_ambient_k):.1f} K at or above conductor limit {t_c:.1f} K")
+    return np.sqrt((t_c - t_ambient_k) / (t_c - t_slr))
 
 
-def eta_wind(speed: float, phi: float, diameter: float, params: RatingParams) -> float:
+def eta_wind(speed, phi, diameter, params: RatingParams):
     """Wind-only capacity factor from speed and attack angle.
 
     Calm wind (below the calm threshold) evaluates to 1, the value under
     the static-rating wind assumptions, instead of letting the v^0.26 power
     law annihilate the rating.
     """
-    if speed < 0:
+    if np.any(np.less(speed, 0)):
         raise ValueError("wind speed must be nonnegative")
-    if diameter <= 0:
+    if np.any(np.less_equal(diameter, 0)):
         raise ValueError("conductor diameter must be positive")
-    if speed < params.calm_wind_threshold:
-        return 1.0
-    angle_term = math.sqrt(k_angle(fold_attack_angle(phi)) / params.k_angle_slr)
+    angle_term = np.sqrt(k_angle(fold_attack_angle(phi)) / params.k_angle_slr)
     speed_term = (speed / params.v_slr) ** 0.26
     reynolds = (params.air_density / params.air_viscosity) * diameter * speed
-    reynolds_term = max(1.0, 0.566 * reynolds**0.04)
-    return angle_term * speed_term * reynolds_term
+    reynolds_term = np.maximum(1.0, 0.566 * reynolds**0.04)
+    calm = np.less(speed, params.calm_wind_threshold)
+    return np.where(calm, 1.0, angle_term * speed_term * reynolds_term)[()]
+
+
+def _multiplier(regime: str, params: RatingParams, ambient_k, wind_u, wind_v,
+                diameter, axis_angle):
+    """AAR or DLR multiplier from ambient temperature and wind components;
+    DLR also needs the conductor diameter and bearing."""
+    eta_t = eta_temperature(ambient_k, params)
+    if regime == AAR:
+        return eta_t
+    attack = np.arctan2(wind_v, wind_u) - axis_angle
+    eta_v = eta_wind(np.hypot(wind_u, wind_v), attack, diameter, params)
+    return eta_t * np.maximum(1.0, eta_v)
 
 
 def estimate_diameter(branch: Branch, network: Network,
@@ -157,17 +171,12 @@ def branch_multiplier(weather_sample: WeatherSample | None, branch: Branch,
         raise ValueError(f"unknown regime {regime!r}")
     if regime == SLR or weather_sample is None or not branch_eligible(branch, params):
         return 1.0
-    eta_t = eta_temperature(weather_sample.ambient_temp, params)
-    if regime == AAR:
-        return eta_t
-    speed = math.hypot(weather_sample.wind_u, weather_sample.wind_v)
-    if speed < params.calm_wind_threshold:
-        return eta_t  # max{1, eta_v} with eta_v = 1
-    if axis_angle is None:
+    s = weather_sample
+    calm = math.hypot(s.wind_u, s.wind_v) < params.calm_wind_threshold
+    if regime == DLR and axis_angle is None and not calm:
         raise ValueError("axis_angle required for DLR with non-calm wind")
-    theta_wind, speed = wind_angle(weather_sample.wind_u, weather_sample.wind_v)
-    eta_v = eta_wind(speed, theta_wind - axis_angle, diameter, params)
-    return eta_t * max(1.0, eta_v)
+    return float(_multiplier(regime, params, s.ambient_temp, s.wind_u, s.wind_v,
+                             diameter, 0.0 if axis_angle is None else axis_angle))
 
 
 @dataclass(frozen=True)
@@ -182,34 +191,40 @@ class RatingSeries:
     contingency_limit: np.ndarray  # (H, L), MVA
 
 
-@dataclass
-class _BranchGeometry:
-    diameter: float
-    eligible: bool
-    cell: int | None
-    axis_angle: float | None
+def _bearing(network: Network, branch: Branch) -> float:
+    """Conductor bearing in the from-bus UTM zone, so both endpoints share a plane."""
+    a, b = network.bus(branch.from_bus), network.bus(branch.to_bus)
+    start = to_utm(a.latitude, a.longitude)
+    try:
+        return conductor_angle(start, to_utm(b.latitude, b.longitude, forced_zone=start.zone))
+    except ValueError:
+        raise GridlineError(f"branch {branch.id}: DLR needs a conductor bearing, "
+                            "but the line has zero length") from None
 
 
-def _branch_geometry(network: Network, weather: WeatherGrid | None,
-                     params: RatingParams) -> list[_BranchGeometry]:
-    """Hour-invariant per-branch data: diameter, eligibility, nearest
-    weather cell for the midpoint, and conductor bearing (computed in the
-    from-bus UTM zone so both endpoints share a plane)."""
-    out = []
-    for branch in network.branches:
-        eligible = branch_eligible(branch, params)
-        diameter = estimate_diameter(branch, network, params)
-        cell = axis = None
-        if eligible and weather is not None:
-            mid_lat, mid_lon = network.branch_midpoint(branch)
-            cell = nearest_cell(weather, mid_lat, mid_lon)
-            a = network.bus(branch.from_bus)
-            b = network.bus(branch.to_bus)
-            start = to_utm(a.latitude, a.longitude)
-            end = to_utm(b.latitude, b.longitude, forced_zone=start.zone)
-            axis = conductor_angle(start, end)
-        out.append(_BranchGeometry(diameter, eligible, cell, axis))
-    return out
+def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: RatingParams):
+    """Positions of the eligible branches, and a function of (weather hour
+    position, params) that rates them. The hour-invariant data (nearest
+    cell of each midpoint, diameter, DLR bearing) is built here, once."""
+    index = np.array([l for l, b in enumerate(network.branches)
+                      if branch_eligible(b, params)], dtype=int)
+    lat, lon = np.array([(b.latitude, b.longitude) for b in network.buses]).T
+    start, end = network.branch_from[index], network.branch_to[index]
+    cell = nearest_cell(weather, (lat[start] + lat[end]) / 2.0, (lon[start] + lon[end]) / 2.0)
+    branches = [network.branches[l] for l in index]
+    diameter = np.array([estimate_diameter(b, network, params) for b in branches])
+    axis = np.array([_bearing(network, b) for b in branches]) if regime == DLR else None
+
+    def rate(pos: int, params: RatingParams) -> np.ndarray:
+        ambient = weather.temperature[pos, cell]
+        try:
+            return _multiplier(regime, params, ambient, weather.wind_u[pos, cell],
+                               weather.wind_v[pos, cell], diameter, axis)
+        except RatingCollapseError as exc:
+            hottest = network.branches[index[np.argmax(ambient)]]
+            raise RatingCollapseError(
+                f"branch {hottest.id} at {format_hour(weather.hours[pos])}: {exc}") from None
+    return index, rate
 
 
 def build_rating_series(network: Network, weather: WeatherGrid | None,
@@ -224,27 +239,13 @@ def build_rating_series(network: Network, weather: WeatherGrid | None,
         raise ValueError(f"unknown regime {regime!r}")
     if regime != SLR and weather is None:
         raise GridlineError(f"regime {regime} requires weather data")
-    n_hours, n_branches = len(hours), network.n_branches
-    multiplier = np.ones((n_hours, n_branches))
+    multiplier = np.ones((len(hours), network.n_branches))
     if regime != SLR:
-        geometry = _branch_geometry(network, weather, params)
+        index, rate = _line_rater(network, weather, regime, params)
         for h, hour in enumerate(hours):
             pos = weather.hour_pos(hour)  # raises if outside range
-            if not weather.present[pos]:
-                continue  # static-rating fallback for the whole hour
-            for l, branch in enumerate(network.branches):
-                geo = geometry[l]
-                if not geo.eligible:
-                    continue
-                s = WeatherSample(weather.temperature[pos, geo.cell],
-                                  weather.wind_u[pos, geo.cell],
-                                  weather.wind_v[pos, geo.cell], geo.cell)
-                try:
-                    multiplier[h, l] = branch_multiplier(
-                        s, branch, regime, params, geo.diameter, geo.axis_angle)
-                except RatingCollapseError as exc:
-                    raise RatingCollapseError(
-                        f"branch {branch.id} at {format_hour(hour)}: {exc}") from None
+            if weather.present[pos]:  # absent hours keep the static rating
+                multiplier[h, index] = rate(pos, params)
     normal = network.static_rating[None, :] * multiplier
     return RatingSeries(regime, tuple(hours), tuple(b.id for b in network.branches),
                         multiplier, normal, params.contingency_ratio * normal)
@@ -256,18 +257,20 @@ def sweep_parameters(network: Network, weather: WeatherGrid, hours: list[datetim
     """Mean DLR multiplier over eligible branches and present hours for each
     (conductor temperature, assumed SLR attack angle) pair.
 
-    Returns (t_conductor, phi_slr, mean multiplier) rows in sweep order.
+    Branch data and present hours are found once; each pair re-evaluates
+    only the formulas. Returns (t_conductor, phi_slr, mean multiplier) rows
+    in sweep order.
     """
     if not t_conductor_values or not phi_slr_values:
         raise ValueError("parameter sweep needs at least one value per axis")
+    index, rate = _line_rater(network, weather, DLR, base)
+    present = [pos for pos in map(weather.hour_pos, hours) if weather.present[pos]]
+    block = np.empty((len(present), len(index)))
     rows = []
-    eligible = np.array([branch_eligible(b, base) for b in network.branches])
     for t_c in t_conductor_values:
         for phi in phi_slr_values:
             params = replace(base, t_conductor=t_c, phi_slr=phi)
-            series = build_rating_series(network, weather, hours, DLR, params)
-            present = np.array([weather.present[weather.hour_pos(h)] for h in hours])
-            block = series.multiplier[np.ix_(present, eligible)]
-            mean = float(block.mean()) if block.size else float("nan")
-            rows.append((t_c, phi, mean))
+            for row, pos in enumerate(present):
+                block[row] = rate(pos, params)
+            rows.append((t_c, phi, float(block.mean()) if block.size else float("nan")))
     return rows

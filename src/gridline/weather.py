@@ -1,8 +1,8 @@
 """Hourly gridded weather store with explicit missing-hour semantics.
 
 Hours inside the file's time range but absent from it are flagged
-not-present; sampling such an hour returns None and the caller must fall
-back to the static rating. Values are never fabricated for missing hours.
+not-present; the ratings fall back to the static rating for such an hour.
+Values are never fabricated for missing hours.
 """
 
 from __future__ import annotations
@@ -118,20 +118,9 @@ def load_weather(file: str | Path) -> WeatherGrid:
     return WeatherGrid(cells, hours, present, temperature, wind_u, wind_v)
 
 
-def nearest_cell(grid: WeatherGrid, latitude: float, longitude: float) -> int:
-    """Index of the great-circle-nearest cell; ties break to the lowest index."""
-    distances = np.array([
-        great_circle_km(latitude, longitude, lat, lon) for lat, lon in grid.cells])
-    return int(np.argmin(distances))
-
-
-def sample(grid: WeatherGrid, hour: datetime, latitude: float, longitude: float,
-           cell_index: int | None = None) -> WeatherSample | None:
-    """Weather at the nearest cell for one hour, or None when the hour is
-    absent (SLR fallback). ``cell_index`` short-circuits the spatial lookup
-    for callers that precomputed the branch-to-cell map."""
-    h = grid.hour_pos(hour)
-    if not grid.present[h]:
-        return None
-    c = nearest_cell(grid, latitude, longitude) if cell_index is None else cell_index
-    return WeatherSample(grid.temperature[h, c], grid.wind_u[h, c], grid.wind_v[h, c], c)
+def nearest_cell(grid: WeatherGrid, latitude, longitude):
+    """Index of the great-circle-nearest cell for a point or for arrays of
+    points; ties break to the lowest index."""
+    lat, lon = np.asarray(latitude)[..., None], np.asarray(longitude)[..., None]
+    distances = great_circle_km(lat, lon, grid.cells[:, 0], grid.cells[:, 1])
+    return np.argmin(distances, axis=-1)[()]

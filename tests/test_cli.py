@@ -124,3 +124,15 @@ def test_dump_factors_flag(runner, cases_dir, tmp_path):
     assert ptdf_lines[0] == "branch_id,1,2,3"
     assert len(ptdf_lines) == 4
     assert (out / "lodf.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["ratings", "sweep"])
+def test_hours_outside_series_rejected(runner, cases_dir, tmp_path, command):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        command, "--case", str(cases_dir / "case3"),
+        "--weather", str(cases_dir / "weather_case3.csv"),
+        "--hours", "2017-01-01T00..2017-01-01T05", "--out", str(out)])
+    assert result.exit_code == 1
+    assert "2017-01-01T00:00:00Z..2017-01-01T05:00:00Z not covered" in result.output
+    assert not out.exists()

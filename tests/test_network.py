@@ -170,3 +170,24 @@ def test_unknown_id_and_bad_timestamp(cases_dir, tmp_path):
              lambda lines: [lines[0], "2016-07-01T00:30:00Z,2,5.0"] + lines[2:])
     with pytest.raises(CaseError, match="hour boundary"):
         load_hourly_series(case2, net)
+
+
+@pytest.mark.parametrize("file, column, value", [
+    ("demand.csv", "mw", "inf"),
+    ("branch.csv", "rating_mva", "inf"),
+    ("bus.csv", "lat", "nan"),
+    ("bus.csv", "lon", "-inf"),
+    ("gen.csv", "seg1_cost", "nan"),
+])
+def test_non_finite_number_rejected(cases_dir, tmp_path, file, column, value):
+    case = copy_case(cases_dir, tmp_path)
+
+    def poison_first_row(lines):
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        return [lines[0], ",".join(cells)] + lines[2:]
+
+    edit_csv(case / file, poison_first_row)
+    with pytest.raises(CaseError, match=f"non-finite value '{value}' for '{column}'") as err:
+        load_hourly_series(case, load_network(case))
+    assert err.value.file == file and err.value.row == 1

@@ -186,3 +186,22 @@ def test_config_validation(cases_dir, tmp_path):
     with pytest.raises(ValueError, match="unknown regime"):
         RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
                   regimes=("slr", "bogus"))
+
+
+def test_lp_error_names_regime_hour_and_cause(cases_dir, tmp_path, monkeypatch):
+    from gridline import dispatch
+    from gridline.lp import ERROR, LpSolution
+
+    monkeypatch.setattr(dispatch, "solve_lp", lambda lp: LpSolution(
+        ERROR, None, None, None, None, None, None, "HiGHS status 4: numerical trouble"))
+    out = tmp_path / "out"
+    summary = run(RunConfig(
+        case_directory=cases_dir / "case3", output_directory=out,
+        regimes=("slr", "uncongested"), worker_count=1,
+        hours=(parse_hour("2016-07-01T03:00:00Z"), parse_hour("2016-07-01T04:00:00Z"))))
+    assert not summary.all_ok
+    payload = json.loads((out / "summary.json").read_text())
+    for regime in ("slr", "uncongested"):
+        assert payload["regimes"][regime]["error_hours"] == [
+            f"{regime} 2016-07-01T0{h}:00:00Z: HiGHS status 4: numerical trouble"
+            for h in (3, 4)]

@@ -1,17 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridline.errors import GridlineError, RatingCollapseError
-from gridline.ratings import (AAR, DLR, SLR, RatingParams, branch_multiplier,
-                              build_rating_series, estimate_diameter,
-                              eta_temperature, eta_wind, fold_attack_angle,
-                              k_angle, sweep_parameters)
-from gridline.weather import WeatherSample, load_weather
+from gridline.geo import conductor_angle, to_utm
+from gridline.ratings import (AAR, DLR, SLR, RatingParams, branch_eligible,
+                              branch_multiplier, build_rating_series,
+                              estimate_diameter, eta_temperature, eta_wind,
+                              fold_attack_angle, k_angle, sweep_parameters)
+from gridline.weather import WeatherGrid, WeatherSample, load_weather, nearest_cell
 
 import oracles
-from helpers import triangle_network, two_bus_network
+from helpers import make_network, triangle_network, two_bus_network
 
 PARAMS = RatingParams()
 
@@ -267,6 +272,122 @@ class TestSweep:
                                  [0.0, math.radians(45), math.radians(90)])
         for _, _, mean in table:
             assert mean == pytest.approx(1.0, abs=1e-12)
+
+
+class TestZeroLengthLine:
+    """An eligible line between co-located buses (blank length_km, 0 km)."""
+
+    @staticmethod
+    def network():
+        return make_network(
+            buses=[(1, 31.0, -99.0, 115.0), (2, 31.0, -99.0, 115.0), (3, 31.2, -99.0, 115.0)],
+            branches=[(7, 1, 2, 0.1, 100.0), (8, 2, 3, 0.1, 100.0)],
+            gens=[(1, 1, "natural_gas", 0.0, 10.0, [(10.0, 20.0)])])
+
+    def test_aar_rates_it(self, weathers):
+        net, grid = self.network(), weathers["case3"]
+        assert net.branches[0].length_km == 0.0
+        series = build_rating_series(net, grid, list(grid.hours), AAR, PARAMS)
+        cell = nearest_cell(grid, 31.0, -99.0)
+        assert np.array_equal(series.multiplier[:, 0],
+                              eta_temperature(grid.temperature[:, cell], PARAMS))
+
+    def test_dlr_refuses_it_by_name(self, weathers):
+        grid = weathers["case3"]
+        with pytest.raises(GridlineError, match="branch 7: .*zero length"):
+            build_rating_series(self.network(), grid, list(grid.hours), DLR, PARAMS)
+
+
+def test_collapse_names_branch_and_hour(weathers):
+    grid = weathers["case3"]
+    hot = WeatherGrid(grid.cells, grid.hours, grid.present, grid.temperature.copy(),
+                      grid.wind_u, grid.wind_v)
+    hot.temperature[5, 1] = 273.15 + 100.0
+    net = make_network(
+        buses=[(1, 30.8, -98.8, 115.0), (2, 31.0, -98.8, 115.0)],  # midpoint on cell 1
+        branches=[(4, 1, 2, 0.1, 100.0)],
+        gens=[(1, 1, "natural_gas", 0.0, 10.0, [(10.0, 20.0)])])
+    assert nearest_cell(grid, 30.9, -98.8) == 1
+    with pytest.raises(RatingCollapseError, match="branch 4 at 2016-07-01T05:00:00Z"):
+        build_rating_series(net, hot, list(grid.hours), DLR, PARAMS)
+
+
+def oracle_multipliers(net, grid, hours, regime, params):
+    """The multipliers by a branch-hour loop over the references in
+    tests/oracles.py: exhaustive nearest cell, reference eta formulas."""
+    expected = np.ones((len(hours), net.n_branches))
+    for l, branch in enumerate(net.branches):
+        if branch.kind != "line" or branch.length_km >= params.eligibility_length_km:
+            continue
+        a, b = net.bus(branch.from_bus), net.bus(branch.to_bus)
+        cell = oracles.brute_force_nearest(grid.cells, (a.latitude + b.latitude) / 2,
+                                           (a.longitude + b.longitude) / 2)
+        diameter = estimate_diameter(branch, net, params)
+        start = to_utm(a.latitude, a.longitude)
+        axis = conductor_angle(start, to_utm(b.latitude, b.longitude, forced_zone=start.zone))
+        for h, hour in enumerate(hours):
+            pos = grid.hour_pos(hour)
+            if not grid.present[pos]:
+                continue
+            u, v = grid.wind_u[pos, cell], grid.wind_v[pos, cell]
+            eta_v = 1.0
+            if regime == DLR and math.hypot(u, v) >= params.calm_wind_threshold:
+                eta_v = oracles.eta_wind_reference(
+                    math.hypot(u, v), math.atan2(v, u) - axis, diameter, params.v_slr,
+                    params.phi_slr, params.air_density, params.air_viscosity)
+            expected[h, l] = oracles.eta_temperature_reference(
+                grid.temperature[pos, cell], params.t_conductor,
+                params.t_ambient_slr) * max(1.0, eta_v)
+    return expected
+
+
+class TestArrayPathAgainstOracle:
+    @pytest.mark.parametrize("name", ["case3", "case5", "case30"])
+    @pytest.mark.parametrize("regime", [AAR, DLR])
+    def test_bundled_cases(self, networks, weathers, serieses, name, regime):
+        net, grid = networks[name], weathers[name]
+        hours = list(serieses[name].hours)
+        series = build_rating_series(net, grid, hours, regime, PARAMS)
+        np.testing.assert_allclose(series.multiplier,
+                                   oracle_multipliers(net, grid, hours, regime, PARAMS),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_drawn_weather(self, networks, weathers, data):
+        name = data.draw(st.sampled_from(["case3", "case5", "case30"]))
+        net, cells = networks[name], weathers[name].cells
+        n_hours = data.draw(st.integers(1, 4))
+        params = RatingParams(t_conductor=data.draw(st.floats(60.0, 150.0)),
+                              phi_slr=data.draw(st.floats(0.0, math.pi)))
+        shape = (n_hours, len(cells))
+        hottest = params.t_conductor + 273.15 - 0.5
+        wind = st.one_of(st.just(0.0), st.floats(-0.02, 0.02), st.floats(-25.0, 25.0))
+        grid = WeatherGrid(
+            cells, weathers[name].hours[:n_hours],
+            data.draw(arrays(bool, n_hours)),
+            data.draw(arrays(float, shape, elements=st.floats(230.0, hottest))),
+            data.draw(arrays(float, shape, elements=wind)),
+            data.draw(arrays(float, shape, elements=wind)))
+        for regime in (AAR, DLR):
+            series = build_rating_series(net, grid, list(grid.hours), regime, params)
+            np.testing.assert_allclose(
+                series.multiplier, oracle_multipliers(net, grid, list(grid.hours), regime, params),
+                rtol=0, atol=1e-12)
+
+    def test_sweep_means_equal_direct_series(self, networks, serieses, cases_dir, tmp_path):
+        net, hours = networks["case30"], list(serieses["case30"].hours)
+        lines = (cases_dir / "weather_case30.csv").read_text().splitlines()
+        (tmp_path / "w.csv").write_text("\n".join(l for l in lines if "T07:" not in l) + "\n")
+        grid = load_weather(tmp_path / "w.csv")
+        present = [grid.present[grid.hour_pos(h)] for h in hours]
+        eligible = [branch_eligible(b, PARAMS) for b in net.branches]
+        assert not all(present) and not all(eligible)
+        table = sweep_parameters(net, grid, hours, [78.0, 110.0], [0.0, math.radians(60)])
+        for t_c, phi, mean in table:
+            series = build_rating_series(net, grid, hours, DLR,
+                                         replace(PARAMS, t_conductor=t_c, phi_slr=phi))
+            assert mean == series.multiplier[np.ix_(present, eligible)].mean()
 
 
 def test_params_validation():

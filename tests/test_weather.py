@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from gridline.errors import WeatherError
+from gridline.ratings import AAR, DLR, RatingParams, build_rating_series, eta_temperature
 from gridline.util import parse_hour
-from gridline.weather import load_weather, nearest_cell, sample
+from gridline.weather import load_weather, nearest_cell
 
 import oracles
+from helpers import make_network
 
 
 def drop_hour(source, target, hour_token="T07:"):
@@ -75,27 +77,40 @@ def test_nearest_cell_matches_brute_force_on_20x20():
         assert nearest_cell(grid, lat, lon) == oracles.brute_force_nearest(cells, lat, lon)
 
 
-def test_sample_present_missing_and_range(cases_dir, tmp_path, weathers):
+def _short_lines(points):
+    """One 0.05-degree north-south line from each (lat, lon) point."""
+    buses, branches = [], []
+    for k, (lat, lon) in enumerate(points):
+        buses += [(2 * k + 1, lat, lon, 115.0), (2 * k + 2, lat + 0.05, lon, 115.0)]
+        branches.append((k + 1, 2 * k + 1, 2 * k + 2, 0.1, 100.0))
+    return make_network(buses, branches, [(1, 1, "natural_gas", 0.0, 10.0, [(10.0, 20.0)])])
+
+
+def test_rating_reads_nearest_cell_and_never_fills_missing_hours(cases_dir, tmp_path,
+                                                                 weathers):
     grid = weathers["case3"]
-    hour = grid.hours[3]
-    got = sample(grid, hour, 30.9, -99.1)
-    pos = grid.hour_pos(hour)
-    assert got.cell_index == 0
-    assert got.ambient_temp == grid.temperature[pos, 0]
-    assert got.wind_u == grid.wind_u[pos, 0]
-    assert got.wind_v == grid.wind_v[pos, 0]
+    net = _short_lines([(30.875, -99.1)])  # midpoint on cell 0 (30.9, -99.1)
+    aar = build_rating_series(net, grid, list(grid.hours), AAR, RatingParams())
+    assert np.array_equal(aar.multiplier[:, 0],
+                          eta_temperature(grid.temperature[:, 0], RatingParams()))
 
     gappy = load_weather(drop_hour(cases_dir / "weather_case3.csv", tmp_path / "w.csv"))
-    missing = parse_hour("2016-07-01T07:00:00Z")
-    assert sample(gappy, missing, 30.9, -99.1) is None  # never default-filled
+    missing = gappy.hour_pos(parse_hour("2016-07-01T07:00:00Z"))
+    for regime in (AAR, DLR):
+        series = build_rating_series(net, gappy, list(gappy.hours), regime, RatingParams())
+        assert series.multiplier[missing, 0] == 1.0  # never default-filled
 
     with pytest.raises(WeatherError, match="outside weather range"):
-        sample(grid, grid.hours[0] - timedelta(hours=1), 30.9, -99.1)
+        build_rating_series(net, grid, [grid.hours[0] - timedelta(hours=1)], AAR,
+                            RatingParams())
 
 
 def test_absent_hour_absent_for_every_location(cases_dir, tmp_path):
     gappy = load_weather(drop_hour(cases_dir / "weather_case3.csv", tmp_path / "w.csv"))
-    missing = parse_hour("2016-07-01T07:00:00Z")
+    missing = gappy.hour_pos(parse_hour("2016-07-01T07:00:00Z"))
     rng = np.random.RandomState(2)
-    for _ in range(25):
-        assert sample(gappy, missing, rng.uniform(30, 32), rng.uniform(-100, -98)) is None
+    net = _short_lines([(rng.uniform(30, 32), rng.uniform(-100, -98)) for _ in range(25)])
+    for regime in (AAR, DLR):
+        series = build_rating_series(net, gappy, list(gappy.hours), regime, RatingParams())
+        assert np.all(series.multiplier[missing] == 1.0)
+        assert np.all(np.delete(series.multiplier, missing, axis=0) != 1.0)
