@@ -82,7 +82,7 @@ class DispatchResult:
 class _Layout:
     seg_owner: np.ndarray  # variable -> generator (segments only)
     n_segments: int
-    slack_of_row: dict[int, int]  # flow-row position -> variable index
+    slack_rows: np.ndarray  # flow-row positions with a slack, in variable order
 
 
 def build_problem(network: Network, data: HourData, flow_rows: list[FlowRow],
@@ -93,69 +93,85 @@ def build_problem(network: Network, data: HourData, flow_rows: list[FlowRow],
         penalty_price)
 
 
+def _segments(cost_curves: tuple[tuple[tuple[float, float], ...], ...]):
+    """Per cost segment: owner, capacity, price, and the capacity of the
+    owner's cheaper segments."""
+    owner, cap, price, before = [], [], [], []
+    for g, curve in enumerate(cost_curves):
+        cum = 0.0
+        for segment_cap, segment_price in curve:
+            owner.append(g)
+            cap.append(segment_cap)
+            price.append(segment_price)
+            before.append(cum)
+            cum += segment_cap
+    return (np.array(owner, dtype=int), np.array(cap, dtype=float),
+            np.array(price, dtype=float), np.array(before, dtype=float))
+
+
+def _row_arrays(rows: tuple[FlowRow, ...], n_buses: int):
+    """Stacked coefficients (rows x buses), limits and slack flags."""
+    coefficients = np.array([row.coefficients for row in rows], dtype=float)
+    limit = np.array([row.limit for row in rows], dtype=float)
+    slack_allowed = np.array([row.slack_allowed for row in rows], dtype=bool)
+    return coefficients.reshape(len(rows), n_buses), limit, slack_allowed
+
+
 def build_lp(problem: DispatchProblem) -> tuple[LpProblem, _Layout]:
     """Lower the dispatch problem to the solver contract.
 
     Cost segments are trimmed cumulatively against the hourly maximum (and
     lifted by the minimum), which is LP-equivalent to a total-output bound
-    because marginal costs are nondecreasing.
+    because marginal costs are nondecreasing. Flow row r becomes the
+    ``<=`` rows 2r (+) and 2r + 1 (-); a slack-allowed row's slack enters
+    both with coefficient -1.
     """
-    costs: list[float] = []
-    bounds: list[tuple[float, float | None]] = []
-    owner: list[int] = []
-    for g, curve in enumerate(problem.cost_curves):
-        p_max = float(problem.gen_max[g])
-        p_min = min(float(problem.gen_min[g]), p_max)
-        cum = 0.0
-        for cap, price in curve:
-            hi = min(cap, max(0.0, p_max - cum))
-            lo = min(hi, max(0.0, p_min - cum))
-            costs.append(price)
-            bounds.append((lo, hi))
-            owner.append(g)
-            cum += cap
-    n_segments = len(costs)
+    seg_owner, cap, price, before = _segments(problem.cost_curves)
+    n_segments = len(seg_owner)
+    p_max = problem.gen_max[seg_owner]
+    p_min = np.minimum(problem.gen_min, problem.gen_max)[seg_owner]
+    hi = np.minimum(cap, np.maximum(0.0, p_max - before))
+    lo = np.minimum(hi, np.maximum(0.0, p_min - before))
 
-    slack_of_row: dict[int, int] = {}
-    for r, row in enumerate(problem.flow_rows):
-        if row.slack_allowed:
-            slack_of_row[r] = n_segments + len(slack_of_row)
-            costs.append(problem.penalty_price)
-            bounds.append((0.0, None))
-    n_vars = len(costs)
+    coefficients, limit, slack_allowed = _row_arrays(problem.flow_rows, len(problem.demand))
+    slack_rows = np.flatnonzero(slack_allowed)
+    n_slacks = len(slack_rows)
+    n_vars = n_segments + n_slacks
+    costs = np.concatenate((price, np.full(n_slacks, problem.penalty_price)))
+    bounds = list(zip(lo.tolist(), hi.tolist())) + [(0.0, None)] * n_slacks
 
     a_eq = sparse.csr_matrix(
-        (np.ones(n_segments), (np.zeros(n_segments, dtype=int), np.arange(n_segments))),
+        (np.ones(n_segments), np.arange(n_segments), np.array([0, n_segments])),
         shape=(1, n_vars))
     b_eq = np.array([float(problem.demand.sum())])
 
-    rows_i: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b_ub: list[float] = []
-    seg_owner = np.array(owner, dtype=int)
-    for r, row in enumerate(problem.flow_rows):
-        seg_coef = row.coefficients[problem.gen_bus[seg_owner]]
-        fixed = float(row.coefficients @ problem.demand)
-        for sign, rhs in ((1.0, row.limit + fixed), (-1.0, row.limit - fixed)):
-            index = len(b_ub)
-            nonzero = np.nonzero(seg_coef)[0]
-            rows_i.extend([index] * len(nonzero))
-            cols.extend(nonzero.tolist())
-            vals.extend((sign * seg_coef[nonzero]).tolist())
-            if row.slack_allowed:
-                rows_i.append(index)
-                cols.append(slack_of_row[r])
-                vals.append(-1.0)
-            b_ub.append(rhs)
     a_ub = None
-    b_ub_arr = None
-    if b_ub:
-        a_ub = sparse.csr_matrix((vals, (rows_i, cols)), shape=(len(b_ub), n_vars))
-        b_ub_arr = np.array(b_ub)
+    b_ub = None
+    n_rows = len(limit)
+    if n_rows:
+        seg_coef = coefficients[:, problem.gen_bus[seg_owner]]
+        fixed = coefficients @ problem.demand
+        signed = np.stack((seg_coef, -seg_coef), axis=1).reshape(2 * n_rows, n_segments)
+        b_ub = np.column_stack((limit + fixed, limit - fixed)).ravel()
+        row, col = np.nonzero(signed)
+        # each slack is the last entry of both of its rows
+        slack_lp_rows = (2 * slack_rows[:, None] + np.arange(2)).ravel()
+        per_row = np.bincount(row, minlength=2 * n_rows)
+        per_row[slack_lp_rows] += 1
+        indptr = np.concatenate(([0], np.cumsum(per_row)))
+        slack_at = indptr[slack_lp_rows + 1] - 1
+        is_segment = np.ones(indptr[-1], dtype=bool)
+        is_segment[slack_at] = False
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        indices[is_segment] = col
+        data[is_segment] = signed[row, col]
+        indices[slack_at] = n_segments + np.repeat(np.arange(n_slacks), 2)
+        data[slack_at] = -1.0
+        a_ub = sparse.csr_matrix((data, indices, indptr), shape=(2 * n_rows, n_vars))
 
-    lp = LpProblem(np.array(costs), a_ub, b_ub_arr, a_eq, b_eq, bounds)
-    return lp, _Layout(seg_owner, n_segments, slack_of_row)
+    lp = LpProblem(costs, a_ub, b_ub, a_eq, b_eq, bounds)
+    return lp, _Layout(seg_owner, n_segments, slack_rows)
 
 
 def _injections(problem: DispatchProblem, p_gen: np.ndarray) -> np.ndarray:
@@ -175,13 +191,14 @@ def audit_result(problem: DispatchProblem, result: DispatchResult,
         raise SolverError(f"power balance residual {p.sum() - problem.demand.sum():.3e} MW")
     if np.any(p < problem.gen_min - tol) or np.any(p > problem.gen_max + tol):
         raise SolverError("generator bounds violated")
-    injection = _injections(problem, p)
-    for r, row in enumerate(problem.flow_rows):
-        slack = result.slack_values[r] if row.slack_allowed else 0.0
-        margin = abs(float(row.coefficients @ injection)) - (row.limit + slack)
-        if margin > tol * max(1.0, row.limit):
-            raise SolverError(
-                f"flow row {r} violated by {margin:.3e} MW at {problem.hour}")
+    coefficients, limit, slack_allowed = _row_arrays(problem.flow_rows, len(problem.demand))
+    slack = np.where(slack_allowed, result.slack_values, 0.0)
+    margin = np.abs(coefficients @ _injections(problem, p)) - (limit + slack)
+    violated = np.flatnonzero(margin > tol * np.maximum(1.0, limit))
+    if violated.size:
+        r = int(violated[0])
+        raise SolverError(
+            f"flow row {r} violated by {margin[r]:.3e} MW at {problem.hour}")
 
 
 def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None) -> DispatchResult:
@@ -196,12 +213,10 @@ def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None) -> D
 
     n_rows = len(problem.flow_rows)
     row_duals = np.zeros(n_rows)
+    if n_rows:  # shadow price of relaxing the limit
+        row_duals = -(solution.ineq_marginals[0::2] + solution.ineq_marginals[1::2])
     slack_values = np.zeros(n_rows)
-    for r in range(n_rows):
-        up, lo = solution.ineq_marginals[2 * r], solution.ineq_marginals[2 * r + 1]
-        row_duals[r] = -(up + lo)  # shadow price of relaxing the limit
-        if r in layout.slack_of_row:
-            slack_values[r] = solution.x[layout.slack_of_row[r]]
+    slack_values[layout.slack_rows] = solution.x[layout.n_segments:]
 
     flows = None
     if ptdf is not None:

@@ -118,8 +118,9 @@ def _solve_task(state: _WorkerState, task: tuple[str, int]) -> HourOutcome:
     hour = state.series.hours[pos]
     try:
         outcome = _solve_hour(state, regime, pos, hour)
-    except GridlineError as exc:
-        outcome = HourOutcome(regime, hour, ERROR, False, message=str(exc))
+    except Exception as exc:  # one failed task must not abort the others
+        message = str(exc) if isinstance(exc, GridlineError) else f"{type(exc).__name__}: {exc}"
+        outcome = HourOutcome(regime, hour, ERROR, False, message=message)
     if outcome.status == ERROR:
         outcome.message = f"{regime} {format_hour(hour)}: {outcome.message}"
     return outcome
@@ -328,14 +329,16 @@ def _aggregate(config, network, series, by_regime, common_positions) -> RunSumma
 
 def write_ratings(path: Path, ratings: list[RatingSeries]) -> None:
     """ratings.csv: one row per (regime, hour, branch)."""
+    def rows(rating: RatingSeries):
+        columns = (rating.multiplier.tolist(), rating.normal_limit.tolist(),
+                   rating.contingency_limit.tolist())
+        for stamp, *values in zip(map(format_hour, rating.hours), *columns):
+            for branch_id, multiplier, normal, contingency in zip(rating.branch_ids, *values):
+                yield stamp, branch_id, rating.regime, multiplier, normal, contingency
+
     write_csv(path, ["time", "branch_id", "regime", "multiplier",
                      "normal_limit_mva", "contingency_limit_mva"],
-              ((format_hour(hour), branch_id, rating.regime,
-                float(rating.multiplier[h, l]), float(rating.normal_limit[h, l]),
-                float(rating.contingency_limit[h, l]))
-               for rating in ratings
-               for h, hour in enumerate(rating.hours)
-               for l, branch_id in enumerate(rating.branch_ids)))
+              (row for rating in ratings for row in rows(rating)))
 
 
 def _write_outputs(config, network, series, by_regime, ratings, summary) -> None:
@@ -343,17 +346,17 @@ def _write_outputs(config, network, series, by_regime, ratings, summary) -> None
     out.mkdir(parents=True, exist_ok=True)
     gen_ids = [g.id for g in network.generators]
     branch_ids = [b.id for b in network.branches]
+    stamps = {hour: format_hour(hour) for hour in series.hours}
 
     for regime, outcomes in by_regime.items():
         regime_dir = out / regime
+        solved = [(stamps[o.hour], o) for o in outcomes if o.status == OPTIMAL]
         write_csv(regime_dir / "dispatch.csv", ["time", "gen_id", "mw"],
-                  ((format_hour(o.hour), gen_ids[g], float(o.p_gen[g]))
-                   for o in outcomes if o.status == OPTIMAL
-                   for g in range(len(gen_ids))))
+                  ((stamp, gen_id, mw) for stamp, o in solved
+                   for gen_id, mw in zip(gen_ids, o.p_gen.tolist())))
         write_csv(regime_dir / "flows.csv", ["time", "branch_id", "mw"],
-                  ((format_hour(o.hour), branch_ids[l], float(o.flows[l]))
-                   for o in outcomes if o.status == OPTIMAL and o.flows is not None
-                   for l in range(len(branch_ids))))
+                  ((stamp, branch_id, mw) for stamp, o in solved if o.flows is not None
+                   for branch_id, mw in zip(branch_ids, o.flows.tolist())))
         if regime in ratings:
             write_ratings(regime_dir / "ratings.csv", [ratings[regime]])
         write_csv(regime_dir / "congestion_by_branch.csv",
@@ -361,7 +364,7 @@ def _write_outputs(config, network, series, by_regime, ratings, summary) -> None
                   summary.congestion_tables[regime])
         write_csv(regime_dir / "iteration_trace.csv",
                   ["hour", "iteration", "violations_added", "objective"],
-                  ((format_hour(o.hour), it, added, float(obj))
+                  ((stamps[o.hour], it, added, float(obj))
                    for o in outcomes for it, added, obj in o.trace))
 
     payload = summary.to_json_dict()

@@ -261,10 +261,17 @@ def sweep_parameters(network: Network, weather: WeatherGrid, hours: list[datetim
     only the formulas. Returns (t_conductor, phi_slr, mean multiplier) rows
     in sweep order.
     """
-    if not t_conductor_values or not phi_slr_values:
-        raise ValueError("parameter sweep needs at least one value per axis")
+    if not hours or not t_conductor_values or not phi_slr_values:
+        raise ValueError("parameter sweep needs at least one hour and one value per axis")
     index, rate = _line_rater(network, weather, DLR, base)
     present = [pos for pos in map(weather.hour_pos, hours) if weather.present[pos]]
+    if not present:
+        raise GridlineError(f"no weather for any hour of {format_hour(hours[0])}.."
+                            f"{format_hour(hours[-1])}; the sweep has nothing to average")
+    if not index.size:
+        raise GridlineError("no line shorter than "
+                            f"{base.eligibility_length_km} km is rated by weather; "
+                            "the sweep has nothing to average")
     block = np.empty((len(present), len(index)))
     rows = []
     for t_c in t_conductor_values:
@@ -272,5 +279,5 @@ def sweep_parameters(network: Network, weather: WeatherGrid, hours: list[datetim
             params = replace(base, t_conductor=t_c, phi_slr=phi)
             for row, pos in enumerate(present):
                 block[row] = rate(pos, params)
-            rows.append((t_c, phi, float(block.mean()) if block.size else float("nan")))
+            rows.append((t_c, phi, float(block.mean())))
     return rows

@@ -4,8 +4,9 @@ Each oracle is deliberately written from a different formulation than the
 code under test: DC power flow solves the nodal system directly instead of
 using distribution factors, UTM uses the classic Snyder series instead of
 the Krueger expansion, distances use the spherical law of cosines instead
-of the haversine, and the SC-DCOPF oracle enumerates every contingency row
-up front instead of screening.
+of the haversine, the SC-DCOPF oracle enumerates every contingency row
+up front instead of screening, and LPs go through scipy's public
+``linprog`` instead of the direct HiGHS calls.
 """
 
 import math
@@ -162,3 +163,39 @@ def full_enumeration_scdcopf(network, factors, data, normal_limits,
             rows.append(FlowRow(coefficients, float(contingency_limits[b]), True, b, c))
     problem = build_problem(network, data, rows, penalty)
     return solve_problem(problem, ptdf=factors.ptdf)
+
+
+def public_linprog(problem):
+    """An ``LpProblem`` solved through scipy's public ``linprog`` HiGHS
+    interface, which checks, converts and re-stacks the inputs itself."""
+    from scipy.optimize import linprog
+
+    return linprog(c=problem.cost, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                   A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=problem.bounds,
+                   method="highs")
+
+
+def unique_optimum(problem, result, tol=1e-9):
+    """Whether an optimal ``linprog`` result is the LP's only primal-dual
+    pair: the active constraints number as many as the variables, are
+    linearly independent, and every active inequality or bound carries a
+    nonzero multiplier."""
+    x = result.x
+    n = len(x)
+    gradients, multipliers = [], []
+    if problem.a_ub is not None:
+        a_ub = problem.a_ub.toarray()
+        for i, row in enumerate(a_ub):
+            if abs(problem.b_ub[i] - row @ x) <= tol * (1.0 + abs(problem.b_ub[i])):
+                gradients.append(row)
+                multipliers.append(result.ineqlin.marginals[i])
+    gradients.extend(problem.a_eq.toarray())
+    for j, (low, high) in enumerate(problem.bounds):
+        for bound, marginal in ((low, result.lower.marginals[j]),
+                                (high, result.upper.marginals[j])):
+            if bound is not None and abs(x[j] - bound) <= tol * (1.0 + abs(bound)):
+                gradients.append(np.zeros(n))
+                gradients[-1][j] = 1.0
+                multipliers.append(marginal)
+    return (len(gradients) == n and np.linalg.matrix_rank(np.array(gradients)) == n
+            and all(abs(m) > tol for m in multipliers))

@@ -136,3 +136,19 @@ def test_hours_outside_series_rejected(runner, cases_dir, tmp_path, command):
     assert result.exit_code == 1
     assert "2017-01-01T00:00:00Z..2017-01-01T05:00:00Z not covered" in result.output
     assert not out.exists()
+
+
+def test_sweep_without_weather_in_span_fails(runner, cases_dir, tmp_path):
+    lines = (cases_dir / "weather_case3.csv").read_text().splitlines()
+    dropped = [f"2016-07-01T0{h}:" for h in range(1, 6)]
+    weather = tmp_path / "weather.csv"
+    weather.write_text("\n".join(l for l in lines
+                                 if not l.startswith(tuple(dropped))) + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "sweep", "--case", str(cases_dir / "case3"), "--weather", str(weather),
+        "--hours", "2016-07-01T01..2016-07-01T05", "--out", str(out)])
+    assert result.exit_code == 1
+    assert "no weather for any hour of 2016-07-01T01:00:00Z..2016-07-01T05:00:00Z" in result.output
+    assert "nan" not in result.output
+    assert not out.exists()

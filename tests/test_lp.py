@@ -1,0 +1,128 @@
+"""The HiGHS backend against scipy's public ``linprog`` on drawn box-bounded
+LPs and on the dispatch LPs of the bundled cases."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import sparse
+
+from gridline import lp as backend
+from gridline.dispatch import base_flow_rows, build_lp, build_problem, hour_data
+from gridline.errors import SolverError
+from gridline.lp import ERROR, INFEASIBLE, OPTIMAL, HighsResult, LpProblem, solve_lp
+from gridline.scopf import contingency_row
+
+import oracles
+
+STATUS = {0: OPTIMAL, 2: INFEASIBLE, 4: ERROR}
+
+
+def assert_matches_public_linprog(problem):
+    """Same status; on an optimum the same objective and x to 1e-9, and the
+    same marginals wherever the optimum is unique. Returns the status."""
+    solution = solve_lp(problem)
+    reference = oracles.public_linprog(problem)
+    assert solution.status == STATUS[reference.status]
+    if solution.status != OPTIMAL:
+        return solution.status
+    assert solution.objective == pytest.approx(reference.fun, rel=1e-9, abs=1e-9)
+    scale = max(1.0, float(np.abs(reference.x).max()))
+    np.testing.assert_allclose(solution.x, reference.x, rtol=1e-9, atol=1e-9 * scale)
+    if oracles.unique_optimum(problem, reference):
+        pairs = [(solution.eq_marginals, reference.eqlin.marginals),
+                 (solution.lower_marginals, reference.lower.marginals),
+                 (solution.upper_marginals, reference.upper.marginals)]
+        if problem.a_ub is not None:
+            pairs.append((solution.ineq_marginals, reference.ineqlin.marginals))
+        for mine, theirs in pairs:
+            np.testing.assert_allclose(mine, theirs, rtol=1e-9,
+                                       atol=1e-9 * max(1.0, float(np.abs(theirs).max())))
+    return solution.status
+
+
+values = st.floats(-10.0, 10.0).map(lambda v: round(v, 3))
+coefficients = st.one_of(st.just(0.0), values)
+
+
+@st.composite
+def box_lps(draw):
+    """min c @ x over a box, a few <= rows and one equality row. The
+    right-hand sides are set around a point of the box and then shifted,
+    so some draws are feasible and some are not."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 6))
+    lower = draw(arrays(float, n, elements=values))
+    width = draw(arrays(float, n, elements=st.floats(0.1, 20.0).map(lambda v: round(v, 3))))
+    point = lower + width * draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    a_ub = draw(arrays(float, (m, n), elements=coefficients))
+    a_eq = draw(arrays(float, (1, n), elements=coefficients))
+    shift = st.one_of(st.just(0.0), st.floats(-3.0, 10.0))
+    return LpProblem(
+        cost=draw(arrays(float, n, elements=values)),
+        a_ub=sparse.csr_matrix(a_ub) if m else None,
+        b_ub=a_ub @ point + draw(arrays(float, m, elements=shift)) if m else None,
+        a_eq=sparse.csr_matrix(a_eq),
+        b_eq=a_eq @ point + draw(arrays(float, 1, elements=shift)),
+        bounds=list(zip(lower.tolist(), (lower + width).tolist())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=box_lps())
+def test_drawn_lps_match_public_linprog(problem):
+    assert_matches_public_linprog(problem)
+
+
+@pytest.mark.parametrize("name", ["case3", "case5", "case30"])
+def test_dispatch_lps_match_public_linprog(networks, serieses, factors_map, name):
+    net, factors = networks[name], factors_map[name]
+    radial = {net.branch_index[b] for b in factors.radial_branches}
+    outages = [c for c in range(net.n_branches) if c not in radial][:6]
+    statuses, slack_hours = [], 0
+    for hour in list(serieses[name].hours)[::4]:
+        data = hour_data(net, serieses[name], hour)
+        base = base_flow_rows(net, factors.ptdf, net.static_rating)
+        # every contingency row at 60% of the normal rating, so slacks bind
+        penalized = base + [contingency_row(factors, b, c, 0.6 * net.static_rating[b])
+                            for c in outages for b in range(net.n_branches) if b != c]
+        for rows in (base, penalized):
+            lp, layout = build_lp(build_problem(net, data, rows))
+            statuses.append(assert_matches_public_linprog(lp))
+            if rows is penalized and statuses[-1] == OPTIMAL:
+                slack_hours += bool(np.any(solve_lp(lp).x[layout.n_segments:] > 1e-6))
+    assert OPTIMAL in statuses
+    assert slack_hours > 0
+
+
+@pytest.fixture()
+def case30_lp(networks, serieses, factors_map):
+    net, series = networks["case30"], serieses["case30"]
+    rows = base_flow_rows(net, factors_map["case30"].ptdf, net.static_rating)
+    return build_lp(build_problem(net, hour_data(net, series, series.hours[0]), rows))[0]
+
+
+@pytest.mark.parametrize("status, outcome", [
+    (backend._STATUS.kTimeLimit, "HiGHS status 13: Time limit reached"),
+    (backend._STATUS.kUnboundedOrInfeasible, "HiGHS status 9: Primal infeasible or unbounded"),
+])
+def test_other_statuses_are_errors_with_the_solver_message(monkeypatch, case30_lp,
+                                                           status, outcome):
+    monkeypatch.setattr(backend, "linprog", lambda model: HighsResult(
+        status, backend.highs._Highs().modelStatusToString(status), 3))
+    solution = solve_lp(case30_lp)
+    assert (solution.status, solution.message) == (ERROR, outcome)
+
+
+def test_unbounded_lp_raises():
+    problem = LpProblem(np.array([-1.0, 0.0]), None, None,
+                        sparse.csr_matrix(np.array([[0.0, 1.0]])), np.array([1.0]),
+                        [(0.0, None), (0.0, 5.0)])
+    with pytest.raises(SolverError, match="unbounded"):
+        solve_lp(problem)
+
+
+def test_simplex_iterations_are_reported(case30_lp):
+    result = backend.linprog(backend._highs_model(case30_lp))
+    assert result.status == backend._STATUS.kOptimal
+    assert result.nit > 0

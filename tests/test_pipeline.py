@@ -205,3 +205,23 @@ def test_lp_error_names_regime_hour_and_cause(cases_dir, tmp_path, monkeypatch):
         assert payload["regimes"][regime]["error_hours"] == [
             f"{regime} 2016-07-01T0{h}:00:00Z: HiGHS status 4: numerical trouble"
             for h in (3, 4)]
+
+
+def test_unexpected_exception_becomes_task_error(cases_dir, tmp_path, monkeypatch):
+    from gridline import dispatch
+
+    def broken(lp):
+        raise RuntimeError("bindings gave up")
+
+    monkeypatch.setattr(dispatch, "solve_lp", broken)
+    out = tmp_path / "out"
+    summary = run(RunConfig(
+        case_directory=cases_dir / "case3", output_directory=out,
+        regimes=("slr", "uncongested"), worker_count=1,
+        hours=(parse_hour("2016-07-01T03:00:00Z"), parse_hour("2016-07-01T04:00:00Z"))))
+    assert not summary.all_ok
+    payload = json.loads((out / "summary.json").read_text())
+    for regime in ("slr", "uncongested"):
+        assert payload["regimes"][regime]["error_hours"] == [
+            f"{regime} 2016-07-01T0{h}:00:00Z: RuntimeError: bindings gave up"
+            for h in (3, 4)]

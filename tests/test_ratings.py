@@ -407,3 +407,11 @@ def test_nonpositive_ampacity_rejected():
     bogus = Branch(9, 1, 2, 0.1, -5.0, "line", 10.0, None)
     with pytest.raises(GridlineError, match="ampacity"):
         estimate_diameter(bogus, net, PARAMS)
+
+
+def test_sweep_without_eligible_line_fails(networks, weathers, serieses):
+    short = RatingParams(eligibility_length_km=1e-3)
+    assert not any(branch_eligible(b, short) for b in networks["case3"].branches)
+    with pytest.raises(GridlineError, match="no line shorter than 0.001 km"):
+        sweep_parameters(networks["case3"], weathers["case3"], list(serieses["case3"].hours),
+                         [100.0], [0.0], short)
