@@ -8,7 +8,7 @@ from .ratings import (AAR, DLR, SLR, RatingParams, RatingSeries, branch_multipli
                       eta_wind, k_angle, sweep_parameters)
 from .factors import SensitivityFactors, build_factors, compute_lodf, compute_ptdf
 from .dispatch import (DispatchProblem, DispatchResult, FlowRow, HourData, hour_data,
-                       solve_base_dcopf, solve_copperplate, solve_penalized_dcopf)
+                       solve_copperplate, solve_penalized_dcopf)
 from .scopf import (ScopfResult, ViolationSet, post_contingency_flows,
                     screen_violations, solve_scdcopf, verify_n1)
 from .pipeline import RunConfig, RunSummary, congestion_by_branch, emissions, run

@@ -262,7 +262,7 @@ def sweep_command(case_dir, weather_file, tc_list, phi_list, hours_span, out_dir
     if out_dir:
         rows = []
         for (t_c, phi, mean), phi_deg in zip(table, [d for _ in tc_values for d in phi_degrees]):
-            rows.append((float(t_c), float(phi_deg), float(mean)))
+            rows.append((repr(float(t_c)), repr(float(phi_deg)), repr(float(mean))))
         write_csv(Path(out_dir) / "sweep.csv",
                   ["t_conductor_c", "phi_slr_deg", "mean_dlr_multiplier"], rows)
         click.echo(f"wrote {Path(out_dir) / 'sweep.csv'}")

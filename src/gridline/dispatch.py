@@ -230,24 +230,17 @@ def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None) -> D
 
 
 def base_flow_rows(network: Network, ptdf: np.ndarray, limits: np.ndarray,
-                   slack_allowed: bool = False) -> list[FlowRow]:
-    """Two-sided rows for every branch at the given normal limits (hard
-    unless slacks are explicitly extended to the base case)."""
+                   slack_allowed: bool = False,
+                   branches: np.ndarray | None = None) -> list[FlowRow]:
+    """Two-sided rows at the given normal limits (hard unless slacks are
+    explicitly extended to the base case): one per branch, or one per
+    position in ``branches``, in that order."""
     limits = np.asarray(limits, dtype=float)
     if np.any(limits <= 0):
         bad = int(np.argmax(limits <= 0))
         raise ValueError(f"nonpositive flow limit on branch index {bad}")
-    return [FlowRow(ptdf[l], float(limits[l]), slack_allowed, l)
-            for l in range(network.n_branches)]
-
-
-def solve_base_dcopf(network: Network, factors, data: HourData,
-                     limits: np.ndarray) -> DispatchResult:
-    """Cost-minimal dispatch under balance, generator bounds, and hard
-    two-sided PTDF flow limits."""
-    rows = base_flow_rows(network, factors.ptdf, limits)
-    problem = build_problem(network, data, rows)
-    return solve_problem(problem, ptdf=factors.ptdf)
+    positions = range(network.n_branches) if branches is None else np.asarray(branches).tolist()
+    return [FlowRow(ptdf[l], float(limits[l]), slack_allowed, l) for l in positions]
 
 
 def solve_penalized_dcopf(problem: DispatchProblem,

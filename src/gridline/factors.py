@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import NetworkStructureError
 from .network import Network
-from .util import write_csv
+from .util import render_floats, write_csv
 
 RADIAL_TOLERANCE = 1e-6
+ROW_BLOCK = 256  # LODF rows per block when reducing over |LODF|
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,7 @@ class SensitivityFactors:
     lodf: np.ndarray  # (L, L): rows monitor, columns outage; radial columns NaN
     slack_bus: int  # bus id
     radial_branches: frozenset[int]  # branch ids whose outage islands the network
+    lodf_row_max: np.ndarray  # (L,): max |LODF[b, c]| over non-radial c != b, else 0
 
 
 def default_slack_bus(network: Network) -> int:
@@ -107,11 +109,28 @@ def compute_lodf(ptdf: np.ndarray, network: Network,
     return lodf, radial_ids
 
 
+def lodf_row_max(lodf: np.ndarray) -> np.ndarray:
+    """Per monitored row b, the largest |LODF[b, c]| over non-radial
+    outages c != b (0 when there is none).
+
+    Reduced in blocks of rows, so no full-size |LODF| copy is made; NaN
+    (radial) columns drop out of ``np.fmax``.
+    """
+    l = lodf.shape[0]
+    out = np.empty(l)
+    for start in range(0, l, ROW_BLOCK):
+        block = np.abs(lodf[start:start + ROW_BLOCK])
+        rows = np.arange(block.shape[0])
+        block[rows, start + rows] = 0.0
+        np.fmax.reduce(block, axis=1, initial=0.0, out=out[start:start + len(rows)])
+    return out
+
+
 def build_factors(network: Network, slack_bus: int | None = None) -> SensitivityFactors:
     slack_id = default_slack_bus(network) if slack_bus is None else slack_bus
     ptdf = compute_ptdf(network, slack_id)
     lodf, radial = compute_lodf(ptdf, network)
-    return SensitivityFactors(ptdf, lodf, slack_id, radial)
+    return SensitivityFactors(ptdf, lodf, slack_id, radial, lodf_row_max(lodf))
 
 
 def dump_factors(factors: SensitivityFactors, network: Network,
@@ -121,9 +140,9 @@ def dump_factors(factors: SensitivityFactors, network: Network,
     bus_ids = [str(b.id) for b in network.buses]
     branch_ids = [b.id for b in network.branches]
     write_csv(out / "ptdf.csv", ["branch_id"] + bus_ids,
-              ([branch_ids[l]] + [float(v) for v in factors.ptdf[l]]
+              ([branch_ids[l], *render_floats(factors.ptdf[l])]
                for l in range(network.n_branches)))
     write_csv(out / "lodf.csv",
               ["monitored_branch_id"] + [str(b) for b in branch_ids],
-              ([branch_ids[l]] + [float(v) for v in factors.lodf[l]]
+              ([branch_ids[l], *render_floats(factors.lodf[l])]
                for l in range(network.n_branches)))

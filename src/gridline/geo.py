@@ -107,17 +107,6 @@ def conductor_angle(start: PlanarPoint, end: PlanarPoint) -> float:
     return math.pi if angle == -math.pi else angle
 
 
-def wind_angle(v_x: float, v_y: float) -> tuple[float, float]:
-    """Wind direction (four-quadrant, (-pi, pi]) and speed from east/north
-    velocity components."""
-    if v_x == 0.0 and v_y == 0.0:
-        raise ValueError("zero wind vector has no direction; treat as calm")
-    angle = math.atan2(v_y, v_x)
-    if angle == -math.pi:
-        angle = math.pi
-    return angle, math.hypot(v_x, v_y)
-
-
 def great_circle_km(lat1, lon1, lat2, lon2):
     """Haversine great-circle distance in km, broadcast over numpy arrays."""
     p1, p2 = np.radians(lat1), np.radians(lat2)

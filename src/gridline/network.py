@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CaseError, GridlineError
 from .geo import great_circle_km
-from .util import HOUR, format_hour, parse_hour, read_rows, write_csv
+from .util import HOUR, format_hour, parse_hour, read_rows, render_floats, write_csv
 
 FUELS = ("solar", "wind", "natural_gas", "coal", "nuclear", "hydro", "other")
 VARIABLE_FUELS = ("solar", "wind")
@@ -364,12 +364,14 @@ def write_network(network: Network, out_directory: str | Path) -> None:
     load_network; derived branch lengths are materialized)."""
     out = Path(out_directory)
     write_csv(out / "bus.csv", ["id", "lat", "lon", "base_kv"],
-              [(b.id, b.latitude, b.longitude, b.base_voltage) for b in network.buses])
+              [(b.id, *render_floats((b.latitude, b.longitude, b.base_voltage)))
+               for b in network.buses])
     write_csv(out / "branch.csv",
               ["id", "from_bus", "to_bus", "reactance_pu", "rating_mva", "kind",
                "length_km", "diameter_m"],
-              [(b.id, b.from_bus, b.to_bus, b.reactance, b.static_rating, b.kind,
-                b.length_km, "" if b.diameter_m is None else b.diameter_m)
+              [(b.id, b.from_bus, b.to_bus, *render_floats((b.reactance, b.static_rating)),
+                b.kind, repr(float(b.length_km)),
+                "" if b.diameter_m is None else repr(float(b.diameter_m)))
                for b in network.branches])
     max_segments = max(len(g.cost_curve) for g in network.generators)
     header = ["id", "bus", "fuel", "p_min_mw", "p_max_mw"]
@@ -377,9 +379,9 @@ def write_network(network: Network, out_directory: str | Path) -> None:
         header += [f"seg{s}_mw", f"seg{s}_cost"]
     rows = []
     for g in network.generators:
-        row = [g.id, g.bus, g.fuel, g.p_min, g.p_max_static]
-        for cap, price in g.cost_curve:
-            row += [cap, price]
+        row = [g.id, g.bus, g.fuel, *render_floats((g.p_min, g.p_max_static))]
+        for segment in g.cost_curve:
+            row += render_floats(segment)
         row += [""] * (len(header) - len(row))
         rows.append(row)
     write_csv(out / "gen.csv", header, rows)

@@ -29,7 +29,7 @@ from .network import (VARIABLE_FUELS, HourlySeries, Network, load_hourly_series,
 from .ratings import (AAR, DLR, RATED_REGIMES, SLR, RatingParams, RatingSeries,
                       build_rating_series)
 from .scopf import DEFAULT_MAX_ITERATIONS, solve_scdcopf
-from .util import format_hour, write_csv
+from .util import format_hour, render_floats, write_csv
 from .weather import load_weather
 
 UNCONGESTED = "uncongested"
@@ -86,7 +86,8 @@ class HourOutcome:
     residual_violations: int = 0
     # (monitored branch id, outaged branch id or "", row limit, dual, slack)
     binding_rows: list[tuple[int, object, float, float, float]] = field(default_factory=list)
-    trace: list[tuple[int, int, float]] = field(default_factory=list)
+    # per LP solve: (iteration, base rows, contingency rows appended, objective)
+    trace: list[tuple[int, int, int, float]] = field(default_factory=list)
     message: str = ""
 
     @property
@@ -135,7 +136,7 @@ def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime) -> H
                               result.objective, result.p_gen, result.flows,
                               message=result.message)
         if result.status == OPTIMAL:
-            outcome.trace = [(0, 0, result.objective)]
+            outcome.trace = [(0, 0, 0, result.objective)]
         return outcome
     rating = state.ratings[regime]
     solution = solve_scdcopf(
@@ -330,10 +331,10 @@ def _aggregate(config, network, series, by_regime, common_positions) -> RunSumma
 def write_ratings(path: Path, ratings: list[RatingSeries]) -> None:
     """ratings.csv: one row per (regime, hour, branch)."""
     def rows(rating: RatingSeries):
-        columns = (rating.multiplier.tolist(), rating.normal_limit.tolist(),
-                   rating.contingency_limit.tolist())
+        columns = (rating.multiplier, rating.normal_limit, rating.contingency_limit)
         for stamp, *values in zip(map(format_hour, rating.hours), *columns):
-            for branch_id, multiplier, normal, contingency in zip(rating.branch_ids, *values):
+            for branch_id, multiplier, normal, contingency in zip(
+                    rating.branch_ids, *map(render_floats, values)):
                 yield stamp, branch_id, rating.regime, multiplier, normal, contingency
 
     write_csv(path, ["time", "branch_id", "regime", "multiplier",
@@ -353,19 +354,20 @@ def _write_outputs(config, network, series, by_regime, ratings, summary) -> None
         solved = [(stamps[o.hour], o) for o in outcomes if o.status == OPTIMAL]
         write_csv(regime_dir / "dispatch.csv", ["time", "gen_id", "mw"],
                   ((stamp, gen_id, mw) for stamp, o in solved
-                   for gen_id, mw in zip(gen_ids, o.p_gen.tolist())))
+                   for gen_id, mw in zip(gen_ids, render_floats(o.p_gen))))
         write_csv(regime_dir / "flows.csv", ["time", "branch_id", "mw"],
                   ((stamp, branch_id, mw) for stamp, o in solved if o.flows is not None
-                   for branch_id, mw in zip(branch_ids, o.flows.tolist())))
+                   for branch_id, mw in zip(branch_ids, render_floats(o.flows))))
         if regime in ratings:
             write_ratings(regime_dir / "ratings.csv", [ratings[regime]])
         write_csv(regime_dir / "congestion_by_branch.csv",
                   ["branch_id", "congestion_cost_proxy_usd", "binding_hours"],
-                  summary.congestion_tables[regime])
+                  ((branch_id, repr(float(cost)), hours)
+                   for branch_id, cost, hours in summary.congestion_tables[regime]))
         write_csv(regime_dir / "iteration_trace.csv",
-                  ["hour", "iteration", "violations_added", "objective"],
-                  ((stamps[o.hour], it, added, float(obj))
-                   for o in outcomes for it, added, obj in o.trace))
+                  ["hour", "iteration", "base_rows", "violations_added", "objective"],
+                  ((stamps[o.hour], it, base, added, repr(float(obj)))
+                   for o in outcomes for it, base, added, obj in o.trace))
 
     payload = summary.to_json_dict()
     with open(out / "summary.json", "w", encoding="utf-8") as handle:

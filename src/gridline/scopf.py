@@ -1,18 +1,26 @@
-"""Preventative N-1 security-constrained DCOPF via contingency screening.
+"""Preventative N-1 security-constrained DCOPF by constraint generation.
 
-Instead of enumerating every (monitored, outaged) branch pair up front,
-post-contingency flows are estimated from the base dispatch with the LODF
-matrix, only the violated pairs get constraint rows, and the model is
-re-solved until no new violations appear. Rows accumulate across
-iterations (never dropped), so the objective is nondecreasing and the
-procedure terminates. Appended rows carry penalized slacks so a violation
-whose avoidance is costlier than the penalty shows up as nonzero slack
-with its shadow price capped at the penalty, instead of infeasibility.
+No flow row is lowered up front. Each pass solves the dispatch LP with the
+rows found so far and computes the full base-case flows from the PTDF.
+Branches over their normal limit get a base row and the LP is re-solved;
+only a solve that violates no base row has its post-contingency flows
+screened with the LODF, and each violated (monitored, outaged) pair gets
+one row. Base rows come first: screening a dispatch that still overloads
+branches in the base case finds pairs by the thousand that the base rows
+would clear. Rows accumulate (never dropped), so the objective is
+nondecreasing and the procedure terminates. Contingency rows carry
+penalized slacks so a violation whose avoidance is costlier than the
+penalty shows up as nonzero slack with its shadow price capped at the
+penalty, instead of infeasibility.
+
+The screen computes post-contingency flows only for monitored rows that an
+exact bound cannot clear:
+|f_b + LODF[b, c] f_c| <= |f_b| + max_c |LODF[b, c]| * max_c |f_c|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +30,7 @@ from .factors import SensitivityFactors
 from .lp import OPTIMAL
 from .network import Network
 
-SCREEN_TOLERANCE = 1e-6  # relative to each contingency limit
+SCREEN_TOLERANCE = 1e-6  # relative to each flow limit
 DEFAULT_MAX_ITERATIONS = 20
 
 
@@ -51,62 +59,67 @@ class ViolationSet:
         return bool(self.violations)
 
 
-@dataclass
-class ActiveRowSet:
-    """Cumulative contingency rows, one per distinct (monitored, outaged)
-    pair, in first-seen order."""
-
-    rows: list[FlowRow] = field(default_factory=list)
-    _pairs: set[tuple[int, int]] = field(default_factory=set)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self._pairs
-
-    def add(self, pair: tuple[int, int], row: FlowRow) -> None:
-        if pair in self._pairs:
-            raise ValueError(f"duplicate contingency row for pair {pair}")
-        self._pairs.add(pair)
-        self.rows.append(row)
-
-
-def post_contingency_flows(f_base: np.ndarray, lodf: np.ndarray) -> np.ndarray:
-    """L x L matrix whose column c holds branch flows after the outage of c.
+def post_contingency_flows(f_base: np.ndarray, lodf: np.ndarray,
+                           rows: np.ndarray | None = None) -> np.ndarray:
+    """L x L matrix whose column c holds branch flows after the outage of c;
+    with ``rows``, only those monitored rows, in that order.
 
     Radial columns are NaN (invalid, never screened); diagonal entries are
     exactly zero for non-radial outages since LODF[c, c] = -1.
     """
     if f_base.shape[0] != lodf.shape[0]:
         raise ValueError("flow vector and LODF dimensions disagree")
-    return f_base[:, None] + lodf * f_base[None, :]
+    if rows is None:
+        return f_base[:, None] + lodf * f_base[None, :]
+    return f_base[rows, None] + lodf[rows] * f_base[None, :]
 
 
 def screen_violations(f_cont: np.ndarray, contingency_limits: np.ndarray,
-                      tolerance: float = SCREEN_TOLERANCE) -> ViolationSet:
+                      tolerance: float = SCREEN_TOLERANCE,
+                      rows: np.ndarray | None = None) -> ViolationSet:
     """All pairs whose post-contingency flow magnitude exceeds the monitored
     branch's contingency limit (plus a relative feasibility tolerance).
 
-    NaN columns (radial outages) and the b = c diagonal are excluded; a
-    branch's own outage leaves zero flow on itself.
+    Row i of ``f_cont`` monitors branch ``rows[i]`` (branch i without
+    ``rows``). NaN columns (radial outages) and each monitored branch's own
+    outage are excluded; a branch's own outage leaves zero flow on itself.
     """
-    limits = np.asarray(contingency_limits, dtype=float)
+    monitored = np.arange(f_cont.shape[0]) if rows is None else np.asarray(rows, dtype=int)
+    limits = np.asarray(contingency_limits, dtype=float)[monitored]
     overload = np.abs(f_cont) - limits[:, None]
     with np.errstate(invalid="ignore"):
         mask = overload > tolerance * limits[:, None]
-    np.fill_diagonal(mask, False)
-    found = [Violation(int(b), int(c), float(overload[b, c]))
-             for b, c in zip(*np.nonzero(mask))]
+    mask[np.arange(len(monitored)), monitored] = False
+    found = [Violation(int(monitored[i]), int(c), float(overload[i, c]))
+             for i, c in zip(*np.nonzero(mask))]
     found.sort(key=lambda v: (-v.overload, v.monitored, v.outaged))
     return ViolationSet(tuple(found))
+
+
+def screen_contingencies(flows: np.ndarray, factors: SensitivityFactors,
+                         contingency_limits: np.ndarray,
+                         tolerance: float = SCREEN_TOLERANCE) -> ViolationSet:
+    """The violations ``verify_n1`` finds, with post-contingency flows
+    computed only for the monitored rows the bound
+    |f_b| + max_c |LODF[b, c]| * max_c |f_c| does not clear. The bound is
+    widened by 1e-12 relative so that rounding cannot hide a pair."""
+    limits = np.asarray(contingency_limits, dtype=float)
+    magnitude = np.abs(flows)
+    bound = (magnitude + factors.lodf_row_max * magnitude.max(initial=0.0)) * (1.0 + 1e-12)
+    rows = np.flatnonzero(bound > limits * (1.0 + tolerance))
+    return screen_violations(post_contingency_flows(flows, factors.lodf, rows),
+                             limits, tolerance, rows)
 
 
 @dataclass
 class ScopfResult:
     dispatch: DispatchResult
-    iterations: int  # while-loop passes (penalized re-solves)
+    iterations: int  # contingency passes (re-solves after adding contingency rows)
     violations: ViolationSet  # residual; nonempty only on a flagged exit
     converged: bool
-    flow_rows: tuple[FlowRow, ...]  # base rows + appended contingency rows
-    trace: list[tuple[int, int, float]]  # (iteration, rows appended, objective)
+    flow_rows: tuple[FlowRow, ...]  # base and contingency rows, in the order added
+    # per LP solve: (iteration, base rows, contingency rows appended, objective)
+    trace: list[tuple[int, int, int, float]]
 
 
 def contingency_row(factors: SensitivityFactors, monitored: int, outaged: int,
@@ -123,55 +136,59 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
                   penalty_price: float = DEFAULT_PENALTY,
                   slack_base_rows: bool = False) -> ScopfResult:
-    """Iterative contingency screening and constraint generation.
+    """Constraint generation for base and contingency rows in one loop.
 
-    Solve the base DCOPF, screen post-contingency flows, append one
-    penalized row per violated pair (cumulative, deduplicated), re-solve,
-    and re-screen on the updated physical flows until clean. An hour that
-    still shows violations after ``max_iterations`` passes, or whose
-    remaining violations are all slack-absorbed (re-solving would not
-    change the LP), is returned flagged rather than silently accepted.
+    Start from the LP with no flow rows. After each solve, add a base row
+    for every branch without one whose flow exceeds its normal limit
+    (largest overload first, ties by position) and re-solve. Only a solve
+    that violates no base row is screened: one penalized row per violated
+    pair not yet present, then re-solve. The loop ends on a clean screen,
+    on a non-optimal LP, after ``max_iterations`` contingency passes, or
+    when every violated pair already has a (slack-absorbed) row, since
+    re-solving would not change the LP. An hour that ends with violations
+    is returned flagged rather than silently accepted. Base passes do not
+    count as iterations, and every exit after an optimal solve has checked
+    the flows of every branch against its normal limit.
 
-    Base-case rows are hard by default, keeping base solutions physical;
+    Base rows are hard by default, keeping base solutions physical;
     ``slack_base_rows`` extends the penalized slacks to them as well.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    normal_limits = np.asarray(normal_limits, dtype=float)
     contingency_limits = np.asarray(contingency_limits, dtype=float)
-    base_rows = base_flow_rows(network, factors.ptdf, normal_limits,
-                               slack_allowed=slack_base_rows)
-    result = solve_problem(
-        build_problem(network, data, base_rows, penalty_price), ptdf=factors.ptdf)
-    trace: list[tuple[int, int, float]] = []
-    empty = ViolationSet(())
-    if result.status != OPTIMAL:
-        return ScopfResult(result, 0, empty, False, tuple(base_rows), trace)
-
-    violations = screen_violations(
-        post_contingency_flows(result.flows, factors.lodf), contingency_limits)
-    trace.append((0, 0, result.objective))
-    active = ActiveRowSet()
-    iterations = 0
-    while violations and iterations < max_iterations:
-        new_pairs = [p for p in violations.pairs if p not in active]
-        if not new_pairs:
-            break  # every violated pair already has a (slack-absorbed) row
-        iterations += 1
-        for monitored, outaged in new_pairs:
-            active.add((monitored, outaged),
-                       contingency_row(factors, monitored, outaged,
-                                       contingency_limits[monitored]))
-        problem = build_problem(network, data, base_rows + active.rows, penalty_price)
-        result = solve_problem(problem, ptdf=factors.ptdf)
+    base_cap = normal_limits * (1.0 + SCREEN_TOLERANCE)
+    has_base_row = np.zeros(network.n_branches, dtype=bool)
+    rows: list[FlowRow] = []
+    pairs: set[tuple[int, int]] = set()
+    trace: list[tuple[int, int, int, float]] = []
+    violations = ViolationSet(())
+    iterations = n_base = added = 0
+    while True:
+        result = solve_problem(build_problem(network, data, rows, penalty_price),
+                               ptdf=factors.ptdf)
         if result.status != OPTIMAL:
-            return ScopfResult(result, iterations, violations, False,
-                               tuple(problem.flow_rows), trace)
-        violations = screen_violations(
-            post_contingency_flows(result.flows, factors.lodf), contingency_limits)
-        trace.append((iterations, len(new_pairs), result.objective))
-
-    rows = tuple(base_rows + active.rows)
-    return ScopfResult(result, iterations, violations, not violations, rows, trace)
+            return ScopfResult(result, iterations, violations, False, tuple(rows), trace)
+        trace.append((iterations, n_base, added, result.objective))
+        overload = np.abs(result.flows) - base_cap
+        new_base = np.flatnonzero((overload > 0.0) & ~has_base_row)
+        if new_base.size:
+            new_base = new_base[np.lexsort((new_base, -overload[new_base]))]
+            rows += base_flow_rows(network, factors.ptdf, normal_limits,
+                                   slack_base_rows, new_base)
+            has_base_row[new_base] = True
+            n_base += new_base.size
+            added = 0
+            continue
+        violations = screen_contingencies(result.flows, factors, contingency_limits)
+        new_pairs = [p for p in violations.pairs if p not in pairs]
+        if not new_pairs or iterations == max_iterations:
+            break
+        iterations += 1
+        pairs.update(new_pairs)
+        rows += [contingency_row(factors, b, c, contingency_limits[b]) for b, c in new_pairs]
+        added = len(new_pairs)
+    return ScopfResult(result, iterations, violations, not violations, tuple(rows), trace)
 
 
 def verify_n1(flows: np.ndarray, lodf: np.ndarray, contingency_limits: np.ndarray,

@@ -6,6 +6,8 @@ import csv
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
+
 HOUR = timedelta(hours=1)
 
 
@@ -57,19 +59,19 @@ def read_rows(path: Path, required: list[str]):
             yield number, row
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows with deterministic formatting.
+def render_floats(values):
+    """Each value as the ``repr`` of a Python float: the shortest text that
+    reads back to the same number. Identical numeric results thus
+    serialize to identical bytes regardless of worker count or platform
+    scheduling. (A numpy scalar's own ``repr`` is ``np.float64(...)``.)"""
+    return map(repr, np.asarray(values, dtype=float).tolist())
 
-    Floats are rendered with ``repr`` (shortest round-trip form) so that
-    identical numeric results serialize to identical bytes regardless of
-    worker count or platform scheduling.
-    """
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header and rows whose cells are already rendered: floats as
+    ``render_floats`` text, other cells as strings or ints."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            # float(v) first: numpy scalars pass isinstance(..., float) but
-            # repr to 'np.float64(...)' under numpy 2
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
+        writer.writerows(rows)

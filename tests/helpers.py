@@ -1,6 +1,14 @@
 """In-memory construction of small networks for unit tests."""
 
+from gridline.dispatch import base_flow_rows, build_problem, solve_problem
 from gridline.network import Branch, Bus, Generator, Network
+
+
+def solve_base(net, factors, data, limits):
+    """Cost-minimal dispatch under hard two-sided PTDF rows on every branch:
+    the explicit-row reference path."""
+    rows = base_flow_rows(net, factors.ptdf, limits)
+    return solve_problem(build_problem(net, data, rows), ptdf=factors.ptdf)
 
 
 def make_network(buses, branches, gens):

@@ -5,10 +5,12 @@ code under test: DC power flow solves the nodal system directly instead of
 using distribution factors, UTM uses the classic Snyder series instead of
 the Krueger expansion, distances use the spherical law of cosines instead
 of the haversine, the SC-DCOPF oracle enumerates every contingency row
-up front instead of screening, and LPs go through scipy's public
-``linprog`` instead of the direct HiGHS calls.
+up front instead of screening, LPs go through scipy's public
+``linprog`` instead of the direct HiGHS calls, and CSV cells are formatted
+one value at a time instead of as rendered columns.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -124,6 +126,18 @@ def bridges(network):
     return out
 
 
+def wind_angle(v_x, v_y):
+    """Wind direction (four-quadrant, (-pi, pi]) and speed from east/north
+    velocity components: the scalar form of the rating path's
+    ``np.arctan2`` on wind arrays."""
+    if v_x == 0.0 and v_y == 0.0:
+        raise ValueError("zero wind vector has no direction; treat as calm")
+    angle = math.atan2(v_y, v_x)
+    if angle == -math.pi:
+        angle = math.pi
+    return angle, math.hypot(v_x, v_y)
+
+
 def eta_temperature_reference(t_ambient_k, t_conductor_c, t_ambient_slr_c):
     numerator = (t_conductor_c + 273.15) - t_ambient_k
     denominator = t_conductor_c - t_ambient_slr_c
@@ -199,3 +213,14 @@ def unique_optimum(problem, result, tol=1e-9):
                 multipliers.append(marginal)
     return (len(gradients) == n and np.linalg.matrix_rank(np.array(gradients)) == n
             and all(abs(m) > tol for m in multipliers))
+
+
+def per_value_write_csv(path, header, rows):
+    """CSV writer that formats each cell itself: ``repr(float(v))`` for
+    floats, numpy scalars included, and ``csv``'s own text otherwise."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

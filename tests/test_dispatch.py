@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from gridline.dispatch import (DispatchProblem, FlowRow, HourData, base_flow_rows,
-                               build_lp, build_problem, hour_data, solve_base_dcopf,
-                               solve_copperplate, solve_penalized_dcopf, solve_problem)
+                               build_lp, build_problem, hour_data, solve_copperplate,
+                               solve_penalized_dcopf, solve_problem)
 from gridline.factors import build_factors
 from gridline.lp import solve_lp
 from gridline.util import parse_hour
 
-from helpers import triangle_network, two_bus_network
+from helpers import solve_base, triangle_network, two_bus_network
 
 HOUR = parse_hour("2016-07-01T00:00:00Z")
 
@@ -23,7 +23,7 @@ def two_bus_setup(line_limit=100.0, demand=80.0, cheap=10.0, dear=30.0):
 
 def test_uncongested_two_bus():
     net, factors, data = two_bus_setup(line_limit=100.0, demand=80.0)
-    result = solve_base_dcopf(net, factors, data, np.array([100.0]))
+    result = solve_base(net, factors, data, np.array([100.0]))
     assert result.status == "optimal"
     assert result.p_gen == pytest.approx([80.0, 0.0], abs=1e-6)
     assert result.flows[0] == pytest.approx(80.0, abs=1e-6)
@@ -34,7 +34,7 @@ def test_uncongested_two_bus():
 
 def test_congested_two_bus_dual_is_cost_difference():
     net, factors, data = two_bus_setup(line_limit=50.0, demand=80.0)
-    result = solve_base_dcopf(net, factors, data, np.array([50.0]))
+    result = solve_base(net, factors, data, np.array([50.0]))
     assert result.p_gen == pytest.approx([50.0, 30.0], abs=1e-6)
     assert result.objective == pytest.approx(50 * 10 + 30 * 30, abs=1e-6)
     assert result.row_duals[0] == pytest.approx(20.0, abs=1e-6)
@@ -44,7 +44,7 @@ def test_congested_two_bus_dual_is_cost_difference():
 def test_zero_demand_zero_dispatch():
     net, factors, _ = two_bus_setup()
     data = HourData(HOUR, np.zeros(2), np.zeros(2), np.array([100.0, 100.0]))
-    result = solve_base_dcopf(net, factors, data, np.array([100.0]))
+    result = solve_base(net, factors, data, np.array([100.0]))
     assert result.objective == pytest.approx(0.0, abs=1e-9)
     assert result.p_gen == pytest.approx([0.0, 0.0], abs=1e-9)
 
@@ -53,7 +53,7 @@ def test_infeasible_hour_reported():
     net, factors, _ = two_bus_setup()
     data = HourData(HOUR, np.array([0.0, 500.0]), np.zeros(2),
                     np.array([100.0, 100.0]))
-    result = solve_base_dcopf(net, factors, data, np.array([100.0]))
+    result = solve_base(net, factors, data, np.array([100.0]))
     assert result.status == "infeasible"
     assert result.objective is None
 
@@ -63,7 +63,7 @@ def test_piecewise_segments_fill_cheapest_first():
     factors = build_factors(net, slack_bus=3)
     data = HourData(HOUR, np.array([0.0, 150.0, 0.0]), np.zeros(2),
                     np.array([200.0, 150.0]))
-    result = solve_base_dcopf(net, factors, data, np.full(3, 1000.0))
+    result = solve_base(net, factors, data, np.full(3, 1000.0))
     # gen 1 fills 100 @ 12 then 50 @ 18 before the 35 $/MWh unit runs
     assert result.p_gen == pytest.approx([150.0, 0.0], abs=1e-6)
     assert result.objective == pytest.approx(100 * 12 + 50 * 18, abs=1e-6)
@@ -74,7 +74,7 @@ def test_availability_caps_output():
     factors = build_factors(net, slack_bus=3)
     data = HourData(HOUR, np.array([0.0, 150.0, 0.0]), np.zeros(2),
                     np.array([60.0, 150.0]))  # gen 1 derated this hour
-    result = solve_base_dcopf(net, factors, data, np.full(3, 1000.0))
+    result = solve_base(net, factors, data, np.full(3, 1000.0))
     assert result.p_gen == pytest.approx([60.0, 90.0], abs=1e-6)
 
 
@@ -139,7 +139,7 @@ def test_copperplate_is_relaxation(networks, serieses, factors_map):
     rating = net.static_rating
     for hour in list(series.hours)[::6]:
         data = hour_data(net, series, hour)
-        constrained = solve_base_dcopf(net, factors, data, rating)
+        constrained = solve_base(net, factors, data, rating)
         copper = solve_copperplate(net, data, factors)
         assert copper.objective <= constrained.objective + 1e-6
         assert copper.flows is not None  # informational PTDF flows
@@ -151,7 +151,7 @@ def test_copperplate_equals_base_on_single_bus():
     net = two_bus_network(line_limit=1e6)
     factors = build_factors(net, slack_bus=2)
     data = HourData(HOUR, np.array([0.0, 70.0]), np.zeros(2), np.array([100.0, 100.0]))
-    base = solve_base_dcopf(net, factors, data, np.array([1e6]))
+    base = solve_base(net, factors, data, np.array([1e6]))
     copper = solve_copperplate(net, data, factors)
     assert copper.objective == pytest.approx(base.objective, rel=1e-9)
 
@@ -178,7 +178,7 @@ def test_result_feasibility_audited(networks, serieses, factors_map):
     factors = factors_map["case5"]
     for hour in list(series.hours)[::5]:
         data = hour_data(net, series, hour)
-        result = solve_base_dcopf(net, factors, data, net.static_rating)
+        result = solve_base(net, factors, data, net.static_rating)
         assert result.status == "optimal"
         assert abs(result.p_gen.sum() - data.demand.sum()) <= 1e-6
         assert np.all(result.p_gen >= data.gen_min - 1e-6)
@@ -193,7 +193,7 @@ def test_true_single_bus_copperplate_equals_base():
         gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, 10.0)])])
     factors = build_factors(net, slack_bus=1)
     data = HourData(HOUR, np.array([60.0]), np.zeros(1), np.array([100.0]))
-    base = solve_base_dcopf(net, factors, data, np.array([]))
+    base = solve_base(net, factors, data, np.array([]))
     copper = solve_copperplate(net, data, factors)
     assert base.objective == pytest.approx(copper.objective, rel=1e-12)
     assert base.p_gen == pytest.approx([60.0], abs=1e-9)

@@ -119,3 +119,37 @@ def test_disconnected_network_rejected():
 
 def test_default_slack_is_lowest_generator_bus(networks, factors_map):
     assert factors_map["case30"].slack_bus == 3  # nuclear unit's bus
+
+
+def row_max_loop(lodf, radial_positions):
+    """max |LODF[b, c]| over non-radial c != b, one pair at a time."""
+    l = lodf.shape[0]
+    return np.array([max([abs(lodf[b, c]) for c in range(l)
+                          if c != b and c not in radial_positions], default=0.0)
+                     for b in range(l)])
+
+
+def test_lodf_row_max_matches_pairwise_loop(networks, factors_map, monkeypatch):
+    import gridline.factors as factors_module
+    for name, net in networks.items():
+        factors = factors_map[name]
+        radial = {net.branch_index[b] for b in factors.radial_branches}
+        expected = row_max_loop(factors.lodf, radial)
+        np.testing.assert_array_equal(factors.lodf_row_max, expected)
+        # blocks that split the rows unevenly give the same maxima
+        monkeypatch.setattr(factors_module, "ROW_BLOCK", 7)
+        np.testing.assert_array_equal(factors_module.lodf_row_max(factors.lodf), expected)
+        monkeypatch.undo()
+
+
+def test_lodf_row_max_without_branches_or_meshed_outages():
+    single = make_network(buses=[(1, 31.0, -99.0, 115.0)], branches=[],
+                          gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, 10.0)])])
+    assert build_factors(single, slack_bus=1).lodf_row_max.shape == (0,)
+    path = make_network(
+        buses=[(1, 31.0, -99.0, 115.0), (2, 31.2, -99.0, 115.0), (3, 31.4, -99.0, 115.0)],
+        branches=[(1, 1, 2, 0.1, 100.0), (2, 2, 3, 0.1, 100.0)],
+        gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, 10.0)])])
+    factors = build_factors(path, slack_bus=1)
+    assert factors.radial_branches == {1, 2}
+    np.testing.assert_array_equal(factors.lodf_row_max, [0.0, 0.0])

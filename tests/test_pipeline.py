@@ -1,11 +1,17 @@
+import csv
 import json
 import shutil
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import gridline.pipeline as pipeline
 from gridline.pipeline import (HourOutcome, RunConfig, congestion_by_branch,
                                emissions, run)
 from gridline.util import parse_hour
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +231,51 @@ def test_unexpected_exception_becomes_task_error(cases_dir, tmp_path, monkeypatc
         assert payload["regimes"][regime]["error_hours"] == [
             f"{regime} 2016-07-01T0{h}:00:00Z: RuntimeError: bindings gave up"
             for h in (3, 4)]
+
+
+@pytest.mark.parametrize("case", ["case5", "case30"])
+def test_rendered_columns_match_per_value_formatting(cases_dir, tmp_path, monkeypatch, case):
+    config = RunConfig(
+        case_directory=cases_dir / case,
+        output_directory=tmp_path / "rendered",
+        weather_file=cases_dir / f"weather_{case}.csv",
+        regimes=("slr", "aar", "dlr", "uncongested"),
+    )
+    run(config)
+    # the same run with numpy scalars left for the writer to format one by one
+    monkeypatch.setattr(pipeline, "render_floats",
+                        lambda values: list(np.asarray(values, dtype=float)))
+    monkeypatch.setattr(pipeline, "write_csv", oracles.per_value_write_csv)
+    run(replace(config, output_directory=tmp_path / "per_value"))
+    files = sorted(p.relative_to(tmp_path / "rendered")
+                   for p in (tmp_path / "rendered").rglob("*") if p.is_file())
+    assert len(files) == 4 * 4 + 3 + 1
+    for name in files:
+        assert ((tmp_path / "rendered" / name).read_bytes()
+                == (tmp_path / "per_value" / name).read_bytes()), name
+
+
+def test_iteration_trace_counts_base_rows_and_ends_on_final_objective(case5_run):
+    _, summary, out = case5_run
+    for regime in ("slr", "aar", "dlr", "uncongested"):
+        with open(out / regime / "iteration_trace.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert list(rows[0]) == ["hour", "iteration", "base_rows", "violations_added",
+                                 "objective"]
+        by_hour = {}
+        for row in rows:
+            by_hour.setdefault(row["hour"], []).append(row)
+        assert len(by_hour) == 24
+        for passes in by_hour.values():
+            base = [int(row["base_rows"]) for row in passes]
+            iterations = [int(row["iteration"]) for row in passes]
+            objectives = [float(row["objective"]) for row in passes]
+            assert base[0] == 0 and base == sorted(base)  # rows are only added
+            assert iterations[0] == 0 and iterations == sorted(iterations)
+            assert all(b >= a - 1e-9 * max(1.0, abs(a))
+                       for a, b in zip(objectives, objectives[1:]))
+            if regime == "uncongested":
+                assert base == [0]
+        # the last pass of each hour holds the hour's final objective
+        final = sum(float(passes[-1]["objective"]) for passes in by_hour.values())
+        assert final == pytest.approx(summary.regimes[regime].total_cost, rel=1e-12)

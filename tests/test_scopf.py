@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gridline.dispatch import HourData, hour_data, solve_base_dcopf
+from gridline.dispatch import HourData, hour_data
 from gridline.factors import build_factors
+from gridline.lp import OPTIMAL
 from gridline.ratings import SLR, RatingParams, build_rating_series
-from gridline.scopf import (post_contingency_flows, screen_violations,
-                            solve_scdcopf, verify_n1)
+from gridline.scopf import (post_contingency_flows, screen_contingencies,
+                            screen_violations, solve_scdcopf, verify_n1)
 from gridline.util import parse_hour
 
 import oracles
-from helpers import make_network, triangle_network
+from helpers import make_network, solve_base, triangle_network
 
 HOUR = parse_hour("2016-07-01T00:00:00Z")
 PARAMS = RatingParams()
@@ -94,7 +97,7 @@ def test_no_violations_short_circuits(networks, serieses, factors_map):
     solution = solve_scdcopf(net, factors, data, limits, 1.146 * limits)
     assert solution.iterations == 0
     assert solution.converged
-    base = solve_base_dcopf(net, factors, data, limits)
+    base = solve_base(net, factors, data, limits)
     assert solution.dispatch.objective == pytest.approx(base.objective, rel=1e-12)
 
 
@@ -142,7 +145,7 @@ def test_objective_monotone_across_iterations(networks, serieses, factors_map, w
         for pos, data, normal, contingency in scan_hours(
                 name, networks, serieses, factors_map, weathers):
             solution = solve_scdcopf(net, factors, data, normal, contingency)
-            objectives = [obj for _, _, obj in solution.trace]
+            objectives = [obj for *_, obj in solution.trace]
             assert all(b >= a - 1e-9 for a, b in zip(objectives, objectives[1:]))
 
 
@@ -187,3 +190,131 @@ def test_b_equals_c_never_screened(factors_map):
     found = screen_violations(post_contingency_flows(flows, factors.lodf),
                               np.full(3, 0.5))
     assert all(b != c for b, c in found.pairs)
+
+
+@st.composite
+def meshed_hours(draw):
+    """A ring of 4-8 buses with chords, one parallel circuit and a radial
+    spur bus; 2-4 single-segment units at distinct prices; demand within
+    capacity; normal limits tight enough to bind."""
+    n = draw(st.integers(4, 8))
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    chords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                           .filter(lambda e: e[0] != e[1]), max_size=3))
+    edges = ring + chords + [ring[draw(st.integers(0, n - 1))],
+                             (draw(st.integers(1, n)), n + 1)]
+    reactances = draw(st.lists(st.floats(0.05, 0.5), min_size=len(edges),
+                               max_size=len(edges)))
+    n_gen = draw(st.integers(2, 4))
+    gen_buses = draw(st.lists(st.integers(1, n), min_size=n_gen, max_size=n_gen))
+    net = make_network(
+        buses=[(i, 31.0 + 0.1 * i, -99.0 + 0.05 * (i % 3), 115.0) for i in range(1, n + 2)],
+        branches=[(k + 1, f, t, x, 100.0) for k, ((f, t), x) in enumerate(zip(edges, reactances))],
+        gens=[(g + 1, bus, "natural_gas", 0.0, 150.0,
+               [(150.0, 10.0 * (g + 1) + draw(st.floats(0.0, 5.0)))])
+              for g, bus in enumerate(gen_buses)])
+    demand = np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=n + 1, max_size=n + 1)))
+    demand *= min(1.0, 0.7 * 150.0 * n_gen / max(demand.sum(), 1e-9))
+    normal = np.array(draw(st.lists(st.floats(15.0, 120.0), min_size=len(edges),
+                                    max_size=len(edges))))
+    contingency = normal * draw(st.floats(1.0, 1.3))
+    data = HourData(HOUR, demand, np.zeros(n_gen), np.full(n_gen, 150.0))
+    return net, data, normal, contingency
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=meshed_hours())
+def test_lazy_loop_matches_full_enumeration(case):
+    net, data, normal, contingency = case
+    factors = build_factors(net)
+    solution = solve_scdcopf(net, factors, data, normal, contingency)
+    oracle = oracles.full_enumeration_scdcopf(net, factors, data, normal, contingency)
+    if oracle.status != OPTIMAL:
+        assert solution.dispatch.status == oracle.status
+        return
+    result = solution.dispatch
+    assert result.status == OPTIMAL
+    assert result.objective == pytest.approx(oracle.objective, rel=1e-6, abs=1e-6)
+    # every branch was checked against its normal limit over the full network
+    assert np.all(np.abs(result.flows) <= normal * (1 + 1e-6))
+    residual = verify_n1(result.flows, factors.lodf, contingency)
+    if solution.converged:
+        assert len(residual) == 0
+    else:  # a fixed point: every residual pair already has its row
+        present = {(row.monitored_branch, row.outage_branch) for row in solution.flow_rows}
+        assert set(residual.pairs) <= present
+    if np.all(oracle.slack_values == 0.0):
+        assert solution.converged and len(residual) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=meshed_hours())
+def test_slack_base_rows_add_the_same_rows_when_limits_bind_hard(case):
+    net, data, normal, contingency = case
+    factors = build_factors(net)
+    hard = solve_scdcopf(net, factors, data, normal, contingency)
+    soft = solve_scdcopf(net, factors, data, normal, contingency, slack_base_rows=True)
+    assume(hard.dispatch.status == OPTIMAL and soft.dispatch.status == OPTIMAL)
+    assume(np.all(hard.dispatch.slack_values == 0.0)
+           and np.all(soft.dispatch.slack_values == 0.0))
+
+    def row_set(solution):
+        return [(row.monitored_branch, row.outage_branch) for row in solution.flow_rows]
+
+    assert row_set(soft) == row_set(hard)
+    assert soft.dispatch.objective == pytest.approx(hard.dispatch.objective, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=meshed_hours(), data=st.data())
+def test_prefiltered_screen_equals_verify_n1(case, data):
+    net = case[0]
+    factors = build_factors(net)
+    size = net.n_branches
+    flows = np.array(data.draw(st.lists(st.floats(-150.0, 150.0), min_size=size,
+                                        max_size=size)))
+    limits = np.array(data.draw(st.lists(st.floats(1.0, 150.0), min_size=size,
+                                         max_size=size)))
+    assert screen_contingencies(flows, factors, limits) == verify_n1(
+        flows, factors.lodf, limits)
+    # make the bound exact for one row: its largest-|LODF| outage carries the
+    # largest flow, the signs add up, and the limit sits just under the
+    # post-contingency flow
+    b = data.draw(st.sampled_from(np.flatnonzero(factors.lodf_row_max > 0).tolist()))
+    row = np.abs(factors.lodf[b])
+    row[b] = np.nan
+    c = int(np.nanargmax(row))
+    flows[c] = 1.01 * np.abs(flows).max() + 1.0
+    flows[b] = np.copysign(abs(flows[b]), factors.lodf[b, c] * flows[c])
+    post = abs(flows[b] + factors.lodf[b, c] * flows[c])
+    limits[b] = post / (1 + 1e-6) * (1 - data.draw(st.floats(1e-12, 1e-9)))
+    found = screen_contingencies(flows, factors, limits)
+    assert (b, c) in found.pairs
+    assert found == verify_n1(flows, factors.lodf, limits)
+
+
+def test_prefiltered_screen_without_branches_or_meshed_outages():
+    single = make_network(buses=[(1, 31.0, -99.0, 115.0)], branches=[],
+                          gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, 10.0)])])
+    factors = build_factors(single, slack_bus=1)
+    assert len(screen_contingencies(np.zeros(0), factors, np.zeros(0))) == 0
+    data = HourData(HOUR, np.array([60.0]), np.zeros(1), np.array([100.0]))
+    solution = solve_scdcopf(single, factors, data, np.zeros(0), np.zeros(0))
+    assert solution.converged and solution.flow_rows == ()
+    assert solution.dispatch.objective == pytest.approx(600.0, abs=1e-9)
+
+    path = make_network(
+        buses=[(1, 31.0, -99.0, 115.0), (2, 31.2, -99.0, 115.0), (3, 31.4, -99.0, 115.0)],
+        branches=[(1, 1, 2, 0.1, 100.0), (2, 2, 3, 0.1, 100.0)],
+        gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, 10.0)]),
+              (2, 3, "natural_gas", 0.0, 100.0, [(100.0, 30.0)])])
+    factors = build_factors(path, slack_bus=1)  # every outage islands a bus
+    flows = np.array([500.0, -500.0])
+    limits = np.array([1.0, 1.0])
+    assert screen_contingencies(flows, factors, limits) == verify_n1(
+        flows, factors.lodf, limits)
+    assert len(verify_n1(flows, factors.lodf, limits)) == 0
+    data = HourData(HOUR, np.array([0.0, 0.0, 80.0]), np.zeros(2), np.full(2, 100.0))
+    solution = solve_scdcopf(path, factors, data, np.full(2, 50.0), np.full(2, 50.0))
+    assert solution.converged and solution.iterations == 0
+    assert solution.dispatch.p_gen == pytest.approx([50.0, 30.0], abs=1e-6)
