@@ -6,7 +6,7 @@ from .weather import WeatherGrid, WeatherSample, load_weather, nearest_cell
 from .ratings import (AAR, DLR, SLR, RatingParams, RatingSeries, branch_multiplier,
                       build_rating_series, estimate_diameter, eta_temperature,
                       eta_wind, k_angle, sweep_parameters)
-from .factors import SensitivityFactors, build_factors, compute_lodf, compute_ptdf
+from .factors import SensitivityFactors, build_factors, compute_ptdf
 from .dispatch import (DispatchProblem, DispatchResult, FlowRow, HourData, hour_data,
                        solve_copperplate, solve_penalized_dcopf)
 from .scopf import (ScopfResult, ViolationSet, post_contingency_flows,

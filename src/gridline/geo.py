@@ -8,7 +8,6 @@ cooling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,51 +28,56 @@ EARTH_RADIUS_KM = 6378.137
 
 @dataclass(frozen=True)
 class PlanarPoint:
-    """UTM easting/northing in metres. Northing is signed from the equator
-    (no 10,000 km false northing) so planar angle geometry stays continuous
-    across the equator."""
+    """UTM easting/northing in metres, scalars or arrays of one shape.
+    Northing is signed from the equator (no 10,000 km false northing) so
+    planar angle geometry stays continuous across the equator."""
 
-    x: float
-    y: float
-    zone: int
-
-
-def utm_zone(longitude: float) -> int:
-    zone = int(math.floor((longitude + 180.0) / 6.0)) + 1
-    return min(max(zone, 1), 60)
+    x: float | np.ndarray
+    y: float | np.ndarray
+    zone: int | np.ndarray
 
 
-def to_utm(latitude: float, longitude: float, forced_zone: int | None = None) -> PlanarPoint:
-    """Project WGS-84 coordinates to UTM.
+def utm_zone(longitude):
+    zone = np.floor((np.asarray(longitude, dtype=float) + 180.0) / 6.0).astype(int) + 1
+    return np.clip(zone, 1, 60)[()]
+
+
+def to_utm(latitude, longitude, forced_zone=None) -> PlanarPoint:
+    """Project WGS-84 coordinates to UTM, over scalars or arrays.
 
     ``forced_zone`` projects into that zone's plane even off-zone, which is
     needed so both endpoints of a branch straddling a zone boundary share a
     plane. Uses the 6th-order Krueger series (millimetre accuracy within a
     zone, still well-conditioned a few degrees outside it).
     """
-    if not abs(latitude) < 84.0:
-        raise ProjectionError(f"latitude {latitude} outside UTM domain (|lat| < 84)")
-    if not -180.0 <= longitude <= 180.0:
-        raise ProjectionError(f"longitude {longitude} out of range")
-    zone = forced_zone if forced_zone is not None else utm_zone(longitude)
-    if not 1 <= zone <= 60:
-        raise ProjectionError(f"UTM zone {zone} out of range 1..60")
-    central_meridian = math.radians((zone - 1) * 6 - 180 + 3)
+    latitude = np.asarray(latitude, dtype=float)
+    longitude = np.asarray(longitude, dtype=float)
+    bad = latitude[~(np.abs(latitude) < 84.0)]
+    if bad.size:
+        raise ProjectionError(f"latitude {bad[0]} outside UTM domain (|lat| < 84)")
+    bad = longitude[~((-180.0 <= longitude) & (longitude <= 180.0))]
+    if bad.size:
+        raise ProjectionError(f"longitude {bad[0]} out of range")
+    zone = np.asarray(utm_zone(longitude) if forced_zone is None else forced_zone)
+    bad = zone[(zone < 1) | (zone > 60)]
+    if bad.size:
+        raise ProjectionError(f"UTM zone {bad[0]} out of range 1..60")
+    central_meridian = np.radians((zone - 1) * 6 - 180 + 3)
 
-    lat = math.radians(latitude)
-    lon = math.radians(longitude) - central_meridian
+    lat = np.radians(latitude)
+    lon = np.radians(longitude) - central_meridian
 
-    ecc = math.sqrt(_F * (2 - _F))
+    ecc = np.sqrt(_F * (2 - _F))
     n = _F / (2 - _F)
     n2, n3 = n * n, n**3
     n4, n5, n6 = n**4, n**5, n**6
 
-    tau = math.tan(lat)
-    sigma = math.sinh(ecc * math.atanh(ecc * tau / math.sqrt(1 + tau * tau)))
-    tau_p = tau * math.sqrt(1 + sigma * sigma) - sigma * math.sqrt(1 + tau * tau)
+    tau = np.tan(lat)
+    sigma = np.sinh(ecc * np.arctanh(ecc * tau / np.sqrt(1 + tau * tau)))
+    tau_p = tau * np.sqrt(1 + sigma * sigma) - sigma * np.sqrt(1 + tau * tau)
 
-    xi_p = math.atan2(tau_p, math.cos(lon))
-    eta_p = math.asinh(math.sin(lon) / math.hypot(tau_p, math.cos(lon)))
+    xi_p = np.arctan2(tau_p, np.cos(lon))
+    eta_p = np.arcsinh(np.sin(lon) / np.hypot(tau_p, np.cos(lon)))
 
     rect_radius = _A / (1 + n) * (1 + n2 / 4 + n4 / 64 + n6 / 256)
     alpha = (
@@ -87,24 +91,25 @@ def to_utm(latitude: float, longitude: float, forced_zone: int | None = None) ->
     xi = xi_p
     eta = eta_p
     for j, a_j in enumerate(alpha, start=1):
-        xi += a_j * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
-        eta += a_j * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
+        xi = xi + a_j * np.sin(2 * j * xi_p) * np.cosh(2 * j * eta_p)
+        eta = eta + a_j * np.cos(2 * j * xi_p) * np.sinh(2 * j * eta_p)
 
     easting = _K0 * rect_radius * eta + _FALSE_EASTING
     northing = _K0 * rect_radius * xi
-    return PlanarPoint(easting, northing, zone)
+    return PlanarPoint(easting[()], northing[()], zone[()])
 
 
-def conductor_angle(start: PlanarPoint, end: PlanarPoint) -> float:
-    """Bearing of the conductor axis, four-quadrant, in (-pi, pi]."""
-    if start.zone != end.zone:
+def conductor_angle(start: PlanarPoint, end: PlanarPoint):
+    """Bearing of the conductor axis, four-quadrant, in (-pi, pi], over
+    scalar or array points."""
+    if np.any(np.not_equal(start.zone, end.zone)):
         raise ValueError(f"endpoints in different UTM zones ({start.zone}, {end.zone})")
-    dx = end.x - start.x
-    dy = end.y - start.y
-    if dx == 0.0 and dy == 0.0:
+    dx = np.subtract(end.x, start.x)
+    dy = np.subtract(end.y, start.y)
+    if np.any((dx == 0.0) & (dy == 0.0)):
         raise ValueError("coincident endpoints have no bearing")
-    angle = math.atan2(dy, dx)
-    return math.pi if angle == -math.pi else angle
+    angle = np.arctan2(dy, dx)
+    return np.where(angle == -np.pi, np.pi, angle)[()]
 
 
 def great_circle_km(lat1, lon1, lat2, lon2):

@@ -191,17 +191,6 @@ class RatingSeries:
     contingency_limit: np.ndarray  # (H, L), MVA
 
 
-def _bearing(network: Network, branch: Branch) -> float:
-    """Conductor bearing in the from-bus UTM zone, so both endpoints share a plane."""
-    a, b = network.bus(branch.from_bus), network.bus(branch.to_bus)
-    start = to_utm(a.latitude, a.longitude)
-    try:
-        return conductor_angle(start, to_utm(b.latitude, b.longitude, forced_zone=start.zone))
-    except ValueError:
-        raise GridlineError(f"branch {branch.id}: DLR needs a conductor bearing, "
-                            "but the line has zero length") from None
-
-
 def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: RatingParams):
     """Positions of the eligible branches, and a function of (weather hour
     position, params) that rates them. The hour-invariant data (nearest
@@ -209,11 +198,19 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
     index = np.array([l for l, b in enumerate(network.branches)
                       if branch_eligible(b, params)], dtype=int)
     lat, lon = np.array([(b.latitude, b.longitude) for b in network.buses]).T
-    start, end = network.branch_from[index], network.branch_to[index]
-    cell = nearest_cell(weather, (lat[start] + lat[end]) / 2.0, (lon[start] + lon[end]) / 2.0)
-    branches = [network.branches[l] for l in index]
-    diameter = np.array([estimate_diameter(b, network, params) for b in branches])
-    axis = np.array([_bearing(network, b) for b in branches]) if regime == DLR else None
+    a, b = network.branch_from[index], network.branch_to[index]
+    cell = nearest_cell(weather, (lat[a] + lat[b]) / 2.0, (lon[a] + lon[b]) / 2.0)
+    diameter = np.array([estimate_diameter(network.branches[l], network, params)
+                         for l in index])
+    axis = None
+    if regime == DLR:  # bearings in each from-bus zone, so both endpoints share a plane
+        start = to_utm(lat[a], lon[a])
+        end = to_utm(lat[b], lon[b], forced_zone=start.zone)
+        flat = (start.x == end.x) & (start.y == end.y)
+        if flat.any():
+            raise GridlineError(f"branch {network.branches[index[np.argmax(flat)]].id}: DLR "
+                                "needs a conductor bearing, but the line has zero length")
+        axis = conductor_angle(start, end)
 
     def rate(pos: int, params: RatingParams) -> np.ndarray:
         ambient = weather.temperature[pos, cell]

@@ -15,7 +15,8 @@ penalty, instead of infeasibility.
 
 The screen computes post-contingency flows only for monitored rows that an
 exact bound cannot clear:
-|f_b + LODF[b, c] f_c| <= |f_b| + max_c |LODF[b, c]| * max_c |f_c|.
+|f_b + LODF[b, c] f_c| <= |f_b| + max_c |LODF[b, c]| * max_c |f_c|,
+and builds the LODF rows of those alone, in blocks, from the PTDF.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .dispatch import (DEFAULT_PENALTY, DispatchResult, FlowRow, HourData,
                        base_flow_rows, build_problem, solve_problem)
-from .factors import SensitivityFactors
+from .factors import ROW_BLOCK, SensitivityFactors
 from .lp import OPTIMAL
 from .network import Network
 
@@ -48,6 +49,10 @@ class ViolationSet:
 
     violations: tuple[Violation, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "violations", tuple(sorted(
+            self.violations, key=lambda v: (-v.overload, v.monitored, v.outaged))))
+
     @property
     def pairs(self) -> list[tuple[int, int]]:
         return [(v.monitored, v.outaged) for v in self.violations]
@@ -61,17 +66,17 @@ class ViolationSet:
 
 def post_contingency_flows(f_base: np.ndarray, lodf: np.ndarray,
                            rows: np.ndarray | None = None) -> np.ndarray:
-    """L x L matrix whose column c holds branch flows after the outage of c;
-    with ``rows``, only those monitored rows, in that order.
+    """Column c holds the monitored flows after the outage of c. Row i of
+    ``lodf``, and of the result, monitors branch ``rows[i]`` (branch i
+    without ``rows``).
 
-    Radial columns are NaN (invalid, never screened); diagonal entries are
-    exactly zero for non-radial outages since LODF[c, c] = -1.
+    Radial columns are NaN (invalid, never screened); a branch's own
+    non-radial outage leaves exactly zero flow on it since LODF[c, c] = -1.
     """
-    if f_base.shape[0] != lodf.shape[0]:
+    if f_base.shape[0] != lodf.shape[1]:
         raise ValueError("flow vector and LODF dimensions disagree")
-    if rows is None:
-        return f_base[:, None] + lodf * f_base[None, :]
-    return f_base[rows, None] + lodf[rows] * f_base[None, :]
+    monitored = f_base if rows is None else f_base[rows]
+    return monitored[:, None] + lodf * f_base[None, :]
 
 
 def screen_violations(f_cont: np.ndarray, contingency_limits: np.ndarray,
@@ -90,10 +95,8 @@ def screen_violations(f_cont: np.ndarray, contingency_limits: np.ndarray,
     with np.errstate(invalid="ignore"):
         mask = overload > tolerance * limits[:, None]
     mask[np.arange(len(monitored)), monitored] = False
-    found = [Violation(int(monitored[i]), int(c), float(overload[i, c]))
-             for i, c in zip(*np.nonzero(mask))]
-    found.sort(key=lambda v: (-v.overload, v.monitored, v.outaged))
-    return ViolationSet(tuple(found))
+    return ViolationSet(tuple(Violation(int(monitored[i]), int(c), float(overload[i, c]))
+                              for i, c in zip(*np.nonzero(mask))))
 
 
 def screen_contingencies(flows: np.ndarray, factors: SensitivityFactors,
@@ -101,14 +104,19 @@ def screen_contingencies(flows: np.ndarray, factors: SensitivityFactors,
                          tolerance: float = SCREEN_TOLERANCE) -> ViolationSet:
     """The violations ``verify_n1`` finds, with post-contingency flows
     computed only for the monitored rows the bound
-    |f_b| + max_c |LODF[b, c]| * max_c |f_c| does not clear. The bound is
-    widened by 1e-12 relative so that rounding cannot hide a pair."""
+    |f_b| + max_c |LODF[b, c]| * max_c |f_c| does not clear, ``ROW_BLOCK``
+    LODF rows at a time. The bound is widened by 1e-12 relative so that
+    rounding cannot hide a pair."""
     limits = np.asarray(contingency_limits, dtype=float)
     magnitude = np.abs(flows)
     bound = (magnitude + factors.lodf_row_max * magnitude.max(initial=0.0)) * (1.0 + 1e-12)
     rows = np.flatnonzero(bound > limits * (1.0 + tolerance))
-    return screen_violations(post_contingency_flows(flows, factors.lodf, rows),
-                             limits, tolerance, rows)
+    found: list[Violation] = []
+    for start in range(0, rows.size, ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
+        found += screen_violations(post_contingency_flows(flows, factors.lodf_rows(block), block),
+                                   limits, tolerance, block).violations
+    return ViolationSet(tuple(found))
 
 
 @dataclass
@@ -126,8 +134,13 @@ def contingency_row(factors: SensitivityFactors, monitored: int, outaged: int,
                     limit: float) -> FlowRow:
     """Post-contingency flow on the monitored branch as a function of
     injections: PTDF_b + LODF[b, c] * PTDF_c, limited at the monitored
-    branch's contingency rating, slack-allowed."""
-    coefficients = factors.ptdf[monitored] + factors.lodf[monitored, outaged] * factors.ptdf[outaged]
+    branch's contingency rating, slack-allowed. LODF[b, c] (b != c) is
+    ``SensitivityFactors.lodf_rows``' expression, so it is bit for bit the
+    value the screen used."""
+    ptdf = factors.ptdf
+    lodf = ((ptdf[monitored, factors.branch_from[outaged]]
+             - ptdf[monitored, factors.branch_to[outaged]]) / factors.denominator[outaged])
+    coefficients = ptdf[monitored] + lodf * ptdf[outaged]
     return FlowRow(coefficients, float(limit), True, monitored, outaged)
 
 

@@ -1,7 +1,13 @@
 """In-memory construction of small networks for unit tests."""
 
-from gridline.dispatch import base_flow_rows, build_problem, solve_problem
+import numpy as np
+from hypothesis import strategies as st
+
+from gridline.dispatch import HourData, base_flow_rows, build_problem, solve_problem
 from gridline.network import Branch, Bus, Generator, Network
+from gridline.util import parse_hour
+
+HOUR = parse_hour("2016-07-01T00:00:00Z")
 
 
 def solve_base(net, factors, data, limits):
@@ -49,3 +55,33 @@ def two_bus_network(line_limit=100.0, cheap=10.0, dear=30.0):
         gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, cheap)]),
               (2, 2, "natural_gas", 0.0, 100.0, [(100.0, dear)])],
     )
+
+
+@st.composite
+def meshed_hours(draw):
+    """A ring of 4-8 buses with chords, one parallel circuit and a radial
+    spur bus; 2-4 single-segment units at distinct prices; demand within
+    capacity; normal limits tight enough to bind."""
+    n = draw(st.integers(4, 8))
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    chords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
+                           .filter(lambda e: e[0] != e[1]), max_size=3))
+    edges = ring + chords + [ring[draw(st.integers(0, n - 1))],
+                             (draw(st.integers(1, n)), n + 1)]
+    reactances = draw(st.lists(st.floats(0.05, 0.5), min_size=len(edges),
+                               max_size=len(edges)))
+    n_gen = draw(st.integers(2, 4))
+    gen_buses = draw(st.lists(st.integers(1, n), min_size=n_gen, max_size=n_gen))
+    net = make_network(
+        buses=[(i, 31.0 + 0.1 * i, -99.0 + 0.05 * (i % 3), 115.0) for i in range(1, n + 2)],
+        branches=[(k + 1, f, t, x, 100.0) for k, ((f, t), x) in enumerate(zip(edges, reactances))],
+        gens=[(g + 1, bus, "natural_gas", 0.0, 150.0,
+               [(150.0, 10.0 * (g + 1) + draw(st.floats(0.0, 5.0)))])
+              for g, bus in enumerate(gen_buses)])
+    demand = np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=n + 1, max_size=n + 1)))
+    demand *= min(1.0, 0.7 * 150.0 * n_gen / max(demand.sum(), 1e-9))
+    normal = np.array(draw(st.lists(st.floats(15.0, 120.0), min_size=len(edges),
+                                    max_size=len(edges))))
+    contingency = normal * draw(st.floats(1.0, 1.3))
+    data = HourData(HOUR, demand, np.zeros(n_gen), np.full(n_gen, 150.0))
+    return net, data, normal, contingency

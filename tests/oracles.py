@@ -2,12 +2,14 @@
 
 Each oracle is deliberately written from a different formulation than the
 code under test: DC power flow solves the nodal system directly instead of
-using distribution factors, UTM uses the classic Snyder series instead of
-the Krueger expansion, distances use the spherical law of cosines instead
-of the haversine, the SC-DCOPF oracle enumerates every contingency row
-up front instead of screening, LPs go through scipy's public
-``linprog`` instead of the direct HiGHS calls, and CSV cells are formatted
-one value at a time instead of as rendered columns.
+using distribution factors, the PTDF comes from a dense incidence matrix
+and a dense inverse instead of a sparse LU, UTM uses the classic Snyder
+series instead of the Krueger expansion (and the Krueger series one point
+at a time with ``math`` instead of on arrays), distances use the spherical
+law of cosines instead of the haversine, the SC-DCOPF oracle enumerates
+every contingency row up front instead of screening, LPs go through
+scipy's public ``linprog`` instead of the direct HiGHS calls, and CSV
+cells are formatted one value at a time instead of as rendered columns.
 """
 
 import csv
@@ -63,6 +65,56 @@ def snyder_utm(lat_deg, lon_deg, zone):
     return easting, northing
 
 
+def scalar_utm(latitude, longitude, forced_zone=None):
+    """(easting, northing, zone) by the same 6th-order Krueger series as
+    ``geo.to_utm``, one point at a time with ``math``: the scalar form the
+    array projection replaced. Out-of-domain input raises ValueError."""
+    if not abs(latitude) < 84.0 or not -180.0 <= longitude <= 180.0:
+        raise ValueError(f"({latitude}, {longitude}) outside the UTM domain")
+    zone = forced_zone if forced_zone is not None else min(
+        max(int(math.floor((longitude + 180.0) / 6.0)) + 1, 1), 60)
+    central_meridian = math.radians((zone - 1) * 6 - 180 + 3)
+    lat = math.radians(latitude)
+    lon = math.radians(longitude) - central_meridian
+
+    f = 1 / 298.257223563
+    ecc = math.sqrt(f * (2 - f))
+    n = f / (2 - f)
+    n2, n3, n4, n5, n6 = n**2, n**3, n**4, n**5, n**6
+
+    tau = math.tan(lat)
+    sigma = math.sinh(ecc * math.atanh(ecc * tau / math.sqrt(1 + tau * tau)))
+    tau_p = tau * math.sqrt(1 + sigma * sigma) - sigma * math.sqrt(1 + tau * tau)
+    xi_p = math.atan2(tau_p, math.cos(lon))
+    eta_p = math.asinh(math.sin(lon) / math.hypot(tau_p, math.cos(lon)))
+
+    rect_radius = 6378137.0 / (1 + n) * (1 + n2 / 4 + n4 / 64 + n6 / 256)
+    alpha = (
+        n / 2 - 2 * n2 / 3 + 5 * n3 / 16 + 41 * n4 / 180 - 127 * n5 / 288 + 7891 * n6 / 37800,
+        13 * n2 / 48 - 3 * n3 / 5 + 557 * n4 / 1440 + 281 * n5 / 630 - 1983433 * n6 / 1935360,
+        61 * n3 / 240 - 103 * n4 / 140 + 15061 * n5 / 26880 + 167603 * n6 / 181440,
+        49561 * n4 / 161280 - 179 * n5 / 168 + 6601661 * n6 / 7257600,
+        34729 * n5 / 80640 - 3418889 * n6 / 1995840,
+        212378941 * n6 / 319334400,
+    )
+    xi, eta = xi_p, eta_p
+    for j, a_j in enumerate(alpha, start=1):
+        xi += a_j * math.sin(2 * j * xi_p) * math.cosh(2 * j * eta_p)
+        eta += a_j * math.cos(2 * j * xi_p) * math.sinh(2 * j * eta_p)
+    return 0.9996 * rect_radius * eta + 500000.0, 0.9996 * rect_radius * xi, zone
+
+
+def scalar_bearing(lat1, lon1, lat2, lon2):
+    """Conductor bearing in (-pi, pi] of one line, both endpoints projected
+    into the from-end's UTM zone with ``scalar_utm``."""
+    x1, y1, zone = scalar_utm(lat1, lon1)
+    x2, y2, _ = scalar_utm(lat2, lon2, forced_zone=zone)
+    if x1 == x2 and y1 == y2:
+        raise ValueError("coincident endpoints have no bearing")
+    angle = math.atan2(y2 - y1, x2 - x1)
+    return math.pi if angle == -math.pi else angle
+
+
 def dc_power_flow(network, injections, skip_branch=None):
     """Solve B theta = P directly and return branch flows.
 
@@ -105,6 +157,21 @@ def dc_power_flow(network, injections, skip_branch=None):
         i, j = int(network.branch_from[l]), int(network.branch_to[l])
         flows[l] = b * (theta[i] - theta[j])
     return flows
+
+
+def dense_ptdf(network, slack_bus):
+    """PTDF from a dense (branches x buses) incidence matrix A and the dense
+    inverse of the reduced Bbus = A^T diag(1/x) A; the slack column is zero."""
+    n, l = network.n_buses, network.n_branches
+    incidence = np.zeros((l, n))
+    incidence[np.arange(l), network.branch_from] = 1.0
+    incidence[np.arange(l), network.branch_to] = -1.0
+    weighted = incidence / network.reactance[:, None]  # Bd @ A
+    nodal = incidence.T @ weighted
+    keep = [i for i in range(n) if i != network.bus_index[slack_bus]]
+    ptdf = np.zeros((l, n))
+    ptdf[:, keep] = weighted[:, keep] @ np.linalg.inv(nodal[np.ix_(keep, keep)])
+    return ptdf
 
 
 def bridges(network):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridline.errors import NetworkStructureError
-from gridline.factors import build_factors, compute_lodf, compute_ptdf
+from gridline.factors import build_factors, compute_ptdf
+from gridline.scopf import contingency_row
 
 import oracles
-from helpers import make_network, triangle_network, two_bus_network
+from helpers import make_network, meshed_hours, triangle_network, two_bus_network
 
 
 def balanced_injection(n, rng):
@@ -17,9 +20,9 @@ def test_two_bus_ptdf_and_radial():
     net = two_bus_network()
     ptdf = compute_ptdf(net, slack_bus=2)
     assert ptdf[0] == pytest.approx([1.0, 0.0], abs=1e-12)
-    lodf, radial = compute_lodf(ptdf, net)
-    assert radial == {1}
-    assert np.isnan(lodf[0, 0])
+    factors = build_factors(net, slack_bus=2)
+    assert factors.radial_branches == {1}
+    assert np.isnan(factors.lodf[0, 0])
 
 
 def test_triangle_split():
@@ -85,6 +88,44 @@ def test_lodf_matches_remove_and_resolve(networks, factors_map):
                                        rtol=1e-8, atol=1e-8 * scale)
 
 
+def test_sparse_ptdf_matches_dense_oracle(networks, factors_map):
+    for name, net in networks.items():
+        for slack in (factors_map[name].slack_bus, net.buses[-1].id):
+            np.testing.assert_allclose(compute_ptdf(net, slack), oracles.dense_ptdf(net, slack),
+                                       rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=meshed_hours(), data=st.data())
+def test_factors_of_drawn_meshes(case, data):
+    """Sparse-LU PTDF against the dense oracle, LODF row blocks against the
+    full matrix bit for bit, and contingency rows against the full LODF."""
+    net = case[0]
+    factors = build_factors(net)
+    np.testing.assert_allclose(factors.ptdf, oracles.dense_ptdf(net, factors.slack_bus),
+                               rtol=0, atol=1e-12)
+    assert factors.radial_branches == oracles.bridges(net)
+    rows = np.array(data.draw(st.lists(st.integers(0, net.n_branches - 1), max_size=8)),
+                    dtype=int)
+    block = factors.lodf_rows(rows)
+    np.testing.assert_array_equal(block, factors.lodf[rows])
+    radial = [net.branch_index[b] for b in factors.radial_branches]
+    assert radial and np.isnan(factors.lodf[:, radial]).all()
+    own = block[np.arange(rows.size), rows]
+    np.testing.assert_array_equal(own, np.where(np.isin(rows, radial), np.nan, -1.0))
+    injections = balanced_injection(net.n_buses, np.random.RandomState(rows.size)) * 100.0
+    base = factors.ptdf @ injections
+    for c in set(range(net.n_branches)) - set(radial):
+        expected = oracles.dc_power_flow(net, injections, skip_branch=c)
+        np.testing.assert_allclose(base + factors.lodf[:, c] * base[c], expected,
+                                   rtol=0, atol=1e-8 * max(1.0, np.abs(base).max()))
+    for b in range(net.n_branches):
+        for c in set(range(net.n_branches)) - {b} - set(radial):
+            row = contingency_row(factors, b, c, 1.0)
+            expected = factors.ptdf[b] + factors.lodf[b, c] * factors.ptdf[c]
+            assert np.array_equal(row.coefficients, expected), (b, c)
+
+
 def test_parallel_lines_take_full_transfer():
     # the pair is the only corridor between buses 1 and 2, so outaging one
     # line sends its entire flow onto the twin
@@ -138,7 +179,7 @@ def test_lodf_row_max_matches_pairwise_loop(networks, factors_map, monkeypatch):
         np.testing.assert_array_equal(factors.lodf_row_max, expected)
         # blocks that split the rows unevenly give the same maxima
         monkeypatch.setattr(factors_module, "ROW_BLOCK", 7)
-        np.testing.assert_array_equal(factors_module.lodf_row_max(factors.lodf), expected)
+        np.testing.assert_array_equal(build_factors(net).lodf_row_max, expected)
         monkeypatch.undo()
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridline.errors import ProjectionError
 from gridline.geo import (PlanarPoint, conductor_angle, great_circle_km, to_utm,
@@ -64,6 +66,46 @@ def test_polar_latitude_rejected():
         to_utm(84.0, 0.0)
     with pytest.raises(ProjectionError):
         to_utm(-89.0, 0.0)
+
+
+# longitudes on both sides of the zone 12/13, 13/14 and 14/15 boundaries
+ZONE_EDGE = st.sampled_from([-108.0, -102.0, -96.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_projection_and_bearings_match_scalar_oracle(data):
+    n = data.draw(st.integers(1, 12))
+    edge = data.draw(ZONE_EDGE)
+    lat1 = np.array(data.draw(st.lists(st.floats(25.0, 37.0), min_size=n, max_size=n)))
+    lon1 = edge + np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    offset = st.floats(0.005, 0.5) | st.floats(-0.5, -0.005)
+    lat2 = lat1 + np.array(data.draw(st.lists(offset, min_size=n, max_size=n)))
+    lon2 = lon1 + np.array(data.draw(st.lists(offset, min_size=n, max_size=n)))
+
+    start = to_utm(lat1, lon1)
+    end = to_utm(lat2, lon2, forced_zone=start.zone)
+    bearing = conductor_angle(start, end)
+    for k in range(n):
+        x, y, zone = oracles.scalar_utm(lat1[k], lon1[k])
+        assert (start.x[k], start.y[k], start.zone[k]) == (
+            pytest.approx(x, abs=1e-6), pytest.approx(y, abs=1e-6), zone)
+        x, y, _ = oracles.scalar_utm(lat2[k], lon2[k], forced_zone=zone)
+        assert end.zone[k] == zone
+        assert (end.x[k], end.y[k]) == (pytest.approx(x, abs=1e-6), pytest.approx(y, abs=1e-6))
+        assert abs(bearing[k] - oracles.scalar_bearing(lat1[k], lon1[k], lat2[k], lon2[k])) < 1e-12
+
+
+def test_array_projection_names_the_value_out_of_range():
+    with pytest.raises(ProjectionError, match="latitude 85.0 "):
+        to_utm(np.array([31.0, 85.0, 32.0]), np.array([-99.0, -99.0, -99.0]))
+    with pytest.raises(ProjectionError, match="longitude 181.0 "):
+        to_utm(np.array([31.0, 31.0]), np.array([-99.0, 181.0]))
+    with pytest.raises(ProjectionError, match="UTM zone 61 "):
+        to_utm(np.array([31.0, 31.0]), np.array([-99.0, -99.0]), forced_zone=np.array([14, 61]))
+    with pytest.raises(ValueError, match="coincident"):
+        point = to_utm(np.array([31.0, 32.0]), np.array([-99.0, -99.0]))
+        conductor_angle(point, to_utm(np.array([31.5, 32.0]), np.array([-99.0, -99.0])))
 
 
 def test_conductor_angle_quadrants():

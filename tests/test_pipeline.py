@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gridline.pipeline as pipeline
+from gridline.factors import SensitivityFactors
 from gridline.pipeline import (HourOutcome, RunConfig, congestion_by_branch,
                                emissions, run)
 from gridline.util import parse_hour
@@ -117,6 +118,31 @@ def test_worker_count_invariance(cases_dir, tmp_path):
     for rel in files:
         assert (outs[1] / rel).exists()
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def test_a_study_never_builds_the_full_lodf(cases_dir, tmp_path, monkeypatch):
+    config = RunConfig(
+        case_directory=cases_dir / "case30",
+        output_directory=tmp_path / "plain",
+        weather_file=cases_dir / "weather_case30.csv",
+        regimes=("slr", "aar", "dlr", "uncongested"),
+    )
+    run(config)
+
+    def refuse(self):
+        raise AssertionError("the study built the full LODF")
+
+    # workers are forked after the patch, so they inherit it
+    monkeypatch.setattr(SensitivityFactors, "lodf", property(refuse))
+    files = sorted(p.relative_to(tmp_path / "plain")
+                   for p in (tmp_path / "plain").rglob("*") if p.is_file())
+    assert files
+    for workers in (1, 2):
+        out = tmp_path / f"guarded{workers}"
+        summary = run(replace(config, output_directory=out, worker_count=workers))
+        assert summary.all_ok
+        for rel in files:
+            assert (out / rel).read_bytes() == (tmp_path / "plain" / rel).read_bytes(), rel
 
 
 def test_hour_span_selection(cases_dir, tmp_path):

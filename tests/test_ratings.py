@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridline.errors import GridlineError, RatingCollapseError
-from gridline.geo import conductor_angle, to_utm
 from gridline.ratings import (AAR, DLR, SLR, RatingParams, branch_eligible,
                               branch_multiplier, build_rating_series,
                               estimate_diameter, eta_temperature, eta_wind,
@@ -323,8 +323,7 @@ def oracle_multipliers(net, grid, hours, regime, params):
         cell = oracles.brute_force_nearest(grid.cells, (a.latitude + b.latitude) / 2,
                                            (a.longitude + b.longitude) / 2)
         diameter = estimate_diameter(branch, net, params)
-        start = to_utm(a.latitude, a.longitude)
-        axis = conductor_angle(start, to_utm(b.latitude, b.longitude, forced_zone=start.zone))
+        axis = oracles.scalar_bearing(a.latitude, a.longitude, b.latitude, b.longitude)
         for h, hour in enumerate(hours):
             pos = grid.hour_pos(hour)
             if not grid.present[pos]:
@@ -374,6 +373,31 @@ class TestArrayPathAgainstOracle:
             np.testing.assert_allclose(
                 series.multiplier, oracle_multipliers(net, grid, list(grid.hours), regime, params),
                 rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_lines_across_a_zone_boundary(self, data):
+        # UTM zones 13 and 14 meet at -102: each line is rated in its
+        # from-bus zone, whichever side its to-bus lies on
+        n_lines = data.draw(st.integers(1, 6))
+        buses, branches = [], []
+        for k in range(n_lines):
+            lat = 30.0 + 0.5 * k + data.draw(st.floats(0.0, 0.4))  # distinct from-buses
+            lon = data.draw(st.floats(-102.4, -101.6))
+            offset = st.floats(0.01, 0.4) | st.floats(-0.4, -0.01)
+            buses += [(2 * k + 1, lat, lon, 115.0),
+                      (2 * k + 2, lat + data.draw(offset), lon + data.draw(offset), 115.0)]
+            branches.append((k + 1, 2 * k + 1, 2 * k + 2, 0.1, 100.0))
+        branches += [(n_lines + k, 2 * k + 1, 2 * k + 3, 0.1, 100.0) for k in range(n_lines - 1)]
+        net = make_network(buses, branches, [(1, 1, "natural_gas", 0.0, 10.0, [(10.0, 20.0)])])
+        u, v = data.draw(st.floats(-20.0, 20.0)), data.draw(st.floats(-20.0, 20.0))
+        grid = WeatherGrid([(32.0, -102.0)], (datetime(2016, 7, 1, tzinfo=timezone.utc),),
+                           np.array([True]), np.array([[300.0]]), np.array([[u]]),
+                           np.array([[v]]))
+        series = build_rating_series(net, grid, list(grid.hours), DLR, PARAMS)
+        np.testing.assert_allclose(
+            series.multiplier, oracle_multipliers(net, grid, list(grid.hours), DLR, PARAMS),
+            rtol=0, atol=1e-12)
 
     def test_sweep_means_equal_direct_series(self, networks, serieses, cases_dir, tmp_path):
         net, hours = networks["case30"], list(serieses["case30"].hours)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from gridline.dispatch import HourData, hour_data
 from gridline.factors import build_factors
+import gridline.scopf as scopf
 from gridline.lp import OPTIMAL
 from gridline.ratings import SLR, RatingParams, build_rating_series
 from gridline.scopf import (post_contingency_flows, screen_contingencies,
@@ -12,7 +15,7 @@ from gridline.scopf import (post_contingency_flows, screen_contingencies,
 from gridline.util import parse_hour
 
 import oracles
-from helpers import make_network, solve_base, triangle_network
+from helpers import make_network, meshed_hours, solve_base, triangle_network
 
 HOUR = parse_hour("2016-07-01T00:00:00Z")
 PARAMS = RatingParams()
@@ -192,36 +195,6 @@ def test_b_equals_c_never_screened(factors_map):
     assert all(b != c for b, c in found.pairs)
 
 
-@st.composite
-def meshed_hours(draw):
-    """A ring of 4-8 buses with chords, one parallel circuit and a radial
-    spur bus; 2-4 single-segment units at distinct prices; demand within
-    capacity; normal limits tight enough to bind."""
-    n = draw(st.integers(4, 8))
-    ring = [(i, i % n + 1) for i in range(1, n + 1)]
-    chords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n))
-                           .filter(lambda e: e[0] != e[1]), max_size=3))
-    edges = ring + chords + [ring[draw(st.integers(0, n - 1))],
-                             (draw(st.integers(1, n)), n + 1)]
-    reactances = draw(st.lists(st.floats(0.05, 0.5), min_size=len(edges),
-                               max_size=len(edges)))
-    n_gen = draw(st.integers(2, 4))
-    gen_buses = draw(st.lists(st.integers(1, n), min_size=n_gen, max_size=n_gen))
-    net = make_network(
-        buses=[(i, 31.0 + 0.1 * i, -99.0 + 0.05 * (i % 3), 115.0) for i in range(1, n + 2)],
-        branches=[(k + 1, f, t, x, 100.0) for k, ((f, t), x) in enumerate(zip(edges, reactances))],
-        gens=[(g + 1, bus, "natural_gas", 0.0, 150.0,
-               [(150.0, 10.0 * (g + 1) + draw(st.floats(0.0, 5.0)))])
-              for g, bus in enumerate(gen_buses)])
-    demand = np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=n + 1, max_size=n + 1)))
-    demand *= min(1.0, 0.7 * 150.0 * n_gen / max(demand.sum(), 1e-9))
-    normal = np.array(draw(st.lists(st.floats(15.0, 120.0), min_size=len(edges),
-                                    max_size=len(edges))))
-    contingency = normal * draw(st.floats(1.0, 1.3))
-    data = HourData(HOUR, demand, np.zeros(n_gen), np.full(n_gen, 150.0))
-    return net, data, normal, contingency
-
-
 @settings(max_examples=60, deadline=None)
 @given(case=meshed_hours())
 def test_lazy_loop_matches_full_enumeration(case):
@@ -277,6 +250,10 @@ def test_prefiltered_screen_equals_verify_n1(case, data):
                                          max_size=size)))
     assert screen_contingencies(flows, factors, limits) == verify_n1(
         flows, factors.lodf, limits)
+    # candidate rows split over several LODF row blocks give the same set
+    with mock.patch.object(scopf, "ROW_BLOCK", data.draw(st.integers(1, 4))):
+        assert screen_contingencies(flows, factors, limits) == verify_n1(
+            flows, factors.lodf, limits)
     # make the bound exact for one row: its largest-|LODF| outage carries the
     # largest flow, the signs add up, and the limit sits just under the
     # post-contingency flow

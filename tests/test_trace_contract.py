@@ -1,11 +1,21 @@
 """The benchmark tracer (``bench/tracing.py``) wraps gridline call sites by
-module attribute name. A renamed or removed name makes a traced benchmark
-run exit before it reports anything, so every name it wraps must resolve."""
+module attribute name and reads attributes off their results
+(``Tracer._observe``). A renamed or removed name makes a traced benchmark
+run exit before it reports anything, so every name it wraps and every
+attribute it reads must resolve."""
 
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from gridline.dispatch import (DispatchResult, FlowRow, base_flow_rows, build_lp,
+                               build_problem, hour_data)
+from gridline.factors import build_factors
+from gridline.lp import HighsResult
+from gridline.ratings import SLR, RatingParams, build_rating_series
+from gridline.scopf import ScopfResult
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -31,3 +41,20 @@ def test_traced_name_resolves(module_name, attribute, name):
 def test_every_span_names_a_layer():
     for _module, _attribute, name in tracing.TARGETS + tracing.COUNTED:
         assert name.split(".", 1)[0] in tracing.LAYERS
+
+
+def test_observed_result_attributes_exist(networks, serieses):
+    net, series = networks["case5"], serieses["case5"]
+    factors = build_factors(net)
+    assert factors.ptdf.nbytes > 0 and factors.lodf.nbytes > 0
+    rating = build_rating_series(net, None, list(series.hours[:1]), SLR, RatingParams())
+    assert rating.multiplier.size == net.n_branches
+    problem = build_problem(net, hour_data(net, series, series.hours[0]),
+                            base_flow_rows(net, factors.ptdf, rating.normal_limit[0]))
+    assert build_lp(problem)[0].a_ub.nnz > 0
+    names = {cls: {f.name for f in fields(cls)}
+             for cls in (HighsResult, ScopfResult, DispatchResult, FlowRow)}
+    assert "nit" in names[HighsResult]
+    assert {"iterations", "dispatch", "flow_rows"} <= names[ScopfResult]
+    assert {"row_duals", "slack_values"} <= names[DispatchResult]
+    assert "outage_branch" in names[FlowRow]
