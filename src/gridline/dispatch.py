@@ -21,6 +21,9 @@ from .network import HourlySeries, Network
 
 DEFAULT_PENALTY = 2000.0  # $/MWh on contingency-row violations
 FEASIBILITY_TOL = 1e-6
+# HiGHS drops matrix entries this small (its small_matrix_value), so they are
+# left out of the lowered LP rather than passed as PTDF rounding noise
+MATRIX_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def build_lp(problem: DispatchProblem) -> tuple[LpProblem, _Layout]:
         fixed = coefficients @ problem.demand
         signed = np.stack((seg_coef, -seg_coef), axis=1).reshape(2 * n_rows, n_segments)
         b_ub = np.column_stack((limit + fixed, limit - fixed)).ravel()
-        row, col = np.nonzero(signed)
+        row, col = np.nonzero(np.abs(signed) > MATRIX_ZERO_TOL)
         # each slack is the last entry of both of its rows
         slack_lp_rows = (2 * slack_rows[:, None] + np.arange(2)).ravel()
         per_row = np.bincount(row, minlength=2 * n_rows)

@@ -1,9 +1,15 @@
 """Multi-hour, multi-regime run orchestration and reporting.
 
-Hours are independent (no unit commitment or ramping), so each
-(regime, hour) task solves in isolation and the task list is mapped over a
-worker pool. All shared inputs are immutable and results are merged in
-task order, which makes outputs identical for any worker count.
+Hours are independent (no unit commitment or ramping), but consecutive
+hours mostly bind the same few flow rows. So a task is one regime's chunk
+of ``CARRY_HOURS`` consecutive hours, solved in order, and each hour's
+constraint generation starts from the rows that bound the hour before it.
+The carried set is empty at each chunk start and after any hour that did
+not solve cleanly, and an exception in one hour is that hour's error
+alone. Chunks start at fixed positions and are mapped over a worker pool;
+all shared inputs are immutable and results are merged in task order, so
+outputs depend only on the inputs and ``CARRY_HOURS``, for any worker
+count.
 
 Cross-regime aggregates (costs, generation, curtailment, emissions and the
 congestion decomposition) are computed only over hours that solved cleanly
@@ -37,6 +43,7 @@ ALL_REGIMES = RATED_REGIMES + (UNCONGESTED,)
 
 DEFAULT_EMISSION_FACTORS = {"coal": 1.0, "natural_gas": 0.42}  # tons CO2 / MWh
 BINDING_DUAL_TOL = 1e-9
+CARRY_HOURS = 24  # hours per task; binding rows carry only within a task
 
 CONGESTION_PROXY_NOTE = ("congestion_cost_proxy_usd = sum over binding rows of "
                          "|shadow price| x row limit; attribution to branches "
@@ -89,6 +96,8 @@ class HourOutcome:
     # per LP solve: (iteration, base rows, contingency rows appended, objective)
     trace: list[tuple[int, int, int, float]] = field(default_factory=list)
     message: str = ""
+    # (monitored, outaged or None) branch positions of the binding rows
+    binding_pairs: tuple[tuple[int, int | None], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -114,11 +123,25 @@ def _init_worker(state: _WorkerState) -> None:
     _STATE = state
 
 
-def _solve_task(state: _WorkerState, task: tuple[str, int]) -> HourOutcome:
+def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> list[HourOutcome]:
+    """Hours ``start`` to ``stop - 1`` of one regime, in order, each seeded
+    with the binding rows of the hour before it when that hour was ok."""
+    regime, start, stop = chunk
+    outcomes = []
+    carried = ()
+    for pos in range(start, stop):
+        outcome = _solve_task(state, (regime, pos), carried)
+        carried = outcome.binding_pairs if outcome.ok else ()
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _solve_task(state: _WorkerState, task: tuple[str, int],
+                carried: tuple[tuple[int, int | None], ...]) -> HourOutcome:
     regime, pos = task
     hour = state.series.hours[pos]
     try:
-        outcome = _solve_hour(state, regime, pos, hour)
+        outcome = _solve_hour(state, regime, pos, hour, carried)
     except Exception as exc:  # one failed task must not abort the others
         message = str(exc) if isinstance(exc, GridlineError) else f"{type(exc).__name__}: {exc}"
         outcome = HourOutcome(regime, hour, ERROR, False, message=message)
@@ -127,7 +150,8 @@ def _solve_task(state: _WorkerState, task: tuple[str, int]) -> HourOutcome:
     return outcome
 
 
-def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime) -> HourOutcome:
+def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime,
+                carried: tuple[tuple[int, int | None], ...]) -> HourOutcome:
     network = state.network
     data = hour_data(network, state.series, hour)
     if regime == UNCONGESTED:
@@ -142,13 +166,14 @@ def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime) -> H
     solution = solve_scdcopf(
         network, state.factors, data,
         rating.normal_limit[pos], rating.contingency_limit[pos],
-        state.max_iterations, state.penalty_price, state.slack_base_rows)
+        state.max_iterations, state.penalty_price, state.slack_base_rows, carried)
     result = solution.dispatch
     outcome = HourOutcome(regime, hour, result.status, solution.converged,
                           result.objective, result.p_gen, result.flows,
                           solution.iterations, len(solution.violations),
                           trace=list(solution.trace), message=result.message)
     if result.status == OPTIMAL:
+        binding = []
         for r, row in enumerate(solution.flow_rows):
             dual = float(result.row_duals[r])
             slack = float(result.slack_values[r])
@@ -158,11 +183,13 @@ def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime) -> H
                 outcome.binding_rows.append(
                     (network.branches[row.monitored_branch].id, outage,
                      row.limit, dual, slack))
+                binding.append((row.monitored_branch, row.outage_branch))
+        outcome.binding_pairs = tuple(binding)
     return outcome
 
 
-def _solve_task_global(task: tuple[str, int]) -> HourOutcome:
-    return _solve_task(_STATE, task)
+def _solve_chunk_global(chunk: tuple[str, int, int]) -> list[HourOutcome]:
+    return _solve_chunk(_STATE, chunk)
 
 
 @dataclass
@@ -271,13 +298,15 @@ def run(config: RunConfig) -> RunSummary:
     state = _WorkerState(network, factors, series, ratings,
                          config.penalty_price, config.max_iterations,
                          config.slack_base_rows)
-    tasks = [(regime, pos) for regime in config.regimes for pos in range(len(hours))]
+    chunks = [(regime, start, min(start + CARRY_HOURS, len(hours)))
+              for regime in config.regimes for start in range(0, len(hours), CARRY_HOURS)]
     if config.worker_count == 1:
-        outcomes = [_solve_task(state, task) for task in tasks]
+        solved = [_solve_chunk(state, chunk) for chunk in chunks]
     else:
         with Pool(config.worker_count, initializer=_init_worker,
                   initargs=(state,)) as pool:
-            outcomes = pool.map(_solve_task_global, tasks)
+            solved = pool.map(_solve_chunk_global, chunks, chunksize=1)
+    outcomes = [outcome for chunk in solved for outcome in chunk]
 
     by_regime: dict[str, list[HourOutcome]] = {r: [] for r in config.regimes}
     for outcome in outcomes:

@@ -21,6 +21,7 @@ and builds the LODF rows of those alone, in blocks, from the PTDF.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +149,8 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
                   normal_limits: np.ndarray, contingency_limits: np.ndarray,
                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
                   penalty_price: float = DEFAULT_PENALTY,
-                  slack_base_rows: bool = False) -> ScopfResult:
+                  slack_base_rows: bool = False,
+                  carried: Sequence[tuple[int, int | None]] = ()) -> ScopfResult:
     """Constraint generation for base and contingency rows in one loop.
 
     Start from the LP with no flow rows. After each solve, add a base row
@@ -165,6 +167,11 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
 
     Base rows are hard by default, keeping base solutions physical;
     ``slack_base_rows`` extends the penalized slacks to them as well.
+
+    ``carried`` seeds the first LP with rows found for another hour, as
+    (monitored, outaged) branch positions with ``outaged`` None for a base
+    row. They are lowered with this hour's limits and never added twice;
+    the first trace entry counts them as its base and contingency rows.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -177,6 +184,17 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
     trace: list[tuple[int, int, int, float]] = []
     violations = ViolationSet(())
     iterations = n_base = added = 0
+    if carried:
+        base = [b for b, c in carried if c is None]
+        base_rows = iter(base_flow_rows(network, factors.ptdf, normal_limits,
+                                        slack_base_rows, base))
+        rows = [next(base_rows) if c is None
+                else contingency_row(factors, b, c, contingency_limits[b])
+                for b, c in carried]
+        has_base_row[base] = True
+        pairs.update((b, c) for b, c in carried if c is not None)
+        n_base = len(base)
+        added = len(rows) - n_base
     while True:
         result = solve_problem(build_problem(network, data, rows, penalty_price),
                                ptdf=factors.ptdf)

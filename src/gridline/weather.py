@@ -18,6 +18,7 @@ from .geo import great_circle_km
 from .util import format_hour, hour_range, parse_hour, read_rows
 
 MIN_PLAUSIBLE_TEMP_K = 150.0
+CELL_BLOCK = 512  # cells per (points x cells) distance block in nearest_cell
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,19 @@ def load_weather(file: str | Path) -> WeatherGrid:
 
 def nearest_cell(grid: WeatherGrid, latitude, longitude):
     """Index of the great-circle-nearest cell for a point or for arrays of
-    points; ties break to the lowest index."""
+    points; ties break to the lowest index. Distances are computed
+    ``CELL_BLOCK`` cells at a time, so memory stays bounded on large grids."""
+    if grid.n_cells == 0:
+        raise WeatherError("weather grid has no cells")
     lat, lon = np.asarray(latitude)[..., None], np.asarray(longitude)[..., None]
-    distances = great_circle_km(lat, lon, grid.cells[:, 0], grid.cells[:, 1])
-    return np.argmin(distances, axis=-1)[()]
+    shape = np.broadcast_shapes(lat.shape, lon.shape)[:-1]
+    best = np.full(shape, np.inf)
+    index = np.zeros(shape, dtype=np.intp)
+    for start in range(0, grid.n_cells, CELL_BLOCK):
+        cells = grid.cells[start:start + CELL_BLOCK]
+        distances = great_circle_km(lat, lon, cells[:, 0], cells[:, 1])
+        nearest = distances.min(axis=-1)
+        closer = nearest < best  # strict, so a tie keeps the earlier block's cell
+        best = np.where(closer, nearest, best)
+        index = np.where(closer, np.argmin(distances, axis=-1) + start, index)
+    return index[()]

@@ -215,3 +215,17 @@ def test_slack_extension_to_base_rows():
     assert soft.dispatch.status == "optimal"
     assert soft.dispatch.slack_values[0] == pytest.approx(30.0, abs=1e-6)
     assert soft.dispatch.row_duals[0] == pytest.approx(2000.0, abs=1e-6)
+
+
+
+def test_lowered_rows_leave_out_entries_highs_would_drop(networks, serieses, factors_map):
+    from gridline.dispatch import MATRIX_ZERO_TOL
+
+    net, series, factors = networks["case30"], serieses["case30"], factors_map["case30"]
+    problem = build_problem(net, hour_data(net, series, series.hours[0]),
+                            base_flow_rows(net, factors.ptdf, net.static_rating))
+    lp, layout = build_lp(problem)
+    magnitude = np.abs(factors.ptdf[:, net.gen_bus[layout.seg_owner]])
+    assert np.any((magnitude > 0) & (magnitude <= MATRIX_ZERO_TOL))  # PTDF rounding noise
+    assert np.all(np.abs(lp.a_ub.data) > MATRIX_ZERO_TOL)
+    assert lp.a_ub.nnz == 2 * np.count_nonzero(magnitude > MATRIX_ZERO_TOL)

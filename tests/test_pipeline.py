@@ -10,7 +10,7 @@ import gridline.pipeline as pipeline
 from gridline.factors import SensitivityFactors
 from gridline.pipeline import (HourOutcome, RunConfig, congestion_by_branch,
                                emissions, run)
-from gridline.util import parse_hour
+from gridline.util import format_hour, parse_hour
 
 import oracles
 
@@ -305,3 +305,88 @@ def test_iteration_trace_counts_base_rows_and_ends_on_final_objective(case5_run)
         # the last pass of each hour holds the hour's final objective
         final = sum(float(passes[-1]["objective"]) for passes in by_hour.values())
         assert final == pytest.approx(summary.regimes[regime].total_cost, rel=1e-12)
+
+
+CASE5_REGIMES = ("slr", "aar", "dlr", "uncongested")
+
+
+def case5_config(cases_dir, out, **changes):
+    config = RunConfig(case_directory=cases_dir / "case5", output_directory=out,
+                       weather_file=cases_dir / "weather_case5.csv", regimes=CASE5_REGIMES)
+    return replace(config, **changes)
+
+
+def trace_by_hour(out, regime):
+    """Per hour of iteration_trace.csv: the first LP's (base_rows,
+    violations_added) and the final objective."""
+    first, final = {}, {}
+    with open(out / regime / "iteration_trace.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            first.setdefault(row["hour"], (int(row["base_rows"]),
+                                           int(row["violations_added"])))
+            final[row["hour"]] = float(row["objective"])
+    return first, final
+
+
+def test_chunked_runs_are_worker_count_invariant(cases_dir, tmp_path, monkeypatch):
+    # 24 hours in chunks of 5 put chunk starts at hours 0, 5, 10, 15 and 20;
+    # the chunks are formed in the parent, and forked workers see the patch
+    monkeypatch.setattr(pipeline, "CARRY_HOURS", 5)
+    outs = []
+    for workers in (1, 2, 4):
+        outs.append(tmp_path / f"workers{workers}")
+        assert run(case5_config(cases_dir, outs[-1], worker_count=workers)).all_ok
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert len(files) == 4 * 4 + 3 + 1
+    for out in outs[1:]:
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (out / rel).read_bytes(), (out, rel)
+
+    monkeypatch.setattr(pipeline, "CARRY_HOURS", 1)
+    single = tmp_path / "single"
+    run(case5_config(cases_dir, single))
+    carried_hours = 0
+    for regime in CASE5_REGIMES:
+        first, final = trace_by_hour(outs[0], regime)
+        first_single, final_single = trace_by_hour(single, regime)
+        hours = sorted(first)
+        assert len(hours) == 24 and sorted(final_single) == hours
+        for pos, hour in enumerate(hours):
+            assert final[hour] == pytest.approx(final_single[hour], rel=1e-9)
+            assert first_single[hour] == (0, 0)
+            if pos % 5 == 0:  # every chunk starts with nothing carried
+                assert first[hour] == (0, 0), (regime, hour)
+        carried_hours += sum(1 for seeds in first.values() if seeds != (0, 0))
+    assert carried_hours > 0  # the chunks did carry rows between hours
+
+
+def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "CARRY_HOURS", 5)
+    plain = tmp_path / "plain"
+    run(case5_config(cases_dir, plain, regimes=("slr",)))
+    first, final = trace_by_hour(plain, "slr")
+    hours = sorted(first)
+    failing = hours[12]  # mid-chunk: the chunk covers hours 10-14
+    # without a failure, hours 12 and 13 start from the rows of the hour before
+    assert first[hours[12]] != (0, 0) and first[hours[13]] != (0, 0)
+
+    original = pipeline.hour_data
+
+    def broken(network, series, hour):
+        if format_hour(hour) == failing:
+            raise RuntimeError("weather feed gave up")
+        return original(network, series, hour)
+
+    monkeypatch.setattr(pipeline, "hour_data", broken)
+    out = tmp_path / "broken"
+    summary = run(case5_config(cases_dir, out, regimes=("slr",)))
+    assert summary.regimes["slr"].error_hours == [
+        f"slr {failing}: RuntimeError: weather feed gave up"]
+    assert summary.regimes["slr"].solved_hours == 23
+    first_broken, final_broken = trace_by_hour(out, "slr")
+    assert failing not in first_broken
+    assert first_broken[hours[13]] == (0, 0)  # reset after the failed hour
+    assert first_broken[hours[14]] == first[hours[14]]  # and the chunk went on
+    for hour in hours:
+        if hour != failing:
+            assert final_broken[hour] == pytest.approx(final[hour], rel=1e-9)

@@ -15,7 +15,8 @@ from gridline.scopf import (post_contingency_flows, screen_contingencies,
 from gridline.util import parse_hour
 
 import oracles
-from helpers import make_network, meshed_hours, solve_base, triangle_network
+from helpers import (make_network, meshed_hours, solve_base, triangle_network,
+                     two_bus_network)
 
 HOUR = parse_hour("2016-07-01T00:00:00Z")
 PARAMS = RatingParams()
@@ -218,6 +219,65 @@ def test_lazy_loop_matches_full_enumeration(case):
         assert set(residual.pairs) <= present
     if np.all(oracle.slack_values == 0.0):
         assert solution.converged and len(residual) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=meshed_hours(), draw=st.data())
+def test_carried_rows_match_full_enumeration(case, draw):
+    net, data, normal, contingency = case
+    factors = build_factors(net)
+    radial = {net.branch_index[b] for b in factors.radial_branches}
+    size = net.n_branches
+    candidates = ([(b, c) for c in range(size) if c not in radial
+                   for b in range(size) if b != c] + [(b, None) for b in range(size)])
+    carried = draw.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=12))
+    solution = solve_scdcopf(net, factors, data, normal, contingency, carried=carried)
+    oracle = oracles.full_enumeration_scdcopf(net, factors, data, normal, contingency)
+    if oracle.status != OPTIMAL:
+        assert solution.dispatch.status == oracle.status
+        return
+    result = solution.dispatch
+    assert result.status == OPTIMAL
+    assert result.objective == pytest.approx(oracle.objective, rel=1e-6, abs=1e-6)
+    assert np.all(np.abs(result.flows) <= normal * (1 + 1e-6))
+    rows = [(row.monitored_branch, row.outage_branch) for row in solution.flow_rows]
+    assert len(set(rows)) == len(rows)
+    assert rows[:len(carried)] == carried  # lowered first, in the given order
+    n_base = sum(1 for _, c in carried if c is None)
+    assert solution.trace[0][:3] == (0, n_base, len(carried) - n_base)
+    for (b, c), row in zip(carried, solution.flow_rows):  # at this hour's limits
+        assert row.limit == (normal[b] if c is None else contingency[b])
+    if np.all(oracle.slack_values == 0.0):
+        residual = verify_n1(result.flows, factors.lodf, contingency)
+        assert solution.converged and len(residual) == 0
+
+
+def test_carried_base_row_with_slack_is_not_added_again():
+    # the dear unit at bus 2 covers only 20 of the 80 MW there, so the line
+    # must carry 60 MW over its 10 MW limit: the slack absorbs 50 MW
+    net = two_bus_network(line_limit=10.0)
+    factors = build_factors(net, slack_bus=2)
+    data = HourData(HOUR, np.array([0.0, 80.0]), np.zeros(2), np.array([100.0, 20.0]))
+    limits = np.array([10.0])
+    solution = solve_scdcopf(net, factors, data, limits, limits, slack_base_rows=True,
+                             carried=[(0, None)])
+    assert [(row.monitored_branch, row.outage_branch, row.slack_allowed)
+            for row in solution.flow_rows] == [(0, None, True)]
+    assert solution.dispatch.slack_values == pytest.approx([50.0], abs=1e-6)
+    assert solution.trace == [(0, 1, 0, solution.dispatch.objective)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=meshed_hours())
+def test_empty_carried_set_changes_nothing(case):
+    net, data, normal, contingency = case
+    factors = build_factors(net)
+    plain = solve_scdcopf(net, factors, data, normal, contingency)
+    seeded = solve_scdcopf(net, factors, data, normal, contingency, carried=())
+    assert seeded.dispatch.status == plain.dispatch.status
+    assert seeded.dispatch.objective == plain.dispatch.objective
+    assert seeded.trace == plain.trace
+    assert seeded.iterations == plain.iterations
 
 
 @settings(max_examples=40, deadline=None)

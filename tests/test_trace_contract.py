@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gridline import pipeline
 from gridline.dispatch import (DispatchResult, FlowRow, base_flow_rows, build_lp,
                                build_problem, hour_data)
 from gridline.factors import build_factors
@@ -58,3 +59,25 @@ def test_observed_result_attributes_exist(networks, serieses):
     assert {"iterations", "dispatch", "flow_rows"} <= names[ScopfResult]
     assert {"row_duals", "slack_values"} <= names[DispatchResult]
     assert "outage_branch" in names[FlowRow]
+
+
+def test_every_hour_is_one_solve_task_call(cases_dir, tmp_path, monkeypatch):
+    # the tracer counts pipeline.tasks from calls to pipeline._solve_task, so
+    # the chunked task loop must still make one call per (regime, hour)
+    calls = []
+    original = pipeline._solve_task
+
+    def counting(state, task, *args):
+        calls.append(task)
+        return original(state, task, *args)
+
+    monkeypatch.setattr(pipeline, "_solve_task", counting)
+    regimes = ("slr", "aar", "dlr", "uncongested")
+    summary = pipeline.run(pipeline.RunConfig(
+        case_directory=cases_dir / "case5", output_directory=tmp_path / "out",
+        weather_file=cases_dir / "weather_case5.csv", regimes=regimes, worker_count=1))
+    hours = len(summary.hours)
+    assert hours == 24
+    assert len(calls) == len(regimes) * hours
+    assert sorted(calls) == sorted((regime, pos) for regime in regimes
+                                   for pos in range(hours))

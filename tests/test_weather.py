@@ -77,6 +77,39 @@ def test_nearest_cell_matches_brute_force_on_20x20():
         assert nearest_cell(grid, lat, lon) == oracles.brute_force_nearest(cells, lat, lon)
 
 
+def test_blocked_nearest_cell_matches_unblocked(monkeypatch):
+    from gridline import weather
+    from gridline.geo import great_circle_km
+    from gridline.weather import WeatherGrid
+
+    # a row of cells 0.25 degrees apart, then a 6x6 lattice
+    cells = ([(30.0, -100.0 + 0.25 * k) for k in range(8)]
+             + [(30.5 + 0.2 * r, -100.0 + 0.2 * c) for r in range(6) for c in range(6)])
+    hours = [parse_hour("2016-07-01T00:00:00Z")]
+    shape = (1, len(cells))
+    grid = WeatherGrid(cells, hours, [True], np.full(shape, 290.0),
+                       np.zeros(shape), np.zeros(shape))
+    rng = np.random.RandomState(5)
+    lat = np.concatenate(([30.0, 30.0], rng.uniform(29.5, 32.0, 300)))
+    # -99.375 lies exactly halfway between cells 2 and 3, across the first
+    # block boundary; -99.875 between cells 0 and 1, inside the first block
+    lon = np.concatenate(([-99.375, -99.875], rng.uniform(-100.5, -98.5, 300)))
+    unblocked = np.argmin(great_circle_km(lat[:, None], lon[:, None],
+                                          grid.cells[:, 0], grid.cells[:, 1]), axis=-1)
+    monkeypatch.setattr(weather, "CELL_BLOCK", 3)
+    blocked = nearest_cell(grid, lat, lon)
+    assert blocked.tolist() == unblocked.tolist()
+    assert blocked[:2].tolist() == [2, 0]  # ties break to the lowest index
+    assert nearest_cell(grid, lat[0], lon[0]) == 2
+    assert [nearest_cell(grid, a, b) for a, b in zip(lat, lon)] == unblocked.tolist()
+    assert nearest_cell(grid, lat.reshape(2, 151), lon.reshape(2, 151)).tolist() == (
+        unblocked.reshape(2, 151).tolist())
+    empty = WeatherGrid(np.zeros((0, 2)), hours, [True], np.zeros((1, 0)),
+                        np.zeros((1, 0)), np.zeros((1, 0)))
+    with pytest.raises(WeatherError, match="no cells"):
+        nearest_cell(empty, 30.0, -99.0)
+
+
 def _short_lines(points):
     """One 0.05-degree north-south line from each (lat, lon) point."""
     buses, branches = [], []
