@@ -9,8 +9,8 @@ from .ratings import (AAR, DLR, SLR, RatingParams, RatingSeries, branch_multipli
 from .factors import SensitivityFactors, build_factors, compute_ptdf
 from .dispatch import (DispatchProblem, DispatchResult, FlowRow, HourData, hour_data,
                        solve_copperplate, solve_penalized_dcopf)
-from .scopf import (ScopfResult, ViolationSet, post_contingency_flows,
-                    screen_violations, solve_scdcopf, verify_n1)
+from .scopf import (ScopfResult, post_contingency_flows, screen_violations,
+                    solve_scdcopf, verify_n1)
 from .pipeline import RunConfig, RunSummary, congestion_by_branch, emissions, run
 
 __version__ = "0.1.0"

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import click
 
+from .dispatch import DEFAULT_PENALTY
 from .errors import GridlineError
 from .pipeline import ALL_REGIMES, DEFAULT_EMISSION_FACTORS, RunConfig, run, write_ratings
 from .ratings import RATED_REGIMES, RatingParams, build_rating_series, sweep_parameters
 from .network import load_hourly_series, load_network
+from .scopf import DEFAULT_MAX_ITERATIONS
 from .util import parse_hour, write_csv
 from .weather import load_weather
 
@@ -137,9 +139,9 @@ def main():
 @click.option("--regimes", default="slr,aar,dlr,uncongested", show_default=True)
 @click.option("--hours", "hours_span", default=None,
               help="Inclusive UTC span START..END; default is the whole series.")
-@click.option("--penalty", type=float, default=2000.0, show_default=True,
+@click.option("--penalty", type=float, default=DEFAULT_PENALTY, show_default=True,
               help="$/MWh on contingency-row violations.")
-@click.option("--max-iterations", type=int, default=20, show_default=True)
+@click.option("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--emission-factors", default=None,
               help="Comma list fuel=tons_per_mwh, e.g. coal=1.0,natural_gas=0.42.")
@@ -156,22 +158,25 @@ def run_command(case_dir, weather_file, regimes, hours_span, penalty, max_iterat
                 dump_factors_flag, out_dir, tc, ta_slr, v_slr, phi_slr,
                 contingency_ratio, eligibility_km, params_file):
     """Solve every hour under each regime and write reports to --out."""
-    config = RunConfig(
-        case_directory=Path(case_dir),
-        output_directory=Path(out_dir),
-        weather_file=None if weather_file is None else Path(weather_file),
-        regimes=_parse_regimes(regimes),
-        hours=_parse_hours(hours_span),
-        params=_build_params(params_file, tc, ta_slr, v_slr, phi_slr,
-                             contingency_ratio, eligibility_km),
-        penalty_price=penalty,
-        worker_count=workers,
-        emission_factors=(_parse_factors(emission_factors) if emission_factors
-                          else dict(DEFAULT_EMISSION_FACTORS)),
-        max_iterations=max_iterations,
-        strict_availability=not clamp_availability,
-        slack_base_rows=slack_base_rows,
-    )
+    try:
+        config = RunConfig(
+            case_directory=Path(case_dir),
+            output_directory=Path(out_dir),
+            weather_file=None if weather_file is None else Path(weather_file),
+            regimes=_parse_regimes(regimes),
+            hours=_parse_hours(hours_span),
+            params=_build_params(params_file, tc, ta_slr, v_slr, phi_slr,
+                                 contingency_ratio, eligibility_km),
+            penalty_price=penalty,
+            worker_count=workers,
+            emission_factors=(_parse_factors(emission_factors) if emission_factors
+                              else dict(DEFAULT_EMISSION_FACTORS)),
+            max_iterations=max_iterations,
+            strict_availability=not clamp_availability,
+            slack_base_rows=slack_base_rows,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     try:
         summary = run(config)
         if dump_factors_flag:

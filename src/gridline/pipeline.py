@@ -19,6 +19,7 @@ in every requested regime, so comparisons are always like-for-like.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from multiprocessing import Pool
@@ -70,7 +71,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
+            raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (math.isfinite(self.penalty_price) and self.penalty_price > 0):
+            raise ValueError(f"penalty_price must be finite and > 0, got {self.penalty_price}")
         if not self.regimes:
             raise ValueError("at least one regime required")
         unknown = [r for r in self.regimes if r not in ALL_REGIMES]
@@ -89,15 +94,11 @@ class HourOutcome:
     objective: float | None = None
     p_gen: np.ndarray | None = None
     flows: np.ndarray | None = None
-    iterations: int = 0
-    residual_violations: int = 0
-    # (monitored branch id, outaged branch id or "", row limit, dual, slack)
-    binding_rows: list[tuple[int, object, float, float, float]] = field(default_factory=list)
+    # (monitored, outaged or None) branch positions, row limit, dual, slack
+    binding_rows: list[tuple[int, int | None, float, float, float]] = field(default_factory=list)
     # per LP solve: (iteration, base rows, contingency rows appended, objective)
     trace: list[tuple[int, int, int, float]] = field(default_factory=list)
     message: str = ""
-    # (monitored, outaged or None) branch positions of the binding rows
-    binding_pairs: tuple[tuple[int, int | None], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -131,7 +132,7 @@ def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> list[HourO
     carried = ()
     for pos in range(start, stop):
         outcome = _solve_task(state, (regime, pos), carried)
-        carried = outcome.binding_pairs if outcome.ok else ()
+        carried = tuple((b, c) for b, c, *_ in outcome.binding_rows) if outcome.ok else ()
         outcomes.append(outcome)
     return outcomes
 
@@ -170,21 +171,13 @@ def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime,
     result = solution.dispatch
     outcome = HourOutcome(regime, hour, result.status, solution.converged,
                           result.objective, result.p_gen, result.flows,
-                          solution.iterations, len(solution.violations),
                           trace=list(solution.trace), message=result.message)
     if result.status == OPTIMAL:
-        binding = []
-        for r, row in enumerate(solution.flow_rows):
-            dual = float(result.row_duals[r])
-            slack = float(result.slack_values[r])
-            if abs(dual) > BINDING_DUAL_TOL or slack > BINDING_DUAL_TOL:
-                outage = ("" if row.outage_branch is None
-                          else network.branches[row.outage_branch].id)
-                outcome.binding_rows.append(
-                    (network.branches[row.monitored_branch].id, outage,
-                     row.limit, dual, slack))
-                binding.append((row.monitored_branch, row.outage_branch))
-        outcome.binding_pairs = tuple(binding)
+        outcome.binding_rows = [
+            (row.monitored_branch, row.outage_branch, row.limit, dual, slack)
+            for row, dual, slack in zip(solution.flow_rows, result.row_duals.tolist(),
+                                        result.slack_values.tolist())
+            if abs(dual) > BINDING_DUAL_TOL or slack > BINDING_DUAL_TOL]
     return outcome
 
 
@@ -254,14 +247,17 @@ def emissions(generation_mwh: dict[str, float], factors: dict[str, float]) -> fl
     return sum(factors.get(fuel, 0.0) * mwh for fuel, mwh in generation_mwh.items())
 
 
-def congestion_by_branch(outcomes: list[HourOutcome]) -> list[tuple[int, float, int]]:
-    """Per monitored branch: summed |dual| x row limit over all binding rows
-    and hours, plus the count of hours with at least one binding row.
-    Sorted by metric descending (ties by branch id)."""
+def congestion_by_branch(outcomes: list[HourOutcome],
+                         branch_ids: list[int]) -> list[tuple[int, float, int]]:
+    """Per monitored branch id (``branch_ids`` by position): summed |dual|
+    x row limit over all binding rows and hours, plus the count of hours
+    with at least one binding row. Sorted by metric descending (ties by
+    branch id)."""
     cost: dict[int, float] = {}
     hours_binding: dict[int, set[datetime]] = {}
     for outcome in outcomes:
-        for branch_id, _outage, limit, dual, _slack in outcome.binding_rows:
+        for monitored, _outage, limit, dual, _slack in outcome.binding_rows:
+            branch_id = branch_ids[monitored]
             cost[branch_id] = cost.get(branch_id, 0.0) + abs(dual) * limit
             hours_binding.setdefault(branch_id, set()).add(outcome.hour)
     table = [(b, cost[b], len(hours_binding[b])) for b in cost]
@@ -352,7 +348,8 @@ def _aggregate(config, network, series, by_regime, common_positions) -> RunSumma
     if UNCONGESTED in totals:
         for regime, s in summaries.items():
             s.congestion_cost = totals[regime] - totals[UNCONGESTED]
-    tables = {regime: congestion_by_branch([o for o in outcomes if o.ok])
+    branch_ids = [b.id for b in network.branches]
+    tables = {regime: congestion_by_branch([o for o in outcomes if o.ok], branch_ids)
               for regime, outcomes in by_regime.items()}
     return RunSummary(summaries, hours, [hours[pos] for pos in common_positions], tables)
 

@@ -36,35 +36,6 @@ SCREEN_TOLERANCE = 1e-6  # relative to each flow limit
 DEFAULT_MAX_ITERATIONS = 20
 
 
-@dataclass(frozen=True)
-class Violation:
-    monitored: int  # branch position
-    outaged: int  # branch position
-    overload: float  # MW beyond the contingency limit
-
-
-@dataclass(frozen=True)
-class ViolationSet:
-    """Screened (monitored, outaged) pairs, sorted by overload descending
-    (ties by pair) for deterministic iteration order."""
-
-    violations: tuple[Violation, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(sorted(
-            self.violations, key=lambda v: (-v.overload, v.monitored, v.outaged))))
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(v.monitored, v.outaged) for v in self.violations]
-
-    def __len__(self) -> int:
-        return len(self.violations)
-
-    def __bool__(self) -> bool:
-        return bool(self.violations)
-
-
 def post_contingency_flows(f_base: np.ndarray, lodf: np.ndarray,
                            rows: np.ndarray | None = None) -> np.ndarray:
     """Column c holds the monitored flows after the outage of c. Row i of
@@ -82,9 +53,12 @@ def post_contingency_flows(f_base: np.ndarray, lodf: np.ndarray,
 
 def screen_violations(f_cont: np.ndarray, contingency_limits: np.ndarray,
                       tolerance: float = SCREEN_TOLERANCE,
-                      rows: np.ndarray | None = None) -> ViolationSet:
+                      rows: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All pairs whose post-contingency flow magnitude exceeds the monitored
-    branch's contingency limit (plus a relative feasibility tolerance).
+    branch's contingency limit (plus a relative feasibility tolerance), as
+    (monitored, outaged, overload) arrays: branch positions and MW beyond
+    the limit, in no particular order.
 
     Row i of ``f_cont`` monitors branch ``rows[i]`` (branch i without
     ``rows``). NaN columns (radial outages) and each monitored branch's own
@@ -96,15 +70,23 @@ def screen_violations(f_cont: np.ndarray, contingency_limits: np.ndarray,
     with np.errstate(invalid="ignore"):
         mask = overload > tolerance * limits[:, None]
     mask[np.arange(len(monitored)), monitored] = False
-    return ViolationSet(tuple(Violation(int(monitored[i]), int(c), float(overload[i, c]))
-                              for i, c in zip(*np.nonzero(mask))))
+    i, c = np.nonzero(mask)
+    return monitored[i], c, overload[i, c]
+
+
+def _ordered_pairs(monitored: np.ndarray, outaged: np.ndarray,
+                   overload: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The (monitored, outaged) pairs by overload descending, ties by pair:
+    the deterministic order in which rows are added."""
+    order = np.lexsort((outaged, monitored, -overload))
+    return tuple(zip(monitored[order].tolist(), outaged[order].tolist()))
 
 
 def screen_contingencies(flows: np.ndarray, factors: SensitivityFactors,
                          contingency_limits: np.ndarray,
-                         tolerance: float = SCREEN_TOLERANCE) -> ViolationSet:
-    """The violations ``verify_n1`` finds, with post-contingency flows
-    computed only for the monitored rows the bound
+                         tolerance: float = SCREEN_TOLERANCE) -> tuple[tuple[int, int], ...]:
+    """The pairs ``verify_n1`` finds, in its order, with post-contingency
+    flows computed only for the monitored rows the bound
     |f_b| + max_c |LODF[b, c]| * max_c |f_c| does not clear, ``ROW_BLOCK``
     LODF rows at a time. The bound is widened by 1e-12 relative so that
     rounding cannot hide a pair."""
@@ -112,19 +94,21 @@ def screen_contingencies(flows: np.ndarray, factors: SensitivityFactors,
     magnitude = np.abs(flows)
     bound = (magnitude + factors.lodf_row_max * magnitude.max(initial=0.0)) * (1.0 + 1e-12)
     rows = np.flatnonzero(bound > limits * (1.0 + tolerance))
-    found: list[Violation] = []
+    found = []
     for start in range(0, rows.size, ROW_BLOCK):
         block = rows[start:start + ROW_BLOCK]
-        found += screen_violations(post_contingency_flows(flows, factors.lodf_rows(block), block),
-                                   limits, tolerance, block).violations
-    return ViolationSet(tuple(found))
+        found.append(screen_violations(post_contingency_flows(flows, factors.lodf_rows(block),
+                                                              block), limits, tolerance, block))
+    return _ordered_pairs(*map(np.concatenate, zip(*found))) if found else ()
 
 
 @dataclass
 class ScopfResult:
     dispatch: DispatchResult
     iterations: int  # contingency passes (re-solves after adding contingency rows)
-    violations: ViolationSet  # residual; nonempty only on a flagged exit
+    # residual (monitored, outaged) pairs in screening order; nonempty only
+    # on a flagged exit
+    violations: tuple[tuple[int, int], ...]
     converged: bool
     flow_rows: tuple[FlowRow, ...]  # base and contingency rows, in the order added
     # per LP solve: (iteration, base rows, contingency rows appended, objective)
@@ -182,7 +166,7 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
     rows: list[FlowRow] = []
     pairs: set[tuple[int, int]] = set()
     trace: list[tuple[int, int, int, float]] = []
-    violations = ViolationSet(())
+    violations = ()
     iterations = n_base = added = 0
     if carried:
         base = [b for b, c in carried if c is None]
@@ -212,7 +196,7 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
             added = 0
             continue
         violations = screen_contingencies(result.flows, factors, contingency_limits)
-        new_pairs = [p for p in violations.pairs if p not in pairs]
+        new_pairs = [p for p in violations if p not in pairs]
         if not new_pairs or iterations == max_iterations:
             break
         iterations += 1
@@ -223,8 +207,9 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
 
 
 def verify_n1(flows: np.ndarray, lodf: np.ndarray, contingency_limits: np.ndarray,
-              tolerance: float = SCREEN_TOLERANCE) -> ViolationSet:
+              tolerance: float = SCREEN_TOLERANCE) -> tuple[tuple[int, int], ...]:
     """Exhaustive post-check over every (monitored, outaged) pair,
-    independent of the screening path."""
-    return screen_violations(post_contingency_flows(flows, lodf),
-                             contingency_limits, tolerance)
+    independent of the screening path: the violated pairs by overload
+    descending, ties by pair."""
+    return _ordered_pairs(*screen_violations(post_contingency_flows(flows, lodf),
+                                             contingency_limits, tolerance))

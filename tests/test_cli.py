@@ -1,11 +1,13 @@
 import json
 import shutil
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
 
 from gridline.cli import load_params_file, main
 from gridline.errors import GridlineError
+from gridline.pipeline import RunConfig
 
 
 @pytest.fixture()
@@ -112,6 +114,31 @@ def test_unknown_regime_rejected(runner, cases_dir, tmp_path):
         "--out", str(tmp_path / "out")])
     assert result.exit_code != 0
     assert "unknown regime" in result.output
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--workers", "0", "worker_count must be >= 1, got 0"),
+    ("--max-iterations", "0", "max_iterations must be >= 1, got 0"),
+    ("--penalty", "-5", "penalty_price must be finite and > 0, got -5.0"),
+    ("--penalty", "inf", "penalty_price must be finite and > 0, got inf"),
+])
+def test_bad_run_settings_are_usage_errors(runner, cases_dir, tmp_path, option, value,
+                                           message):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "run", "--case", str(cases_dir / "case5"), "--regimes", "slr", option, value,
+        "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_run_option_defaults_are_the_run_config_defaults():
+    options = {param.name: param.default for param in main.commands["run"].params}
+    defaults = {field.name: field.default for field in fields(RunConfig)}
+    assert options["penalty"] == defaults["penalty_price"]
+    assert options["max_iterations"] == defaults["max_iterations"]
+    assert options["workers"] == defaults["worker_count"]
 
 
 def test_dump_factors_flag(runner, cases_dir, tmp_path):

@@ -180,17 +180,22 @@ def test_infeasible_hour_recorded_and_excluded(cases_dir, tmp_path):
 
 
 def test_congestion_by_branch_metric():
-    assert congestion_by_branch([]) == []
+    branch_ids = [30, 7, 9, 3]  # binding rows hold branch positions
+    assert congestion_by_branch([], branch_ids) == []
     hour = parse_hour("2016-07-01T00:00:00Z")
     outcome = HourOutcome("slr", hour, "optimal", True,
-                          binding_rows=[(7, "", 100.0, 5.0, 0.0)])
-    assert congestion_by_branch([outcome]) == [(7, 500.0, 1)]
+                          binding_rows=[(1, None, 100.0, 5.0, 0.0)])
+    assert congestion_by_branch([outcome], branch_ids) == [(7, 500.0, 1)]
     # two hours, two branches, sorted by metric
     later = parse_hour("2016-07-01T01:00:00Z")
     second = HourOutcome("slr", later, "optimal", True,
-                         binding_rows=[(7, 3, 100.0, 5.0, 0.0), (9, "", 50.0, 100.0, 0.0)])
-    table = congestion_by_branch([outcome, second])
+                         binding_rows=[(1, 3, 100.0, 5.0, 0.0), (2, None, 50.0, 100.0, 0.0)])
+    table = congestion_by_branch([outcome, second], branch_ids)
     assert table == [(9, 5000.0, 1), (7, 1000.0, 2)]
+    # equal metrics are ordered by branch id, not by position
+    tie = HourOutcome("slr", hour, "optimal", True,
+                      binding_rows=[(0, None, 10.0, 1.0, 0.0), (1, 2, 5.0, 2.0, 0.0)])
+    assert congestion_by_branch([tie], branch_ids) == [(7, 10.0, 1), (30, 10.0, 1)]
 
 
 def test_more_limits_fewer_total_congestion_dollars(case5_run):
@@ -218,6 +223,13 @@ def test_config_validation(cases_dir, tmp_path):
     with pytest.raises(ValueError, match="unknown regime"):
         RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
                   regimes=("slr", "bogus"))
+    with pytest.raises(ValueError, match="max_iterations must be >= 1, got 0"):
+        RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
+                  max_iterations=0)
+    for penalty in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="penalty_price must be finite and > 0"):
+            RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
+                      penalty_price=penalty)
 
 
 def test_lp_error_names_regime_hour_and_cause(cases_dir, tmp_path, monkeypatch):
@@ -390,3 +402,28 @@ def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
     for hour in hours:
         if hour != failing:
             assert final_broken[hour] == pytest.approx(final[hour], rel=1e-9)
+
+
+def test_each_hour_carries_only_the_binding_rows_of_the_hour_before(
+        cases_dir, tmp_path, monkeypatch):
+    calls = []
+    original = pipeline.solve_scdcopf
+
+    def recording(*args):
+        solution = original(*args)
+        calls.append((tuple(args[-1]), solution))
+        return solution
+
+    monkeypatch.setattr(pipeline, "solve_scdcopf", recording)
+    assert run(case5_config(cases_dir, tmp_path / "out", regimes=("slr",))).all_ok
+    assert len(calls) == 24 and calls[0][0] == ()  # one chunk of all 24 hours
+    dropped = 0
+    for (_, before), (carried, _) in zip(calls, calls[1:]):
+        result = before.dispatch
+        binding = tuple(
+            (row.monitored_branch, row.outage_branch)
+            for row, dual, slack in zip(before.flow_rows, result.row_duals, result.slack_values)
+            if abs(dual) > pipeline.BINDING_DUAL_TOL or slack > pipeline.BINDING_DUAL_TOL)
+        assert carried == binding
+        dropped += len(before.flow_rows) - len(binding)
+    assert dropped > 0  # some rows that did not bind were left behind

@@ -53,7 +53,8 @@ def test_screen_empty_with_huge_limits(factors_map):
     factors = factors_map["case30"]
     flows = np.full(35, 50.0)
     f_cont = post_contingency_flows(flows, factors.lodf)
-    assert len(screen_violations(f_cont, np.full(35, 1e9))) == 0
+    monitored, outaged, overload = screen_violations(f_cont, np.full(35, 1e9))
+    assert monitored.size == outaged.size == overload.size == 0
 
 
 def test_screen_finds_constructed_overload():
@@ -66,11 +67,11 @@ def test_screen_finds_constructed_overload():
     base = factors.ptdf @ injections
     f_cont = post_contingency_flows(base, factors.lodf)
     limits = np.array([90.9, 1e9, 1e9])
-    found = screen_violations(f_cont, limits)
+    monitored, outaged, overload = screen_violations(f_cont, limits)
     pos_12 = net.branch_index[1]
     pos_13 = net.branch_index[3]
-    assert found.pairs == [(pos_12, pos_13)]
-    assert found.violations[0].overload == pytest.approx(100.0 - 90.9, abs=1e-9)
+    assert list(zip(monitored.tolist(), outaged.tolist())) == [(pos_12, pos_13)]
+    assert overload == pytest.approx([100.0 - 90.9], abs=1e-9)
 
 
 def test_screen_symmetric_parallel_pair():
@@ -83,15 +84,42 @@ def test_screen_symmetric_parallel_pair():
     factors = build_factors(net, slack_bus=3)
     injections = np.array([150.0, 0.0, -150.0])  # 75 MW per parallel circuit
     f_cont = post_contingency_flows(factors.ptdf @ injections, factors.lodf)
-    found = screen_violations(f_cont, np.array([110.0, 110.0, 1e9]))
-    assert set(found.pairs) == {(0, 1), (1, 0)}  # 150 > 110 either way
-    assert found.violations[0].overload == pytest.approx(found.violations[1].overload)
+    monitored, outaged, overload = screen_violations(f_cont, np.array([110.0, 110.0, 1e9]))
+    assert set(zip(monitored.tolist(), outaged.tolist())) == {(0, 1), (1, 0)}  # 150 > 110
+    assert overload[0] == pytest.approx(overload[1])
 
 
 def test_sorted_by_overload_descending():
     f_cont = np.array([[0.0, 120.0], [140.0, 0.0]])
-    found = screen_violations(f_cont, np.array([100.0, 100.0]))
-    assert found.pairs == [(1, 0), (0, 1)]
+    found = scopf._ordered_pairs(*screen_violations(f_cont, np.array([100.0, 100.0])))
+    assert found == ((1, 0), (0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=st.data(), size=st.integers(3, 7))
+def test_verify_n1_order_matches_brute_force_sort(draw, size):
+    # small integers and halves keep every post-contingency flow exact, so
+    # overloads tie often; rows 0 and 1 are copies, which forces a tie on
+    # every outage they both see
+    flows = np.array(draw.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)),
+                     dtype=float)
+    lodf = np.array(draw.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                                       min_size=size * size, max_size=size * size)))
+    lodf = lodf.reshape(size, size)
+    limits = np.array(draw.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=size,
+                                         max_size=size)))
+    flows[1], lodf[1], limits[1] = flows[0], lodf[0], limits[0]
+    radial = draw.draw(st.lists(st.integers(2, size - 1), unique=True, max_size=2))
+    lodf[:, radial] = np.nan
+    expected = []
+    for b in range(size):
+        for c in range(size):
+            if b == c or c in radial:
+                continue
+            overload = abs(flows[b] + lodf[b, c] * flows[c]) - limits[b]
+            if overload > 1e-6 * limits[b]:
+                expected.append((-overload, b, c))
+    assert verify_n1(flows, lodf, limits) == tuple((b, c) for _, b, c in sorted(expected))
 
 
 def test_no_violations_short_circuits(networks, serieses, factors_map):
@@ -191,9 +219,8 @@ def test_unresolvable_violation_flagged_with_capped_dual():
 def test_b_equals_c_never_screened(factors_map):
     factors = factors_map["case3"]
     flows = np.full(3, 1000.0)
-    found = screen_violations(post_contingency_flows(flows, factors.lodf),
-                              np.full(3, 0.5))
-    assert all(b != c for b, c in found.pairs)
+    found = verify_n1(flows, factors.lodf, np.full(3, 0.5))
+    assert found and all(b != c for b, c in found)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,7 +243,7 @@ def test_lazy_loop_matches_full_enumeration(case):
         assert len(residual) == 0
     else:  # a fixed point: every residual pair already has its row
         present = {(row.monitored_branch, row.outage_branch) for row in solution.flow_rows}
-        assert set(residual.pairs) <= present
+        assert set(residual) <= present
     if np.all(oracle.slack_values == 0.0):
         assert solution.converged and len(residual) == 0
 
@@ -326,7 +353,7 @@ def test_prefiltered_screen_equals_verify_n1(case, data):
     post = abs(flows[b] + factors.lodf[b, c] * flows[c])
     limits[b] = post / (1 + 1e-6) * (1 - data.draw(st.floats(1e-12, 1e-9)))
     found = screen_contingencies(flows, factors, limits)
-    assert (b, c) in found.pairs
+    assert (b, c) in found
     assert found == verify_n1(flows, factors.lodf, limits)
 
 

@@ -8,6 +8,7 @@ import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridline import pipeline
@@ -16,7 +17,7 @@ from gridline.dispatch import (DispatchResult, FlowRow, base_flow_rows, build_lp
 from gridline.factors import build_factors
 from gridline.lp import HighsResult
 from gridline.ratings import SLR, RatingParams, build_rating_series
-from gridline.scopf import ScopfResult
+from gridline.scopf import ScopfResult, verify_n1
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -59,6 +60,17 @@ def test_observed_result_attributes_exist(networks, serieses):
     assert {"iterations", "dispatch", "flow_rows"} <= names[ScopfResult]
     assert {"row_duals", "slack_values"} <= names[DispatchResult]
     assert "outage_branch" in names[FlowRow]
+
+
+def test_verify_n1_result_counts_and_tests_true_as_bench_checks_use_it(networks):
+    # bench/checks.py does `if residual:` and reports `len(residual)`
+    factors = build_factors(networks["case5"])
+    size = networks["case5"].n_branches
+    residual = verify_n1(np.full(size, 100.0), factors.lodf, np.full(size, 1.0))
+    assert len(residual) >= 2
+    assert bool(residual)
+    clean = verify_n1(np.full(size, 100.0), factors.lodf, np.full(size, 1e9))
+    assert not clean and len(clean) == 0
 
 
 def test_every_hour_is_one_solve_task_call(cases_dir, tmp_path, monkeypatch):
