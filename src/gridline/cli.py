@@ -1,8 +1,11 @@
-"""Command-line entry points: full studies, ratings-only runs, and the
-conductor-temperature / SLR-angle sensitivity sweep."""
+"""Command-line entry points: full studies, ratings-only runs and the T_C x phi_SLR
+sweep. Each command turns its options into library values (a ValueError there is a
+usage error, exit 2) before it works; a GridlineError is its message alone (exit 1)."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import fields, replace
@@ -12,14 +15,27 @@ import click
 
 from .dispatch import DEFAULT_PENALTY
 from .errors import GridlineError
-from .pipeline import ALL_REGIMES, DEFAULT_EMISSION_FACTORS, RunConfig, run, write_ratings
+from .factors import build_factors, dump_factors
+from .pipeline import DEFAULT_EMISSION_FACTORS, RunConfig, run, write_ratings
 from .ratings import RATED_REGIMES, RatingParams, build_rating_series, sweep_parameters
 from .network import load_hourly_series, load_network
 from .scopf import DEFAULT_MAX_ITERATIONS
-from .util import parse_hour, write_csv
+from .util import parse_hour, render_floats, write_csv
 from .weather import load_weather
 
-_PARAM_FIELDS = {f.name: f.type for f in fields(RatingParams)}
+_PARAM_FIELDS = {f.name for f in fields(RatingParams)}
+_path = functools.partial(click.Path, path_type=Path)
+
+# (flag, RatingParams field, help) of each rating override; --phi-slr takes degrees
+RATING_FLAGS = (
+    ("--tc", "t_conductor", "Max conductor temperature, deg C."),
+    ("--ta-slr", "t_ambient_slr", "Ambient temperature assumed for SLR, deg C."),
+    ("--v-slr", "v_slr", "Wind speed assumed for SLR, m/s."),
+    ("--phi-slr", "phi_slr", "Attack angle assumed for SLR, degrees."),
+    ("--contingency-ratio", "contingency_ratio", "Contingency / normal rating ratio."),
+    ("--eligibility-km", "eligibility_length_km",
+     "Lines at or beyond this length keep static ratings."),
+)
 
 
 def load_params_file(path: Path) -> dict[str, float]:
@@ -30,120 +46,130 @@ def load_params_file(path: Path) -> dict[str, float]:
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
-        if "=" not in text:
+        key, sep, raw = (part.strip() for part in text.partition("="))
+        if not sep:
             raise GridlineError(f"{path}:{number}: expected key = value")
-        key, _, raw = text.partition("=")
-        key = key.strip()
         if key not in _PARAM_FIELDS:
             raise GridlineError(f"{path}:{number}: unknown parameter {key!r}")
         try:
-            values[key] = float(raw.strip())
+            values[key] = float(raw)
         except ValueError:
-            raise GridlineError(f"{path}:{number}: bad number {raw.strip()!r}") from None
+            raise GridlineError(f"{path}:{number}: bad number {raw!r}") from None
     return values
 
 
-def _build_params(params_file, tc, ta_slr, v_slr, phi_slr_deg, contingency_ratio,
-                  eligibility_km) -> RatingParams:
-    values = load_params_file(Path(params_file)) if params_file else {}
-    try:
-        params = RatingParams(**values)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-    overrides = {}
-    if tc is not None:
-        overrides["t_conductor"] = tc
-    if ta_slr is not None:
-        overrides["t_ambient_slr"] = ta_slr
-    if v_slr is not None:
-        overrides["v_slr"] = v_slr
-    if phi_slr_deg is not None:
-        overrides["phi_slr"] = math.radians(phi_slr_deg)
-    if contingency_ratio is not None:
-        overrides["contingency_ratio"] = contingency_ratio
-    if eligibility_km is not None:
-        overrides["eligibility_length_km"] = eligibility_km
-    try:
-        return replace(params, **overrides) if overrides else params
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
+def _rating_params(options: dict) -> RatingParams:
+    """Pop --params and the rating flags as one RatingParams; flags win."""
+    path = options.pop("params_file")
+    values = load_params_file(path) if path else {}
+    for _, name, _ in RATING_FLAGS:
+        value = options.pop(name, None)
+        if value is not None:
+            values[name] = math.radians(value) if name == "phi_slr" else value
+    return RatingParams(**values)
 
 
-def _parse_hours(text):
-    if text is None:
-        return None
-    if ".." not in text:
-        raise click.BadParameter("expected START..END, e.g. 2016-01-01T00..2016-01-01T23")
-    first, _, last = text.partition("..")
-    return parse_hour(first), parse_hour(last)
+class _Command(click.Command):
+    """Adds --params, and the rating flags if asked; its callback gets library values, one
+    ``params`` and ``parse(**options)``. A ValueError on the way is a usage error."""
 
+    def __init__(self, *args, params, parse=dict, rating_flags=False, **kwargs):
+        flags = [click.Option([flag, name], type=float, help=help_text)
+                 for flag, name, help_text in RATING_FLAGS if rating_flags]
+        option = click.Option(["--params", "params_file"], type=_path(exists=True, dir_okay=False),
+                              help="key=value file for any rating parameter.")
+        super().__init__(*args, params=[*params, *flags, option], **kwargs)
+        self.parse = parse
 
-def _parse_regimes(text):
-    regimes = tuple(r.strip().lower() for r in text.split(",") if r.strip())
-    unknown = [r for r in regimes if r not in ALL_REGIMES]
-    if unknown:
-        raise click.BadParameter(f"unknown regime(s) {unknown}; choose from {ALL_REGIMES}")
-    return regimes
-
-
-def _parse_factors(text):
-    factors = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        fuel, _, value = part.partition("=")
+    def parse_args(self, ctx, args):
         try:
-            factors[fuel.strip()] = float(value)
-        except ValueError:
-            raise click.BadParameter(f"bad emission factor {part!r}") from None
-    return factors
+            rest = super().parse_args(ctx, args)
+            if not ctx.resilient_parsing:
+                ctx.params["params"] = _rating_params(ctx.params)
+                ctx.params = self.parse(**ctx.params)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+        return rest
 
 
-def _float_list(text):
+class _Group(click.Group):
+    command_class = _Command
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GridlineError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+def _hours(ctx, param, text):
+    if text is not None and ".." not in text:
+        raise ValueError("expected START..END, e.g. 2016-01-01T00..2016-01-01T23")
+    return None if text is None else tuple(map(parse_hour, text.split("..", 1)))
+
+
+def _regimes(ctx, param, text):
+    return tuple(r.strip().lower() for r in text.split(",") if r.strip())
+
+
+def _rated_regimes(ctx, param, text):
+    bad = [r for r in _regimes(ctx, param, text) if r not in RATED_REGIMES]
+    if bad:
+        raise ValueError(f"regimes {bad} have no ratings; choose from {RATED_REGIMES}")
+    return _regimes(ctx, param, text)
+
+
+def _floats(ctx, param, text):
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise click.BadParameter(f"bad number list {text!r}") from None
+        values = []
+    if not values:
+        raise ValueError(f"bad number list {text!r}")
+    return values
 
 
-def rating_options(command):
-    for option in reversed([
-        click.option("--tc", type=float, default=None,
-                     help="Max conductor temperature, deg C."),
-        click.option("--ta-slr", type=float, default=None,
-                     help="Ambient temperature assumed for SLR, deg C."),
-        click.option("--v-slr", type=float, default=None,
-                     help="Wind speed assumed for SLR, m/s."),
-        click.option("--phi-slr", type=float, default=None,
-                     help="Attack angle assumed for SLR, degrees."),
-        click.option("--contingency-ratio", type=float, default=None,
-                     help="Contingency / normal rating ratio."),
-        click.option("--eligibility-km", type=float, default=None,
-                     help="Lines at or beyond this length keep static ratings."),
-        click.option("--params", "params_file", type=click.Path(exists=True),
-                     default=None, help="key=value file for any rating parameter."),
-    ]):
-        command = option(command)
-    return command
+def _emission_factors(ctx, param, text):
+    if not text:
+        return dict(DEFAULT_EMISSION_FACTORS)
+    pairs = [part.partition("=") for part in text.split(",") if part.strip()]
+    try:
+        return {fuel.strip(): float(value) for fuel, _, value in pairs}
+    except ValueError:
+        raise ValueError(f"bad emission factors {text!r}") from None
 
 
-@click.group()
+case_option = click.option("--case", "case_dir", required=True,
+                           type=_path(exists=True, file_okay=False))
+weather_option = functools.partial(click.option, "--weather", "weather_file",
+                                   type=_path(exists=True, dir_okay=False))
+hours_option = click.option("--hours", callback=_hours,
+                            help="Inclusive UTC span START..END; default is the whole series.")
+out_option = functools.partial(click.option, "--out", "out_dir", type=_path(file_okay=False))
+
+
+@click.group(cls=_Group)
 def main():
     """Weather-driven line ratings and N-1 security-constrained dispatch."""
 
 
-@main.command("run")
-@click.option("--case", "case_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--weather", "weather_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--regimes", default="slr,aar,dlr,uncongested", show_default=True)
-@click.option("--hours", "hours_span", default=None,
-              help="Inclusive UTC span START..END; default is the whole series.")
+def _run_values(case_dir, out_dir, penalty, workers, clamp_availability, dump_factors_flag,
+                **options):
+    config = RunConfig(case_directory=case_dir, output_directory=out_dir, penalty_price=penalty,
+                       worker_count=workers, strict_availability=not clamp_availability, **options)
+    return {"config": config, "dump_factors_flag": dump_factors_flag}
+
+
+@main.command("run", parse=_run_values, rating_flags=True)
+@case_option
+@weather_option()
+@click.option("--regimes", default="slr,aar,dlr,uncongested", show_default=True, callback=_regimes)
+@hours_option
 @click.option("--penalty", type=float, default=DEFAULT_PENALTY, show_default=True,
               help="$/MWh on contingency-row violations.")
 @click.option("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
-@click.option("--emission-factors", default=None,
+@click.option("--emission-factors", callback=_emission_factors,
               help="Comma list fuel=tons_per_mwh, e.g. coal=1.0,natural_gas=0.42.")
 @click.option("--clamp-availability", is_flag=True,
               help="Clamp availability above p_max instead of erroring.")
@@ -151,126 +177,73 @@ def main():
               help="Extend penalized slacks to base-case flow rows.")
 @click.option("--dump-factors", "dump_factors_flag", is_flag=True,
               help="Also write ptdf.csv and lodf.csv (debug).")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@rating_options
-def run_command(case_dir, weather_file, regimes, hours_span, penalty, max_iterations,
-                workers, emission_factors, clamp_availability, slack_base_rows,
-                dump_factors_flag, out_dir, tc, ta_slr, v_slr, phi_slr,
-                contingency_ratio, eligibility_km, params_file):
+@out_option(required=True)
+def run_command(config, dump_factors_flag):
     """Solve every hour under each regime and write reports to --out."""
-    try:
-        config = RunConfig(
-            case_directory=Path(case_dir),
-            output_directory=Path(out_dir),
-            weather_file=None if weather_file is None else Path(weather_file),
-            regimes=_parse_regimes(regimes),
-            hours=_parse_hours(hours_span),
-            params=_build_params(params_file, tc, ta_slr, v_slr, phi_slr,
-                                 contingency_ratio, eligibility_km),
-            penalty_price=penalty,
-            worker_count=workers,
-            emission_factors=(_parse_factors(emission_factors) if emission_factors
-                              else dict(DEFAULT_EMISSION_FACTORS)),
-            max_iterations=max_iterations,
-            strict_availability=not clamp_availability,
-            slack_base_rows=slack_base_rows,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    try:
-        summary = run(config)
-        if dump_factors_flag:
-            from .factors import build_factors, dump_factors
-            network = load_network(config.case_directory)
-            dump_factors(build_factors(network, config.slack_bus), network,
-                         config.output_directory)
-    except GridlineError as exc:
-        raise click.ClickException(str(exc)) from None
+    summary = run(config)
+    if dump_factors_flag:
+        network = load_network(config.case_directory)
+        dump_factors(build_factors(network, config.slack_bus), network, config.output_directory)
     for name, regime in summary.regimes.items():
         click.echo(f"{name}: {regime.solved_hours} hours solved, "
                    f"total cost ${regime.total_cost:,.2f}"
                    + ("" if regime.congestion_cost is None
                       else f", congestion ${regime.congestion_cost:,.2f}"))
-        for bad in regime.infeasible_hours:
-            click.echo(f"  infeasible: {bad}", err=True)
-        for bad in regime.unconverged_hours:
-            click.echo(f"  unconverged: {bad}", err=True)
-        for bad in regime.error_hours:
-            click.echo(f"  error: {bad}", err=True)
+        for label in ("infeasible", "unconverged", "error"):
+            for bad in getattr(regime, f"{label}_hours"):
+                click.echo(f"  {label}: {bad}", err=True)
     if not summary.all_ok:
         sys.exit(1)
 
 
-@main.command("ratings")
-@click.option("--case", "case_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--weather", "weather_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--regimes", default="slr,aar,dlr", show_default=True)
-@click.option("--hours", "hours_span", default=None)
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@rating_options
-def ratings_command(case_dir, weather_file, regimes, hours_span, out_dir, tc, ta_slr,
-                    v_slr, phi_slr, contingency_ratio, eligibility_km, params_file):
+@main.command("ratings", rating_flags=True)
+@case_option
+@weather_option()
+@click.option("--regimes", default="slr,aar,dlr", show_default=True, callback=_rated_regimes)
+@hours_option
+@out_option(required=True)
+def ratings_command(case_dir, weather_file, regimes, hours, out_dir, params):
     """Compute rating series only and write ratings.csv."""
-    regime_list = _parse_regimes(regimes)
-    bad = [r for r in regime_list if r not in RATED_REGIMES]
-    if bad:
-        raise click.BadParameter(f"regimes {bad} have no ratings")
-    params = _build_params(params_file, tc, ta_slr, v_slr, phi_slr,
-                           contingency_ratio, eligibility_km)
-    try:
-        network = load_network(case_dir)
-        hours = load_hourly_series(case_dir, network).select(_parse_hours(hours_span))
-        weather = load_weather(weather_file) if weather_file else None
-        ratings = [build_rating_series(network, weather, hours, regime, params)
-                   for regime in regime_list]
-    except GridlineError as exc:
-        raise click.ClickException(str(exc)) from None
-    path = Path(out_dir) / "ratings.csv"
-    write_ratings(path, ratings)
+    network = load_network(case_dir)
+    selected = load_hourly_series(case_dir, network).select(hours)
+    weather = load_weather(weather_file) if weather_file else None
+    ratings = [build_rating_series(network, weather, selected, r, params) for r in regimes]
+    write_ratings(out_dir / "ratings.csv", ratings)
     rows = sum(rating.multiplier.size for rating in ratings)
-    click.echo(f"wrote {rows} rating rows to {path}")
+    click.echo(f"wrote {rows} rating rows to {out_dir / 'ratings.csv'}")
 
 
-@main.command("sweep")
-@click.option("--case", "case_dir", required=True, type=click.Path(exists=True, file_okay=False))
-@click.option("--weather", "weather_file", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--tc", "tc_list", default="78,100,110", show_default=True,
+def _sweep_values(tc_list, phi_list, params, **options):
+    for t_c, phi in itertools.product(tc_list, phi_list):  # refuse a bad grid point now
+        replace(params, t_conductor=t_c, phi_slr=math.radians(phi))
+    return {**options, "tc_list": tc_list, "phi_list": phi_list, "params": params}
+
+
+@main.command("sweep", parse=_sweep_values)
+@case_option
+@weather_option(required=True)
+@click.option("--tc", "tc_list", default="78,100,110", show_default=True, callback=_floats,
               help="Comma list of conductor temperatures, deg C.")
 @click.option("--phi-slr", "phi_list", default="0,45,90", show_default=True,
-              help="Comma list of assumed SLR attack angles, degrees.")
-@click.option("--hours", "hours_span", default=None)
-@click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False))
-@click.option("--params", "params_file", type=click.Path(exists=True), default=None)
-def sweep_command(case_dir, weather_file, tc_list, phi_list, hours_span, out_dir,
-                  params_file):
+              callback=_floats, help="Comma list of assumed SLR attack angles, degrees.")
+@hours_option
+@out_option()
+def sweep_command(case_dir, weather_file, tc_list, phi_list, hours, out_dir, params):
     """Mean DLR multiplier for each (conductor temp, SLR angle) pair."""
-    tc_values = _float_list(tc_list)
-    phi_degrees = _float_list(phi_list)
-    base = _build_params(params_file, None, None, None, None, None, None)
-    try:
-        network = load_network(case_dir)
-        hours = load_hourly_series(case_dir, network).select(_parse_hours(hours_span))
-        weather = load_weather(weather_file)
-        table = sweep_parameters(network, weather, hours, tc_values,
-                                 [math.radians(d) for d in phi_degrees], base)
-    except GridlineError as exc:
-        raise click.ClickException(str(exc)) from None
-    by_phi = {}
-    for t_c, phi, mean in table:
-        by_phi.setdefault(t_c, {})[phi] = mean
-    header = "t_conductor_c " + " ".join(f"phi={d:g}deg" for d in phi_degrees)
-    click.echo(header)
-    for t_c in tc_values:
-        cells = " ".join(f"{by_phi[t_c][math.radians(d)]:.4f}" for d in phi_degrees)
-        click.echo(f"{t_c:<13g} {cells}")
+    network = load_network(case_dir)
+    selected = load_hourly_series(case_dir, network).select(hours)
+    table = sweep_parameters(network, load_weather(weather_file), selected, tc_list,
+                             [math.radians(d) for d in phi_list], params)
+    # (T_C, phi_SLR in degrees, mean multiplier) in sweep order, T_C outermost
+    rows = [(t_c, phi, mean) for (t_c, _, mean), phi in zip(table, itertools.cycle(phi_list))]
+    click.echo("t_conductor_c " + " ".join(f"phi={d:g}deg" for d in phi_list))
+    for start in range(0, len(rows), len(phi_list)):
+        block = rows[start:start + len(phi_list)]
+        click.echo(f"{block[0][0]:<13g} " + " ".join(f"{mean:.4f}" for *_, mean in block))
     if out_dir:
-        rows = []
-        for (t_c, phi, mean), phi_deg in zip(table, [d for _ in tc_values for d in phi_degrees]):
-            rows.append((repr(float(t_c)), repr(float(phi_deg)), repr(float(mean))))
-        write_csv(Path(out_dir) / "sweep.csv",
-                  ["t_conductor_c", "phi_slr_deg", "mean_dlr_multiplier"], rows)
-        click.echo(f"wrote {Path(out_dir) / 'sweep.csv'}")
+        write_csv(out_dir / "sweep.csv", ["t_conductor_c", "phi_slr_deg", "mean_dlr_multiplier"],
+                  [list(render_floats(row)) for row in rows])
+        click.echo(f"wrote {out_dir / 'sweep.csv'}")
 
 
 if __name__ == "__main__":

@@ -81,6 +81,10 @@ class RunConfig:
         unknown = [r for r in self.regimes if r not in ALL_REGIMES]
         if unknown:
             raise ValueError(f"unknown regime(s) {unknown}; choose from {ALL_REGIMES}")
+        bad = {fuel: v for fuel, v in self.emission_factors.items()
+               if not (math.isfinite(v) and v >= 0)}
+        if bad:
+            raise ValueError(f"emission factors must be finite and >= 0, got {bad}")
 
 
 @dataclass

@@ -20,7 +20,7 @@ per hour over all eligible branches, ``branch_multiplier`` per branch-hour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime
 
 import numpy as np
@@ -83,6 +83,11 @@ class RatingParams:
     diameter_fit_b: float = 0.006  # m, fit intercept
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
+        if self.air_density <= 0 or self.air_viscosity <= 0:
+            raise ValueError("air_density and air_viscosity must be positive")
         if self.t_conductor <= self.t_ambient_slr:
             raise ValueError("t_conductor must exceed t_ambient_slr")
         if self.v_slr <= 0:

@@ -161,6 +161,8 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
         raise ValueError("max_iterations must be >= 1")
     normal_limits = np.asarray(normal_limits, dtype=float)
     contingency_limits = np.asarray(contingency_limits, dtype=float)
+    if not (np.all(normal_limits > 0) and np.all(contingency_limits > 0)):
+        raise ValueError("normal and contingency limits must all be > 0")
     base_cap = normal_limits * (1.0 + SCREEN_TOLERANCE)
     has_base_row = np.zeros(network.n_branches, dtype=bool)
     rows: list[FlowRow] = []

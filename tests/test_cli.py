@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from dataclasses import fields
 
@@ -7,7 +8,29 @@ from click.testing import CliRunner
 
 from gridline.cli import load_params_file, main
 from gridline.errors import GridlineError
-from gridline.pipeline import RunConfig
+from gridline.network import load_hourly_series, load_network
+from gridline.pipeline import RunConfig, write_ratings
+from gridline.ratings import DLR, RatingParams, build_rating_series
+from gridline.weather import load_weather
+
+RATING_FLAGS = [("--tc", None, False), ("--ta-slr", None, False), ("--v-slr", None, False),
+                ("--phi-slr", None, False), ("--contingency-ratio", None, False),
+                ("--eligibility-km", None, False), ("--params", None, False)]
+# (flag, default, required) of every option, in order
+OPTIONS = {
+    "run": [("--case", None, True), ("--weather", None, False),
+            ("--regimes", "slr,aar,dlr,uncongested", False), ("--hours", None, False),
+            ("--penalty", 2000.0, False), ("--max-iterations", 20, False),
+            ("--workers", 1, False), ("--emission-factors", None, False),
+            ("--clamp-availability", False, False), ("--slack-base-rows", False, False),
+            ("--dump-factors", False, False), ("--out", None, True), *RATING_FLAGS],
+    "ratings": [("--case", None, True), ("--weather", None, False),
+                ("--regimes", "slr,aar,dlr", False), ("--hours", None, False),
+                ("--out", None, True), *RATING_FLAGS],
+    "sweep": [("--case", None, True), ("--weather", None, True),
+              ("--tc", "78,100,110", False), ("--phi-slr", "0,45,90", False),
+              ("--hours", None, False), ("--out", None, False), ("--params", None, False)],
+}
 
 
 @pytest.fixture()
@@ -153,7 +176,7 @@ def test_dump_factors_flag(runner, cases_dir, tmp_path):
     assert (out / "lodf.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["ratings", "sweep"])
+@pytest.mark.parametrize("command", ["ratings", "sweep", "run"])
 def test_hours_outside_series_rejected(runner, cases_dir, tmp_path, command):
     out = tmp_path / "out"
     result = runner.invoke(main, [
@@ -179,3 +202,77 @@ def test_sweep_without_weather_in_span_fails(runner, cases_dir, tmp_path):
     assert "no weather for any hour of 2016-07-01T01:00:00Z..2016-07-01T05:00:00Z" in result.output
     assert "nan" not in result.output
     assert not out.exists()
+
+
+def test_option_inventory():
+    assert set(main.commands) == set(OPTIONS)
+    for name, expected in OPTIONS.items():
+        assert [(param.opts[0], param.to_info_dict()["default"], param.required)
+                for param in main.commands[name].params] == expected, name
+
+
+@pytest.mark.parametrize("command, args, code, message", [
+    *[(command, ["--hours", "bogus..2016-07-01T05"], 2, "unparseable timestamp 'bogus'")
+      for command in ("run", "ratings", "sweep")],
+    *[(command, ["--params", "{tmp}/nonsense.txt"], 1,
+       "{tmp}/nonsense.txt:1: unknown parameter 'nonsense'") for command in ("run", "ratings", "sweep")],
+    *[(command, ["--params", "{tmp}/air.txt"], 2,
+       "air_density and air_viscosity must be positive") for command in ("run", "ratings", "sweep")],
+    ("sweep", ["--tc", "30"], 2, "t_conductor must exceed t_ambient_slr"),
+    ("sweep", ["--tc", "80,x"], 2, "bad number list '80,x'"),
+    ("sweep", ["--phi-slr", ""], 2, "bad number list ''"),
+    ("sweep", ["--phi-slr", "nan"], 2, "phi_slr must be finite, got nan"),
+    ("run", ["--regimes", "aar", "--tc", "nan"], 2, "t_conductor must be finite, got nan"),
+    ("ratings", ["--regimes", "aar", "--tc", "nan"], 2, "t_conductor must be finite, got nan"),
+    ("run", ["--contingency-ratio", "nan"], 2, "contingency_ratio must be finite, got nan"),
+    ("ratings", ["--regimes", "slr,uncongested"], 2, "regimes ['uncongested'] have no ratings"),
+    ("run", ["--emission-factors", "coal=-1"], 2,
+     "emission factors must be finite and >= 0, got {'coal': -1.0}"),
+    ("run", ["--emission-factors", "natural_gas=nan"], 2,
+     "emission factors must be finite and >= 0, got {'natural_gas': nan}"),
+])
+def test_bad_inputs_end_with_a_message(runner, cases_dir, tmp_path, command, args, code,
+                                       message):
+    (tmp_path / "nonsense.txt").write_text("nonsense = 1\n")
+    (tmp_path / "air.txt").write_text("air_density = -1\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        command, "--case", str(cases_dir / "case5"),
+        "--weather", str(cases_dir / "weather_case5.csv"),
+        *(arg.replace("{tmp}", str(tmp_path)) for arg in args), "--out", str(out)])
+    assert result.exit_code == code, result.output
+    assert "Error: " + message.replace("{tmp}", str(tmp_path)) in result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, work", [
+    ("run", "run"), ("ratings", "build_rating_series"), ("sweep", "sweep_parameters")])
+def test_value_error_in_the_work_keeps_its_traceback(runner, cases_dir, tmp_path,
+                                                     monkeypatch, command, work):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug in the study")
+
+    monkeypatch.setattr(f"gridline.cli.{work}", broken)
+    result = runner.invoke(main, [
+        command, "--case", str(cases_dir / "case5"),
+        "--weather", str(cases_dir / "weather_case5.csv"), "--out", str(tmp_path / "out")])
+    assert isinstance(result.exception, ValueError), result.output
+    assert str(result.exception) == "a bug in the study"
+
+
+def test_flags_override_the_params_file_and_phi_slr_takes_degrees(runner, cases_dir, tmp_path):
+    case, weather = cases_dir / "case5", cases_dir / "weather_case5.csv"
+    params = tmp_path / "params.txt"
+    params.write_text("t_conductor = 110\nphi_slr = 0.2\nv_slr = 1.5\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "ratings", "--case", str(case), "--weather", str(weather), "--regimes", "dlr",
+        "--params", str(params), "--tc", "95", "--phi-slr", "30", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    network = load_network(case)
+    expected = build_rating_series(
+        network, load_weather(weather), list(load_hourly_series(case, network).hours), DLR,
+        RatingParams(t_conductor=95.0, phi_slr=math.radians(30.0), v_slr=1.5))
+    write_ratings(tmp_path / "expected.csv", [expected])
+    assert (out / "ratings.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()

@@ -230,6 +230,10 @@ def test_config_validation(cases_dir, tmp_path):
         with pytest.raises(ValueError, match="penalty_price must be finite and > 0"):
             RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
                       penalty_price=penalty)
+    for factor in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="emission factors must be finite and >= 0"):
+            RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
+                      emission_factors={"coal": 1.0, "natural_gas": factor})
 
 
 def test_lp_error_names_regime_hour_and_cause(cases_dir, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -423,6 +423,20 @@ def test_params_validation():
         RatingParams(contingency_ratio=0.9)
     params = RatingParams(phi_slr=math.pi / 4)
     assert params.k_angle_slr == k_angle(math.pi / 4)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(RatingParams)])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        RatingParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["air_density", "air_viscosity"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_air_properties_must_be_positive(field, value):
+    with pytest.raises(ValueError, match="air_density and air_viscosity must be positive"):
+        RatingParams(**{field: value})
 
 
 def test_nonpositive_ampacity_rejected():

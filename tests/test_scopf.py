@@ -133,6 +133,18 @@ def test_no_violations_short_circuits(networks, serieses, factors_map):
     assert solution.dispatch.objective == pytest.approx(base.objective, rel=1e-12)
 
 
+@pytest.mark.parametrize("which", ["normal", "contingency"])
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
+def test_limits_that_are_not_positive_are_refused(networks, serieses, factors_map, which,
+                                                   bad):
+    net, factors = networks["case3"], factors_map["case3"]
+    data = hour_data(net, serieses["case3"], serieses["case3"].hours[0])
+    limits = {"normal": np.full(3, 1e6), "contingency": np.full(3, 1.146e6)}
+    limits[which][1] = bad  # a NaN limit would fail every bound test and drop the row
+    with pytest.raises(ValueError, match="limits must all be > 0"):
+        solve_scdcopf(net, factors, data, limits["normal"], limits["contingency"])
+
+
 def scan_hours(name, networks, serieses, factors_map, weathers, regime=SLR):
     net, factors = networks[name], factors_map[name]
     series = serieses[name]
