@@ -41,8 +41,12 @@ RATING_FLAGS = (
 def load_params_file(path: Path) -> dict[str, float]:
     """Parse a key=value params file; keys are RatingParams field names in
     field units (phi_slr in radians)."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridlineError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, float] = {}
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -113,10 +117,13 @@ def _regimes(ctx, param, text):
 
 
 def _rated_regimes(ctx, param, text):
-    bad = [r for r in _regimes(ctx, param, text) if r not in RATED_REGIMES]
+    regimes = _regimes(ctx, param, text)
+    if not regimes:
+        raise ValueError("at least one regime required")
+    bad = [r for r in regimes if r not in RATED_REGIMES]
     if bad:
         raise ValueError(f"regimes {bad} have no ratings; choose from {RATED_REGIMES}")
-    return _regimes(ctx, param, text)
+    return regimes
 
 
 def _floats(ctx, param, text):

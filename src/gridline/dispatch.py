@@ -5,6 +5,12 @@ cost segment (convexity makes cheapest-first filling automatic), a single
 system power balance, and two-sided flow rows. Appended contingency rows
 may carry a nonnegative slack variable penalized in the objective, which
 caps their shadow price at the penalty; base rows stay hard.
+
+``solve_problem`` solves a problem as a fresh LP built by ``build_lp`` (the
+reference path), or through a ``DispatchModel`` that lowers only the rows
+its LP lacks and re-solves from the basis of the problem before. Either
+way the solution is audited against the problem's rows, independently of
+the solver.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import SolverError
-from .lp import OPTIMAL, LpProblem, LpSolution, solve_lp
+from .lp import OPTIMAL, LpModel, LpProblem, LpSolution, csr_rows, solve_lp
 from .network import HourlySeries, Network
 
 DEFAULT_PENALTY = 2000.0  # $/MWh on contingency-row violations
@@ -79,6 +85,7 @@ class DispatchResult:
     balance_dual: float | None = None  # system marginal price, $/MWh
     slack_values: np.ndarray | None = None  # MW per flow row (0 on hard rows)
     message: str = ""  # solver's account of a non-optimal status
+    simplex_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,18 @@ def _segments(cost_curves: tuple[tuple[tuple[float, float], ...], ...]):
             np.array(price, dtype=float), np.array(before, dtype=float))
 
 
+def _segment_bounds(problem: DispatchProblem, seg_owner: np.ndarray, cap: np.ndarray,
+                    before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cost segments trimmed cumulatively against the hourly maximum (and
+    lifted by the minimum), which is LP-equivalent to a total-output bound
+    because marginal costs are nondecreasing."""
+    p_max = problem.gen_max[seg_owner]
+    p_min = np.minimum(problem.gen_min, problem.gen_max)[seg_owner]
+    hi = np.minimum(cap, np.maximum(0.0, p_max - before))
+    lo = np.minimum(hi, np.maximum(0.0, p_min - before))
+    return lo, hi
+
+
 def _row_arrays(rows: tuple[FlowRow, ...], n_buses: int):
     """Stacked coefficients (rows x buses), limits and slack flags."""
     coefficients = np.array([row.coefficients for row in rows], dtype=float)
@@ -120,21 +139,40 @@ def _row_arrays(rows: tuple[FlowRow, ...], n_buses: int):
     return coefficients.reshape(len(rows), n_buses), limit, slack_allowed
 
 
-def build_lp(problem: DispatchProblem) -> tuple[LpProblem, _Layout]:
-    """Lower the dispatch problem to the solver contract.
+def _flow_rhs(coefficients: np.ndarray, limit: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Right-hand sides of the ``<=`` rows 2r (+) and 2r + 1 (-) of each
+    flow row r over the segment columns."""
+    fixed = coefficients @ demand
+    return np.column_stack((limit + fixed, limit - fixed)).ravel()
 
-    Cost segments are trimmed cumulatively against the hourly maximum (and
-    lifted by the minimum), which is LP-equivalent to a total-output bound
-    because marginal costs are nondecreasing. Flow row r becomes the
-    ``<=`` rows 2r (+) and 2r + 1 (-); a slack-allowed row's slack enters
-    both with coefficient -1.
+
+def _flow_entries(coefficients: np.ndarray, limit: np.ndarray, seg_bus: np.ndarray,
+                  demand: np.ndarray):
+    """Flow row r as the ``<=`` rows 2r (+) and 2r + 1 (-) over the segment
+    columns: their right-hand sides and, sorted by row, the (row, column,
+    value) of each entry HiGHS would keep."""
+    seg_coef = coefficients[:, seg_bus]
+    signed = np.stack((seg_coef, -seg_coef), axis=1).reshape(2 * len(limit), len(seg_bus))
+    row, col = np.nonzero(np.abs(signed) > MATRIX_ZERO_TOL)
+    return _flow_rhs(coefficients, limit, demand), row, col, signed[row, col]
+
+
+def _balance_row(n_segments: int, n_vars: int) -> sparse.csr_matrix:
+    """Total output: the sum of the segment variables."""
+    return sparse.csr_matrix(
+        (np.ones(n_segments), np.arange(n_segments), np.array([0, n_segments])),
+        shape=(1, n_vars))
+
+
+def build_lp(problem: DispatchProblem) -> tuple[LpProblem, _Layout]:
+    """Lower the dispatch problem to the solver contract: one variable per
+    cost segment (``_segment_bounds``), then one slack per slack-allowed
+    flow row. Flow row r becomes the ``<=`` rows 2r (+) and 2r + 1 (-); a
+    slack-allowed row's slack enters both with coefficient -1.
     """
     seg_owner, cap, price, before = _segments(problem.cost_curves)
     n_segments = len(seg_owner)
-    p_max = problem.gen_max[seg_owner]
-    p_min = np.minimum(problem.gen_min, problem.gen_max)[seg_owner]
-    hi = np.minimum(cap, np.maximum(0.0, p_max - before))
-    lo = np.minimum(hi, np.maximum(0.0, p_min - before))
+    lo, hi = _segment_bounds(problem, seg_owner, cap, before)
 
     coefficients, limit, slack_allowed = _row_arrays(problem.flow_rows, len(problem.demand))
     slack_rows = np.flatnonzero(slack_allowed)
@@ -143,34 +181,17 @@ def build_lp(problem: DispatchProblem) -> tuple[LpProblem, _Layout]:
     costs = np.concatenate((price, np.full(n_slacks, problem.penalty_price)))
     bounds = list(zip(lo.tolist(), hi.tolist())) + [(0.0, None)] * n_slacks
 
-    a_eq = sparse.csr_matrix(
-        (np.ones(n_segments), np.arange(n_segments), np.array([0, n_segments])),
-        shape=(1, n_vars))
+    a_eq = _balance_row(n_segments, n_vars)
     b_eq = np.array([float(problem.demand.sum())])
 
     a_ub = None
     b_ub = None
     n_rows = len(limit)
     if n_rows:
-        seg_coef = coefficients[:, problem.gen_bus[seg_owner]]
-        fixed = coefficients @ problem.demand
-        signed = np.stack((seg_coef, -seg_coef), axis=1).reshape(2 * n_rows, n_segments)
-        b_ub = np.column_stack((limit + fixed, limit - fixed)).ravel()
-        row, col = np.nonzero(np.abs(signed) > MATRIX_ZERO_TOL)
-        # each slack is the last entry of both of its rows
-        slack_lp_rows = (2 * slack_rows[:, None] + np.arange(2)).ravel()
-        per_row = np.bincount(row, minlength=2 * n_rows)
-        per_row[slack_lp_rows] += 1
-        indptr = np.concatenate(([0], np.cumsum(per_row)))
-        slack_at = indptr[slack_lp_rows + 1] - 1
-        is_segment = np.ones(indptr[-1], dtype=bool)
-        is_segment[slack_at] = False
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data = np.empty(indptr[-1])
-        indices[is_segment] = col
-        data[is_segment] = signed[row, col]
-        indices[slack_at] = n_segments + np.repeat(np.arange(n_slacks), 2)
-        data[slack_at] = -1.0
+        b_ub, row, col, value = _flow_entries(coefficients, limit,
+                                              problem.gen_bus[seg_owner], problem.demand)
+        slack_col = np.where(slack_allowed, n_segments + np.cumsum(slack_allowed) - 1, -1)
+        indptr, indices, data = csr_rows(2 * n_rows, row, col, value, np.repeat(slack_col, 2))
         a_ub = sparse.csr_matrix((data, indices, indptr), shape=(2 * n_rows, n_vars))
 
     lp = LpProblem(costs, a_ub, b_ub, a_eq, b_eq, bounds)
@@ -184,9 +205,11 @@ def _injections(problem: DispatchProblem, p_gen: np.ndarray) -> np.ndarray:
 
 
 def audit_result(problem: DispatchProblem, result: DispatchResult,
-                 tol: float = FEASIBILITY_TOL) -> None:
-    """Independent feasibility re-check of an optimal solution (balance,
-    bounds, flow rows). Raises SolverError on any violation."""
+                 tol: float = FEASIBILITY_TOL, coefficients: np.ndarray | None = None) -> None:
+    """Independent feasibility re-check of an optimal solution: balance,
+    bounds, and flow rows recomputed from the injections. ``coefficients``
+    are the problem's flow rows stacked, where the caller holds them.
+    Raises SolverError on any violation."""
     if result.status != OPTIMAL:
         return
     p = result.p_gen
@@ -194,8 +217,11 @@ def audit_result(problem: DispatchProblem, result: DispatchResult,
         raise SolverError(f"power balance residual {p.sum() - problem.demand.sum():.3e} MW")
     if np.any(p < problem.gen_min - tol) or np.any(p > problem.gen_max + tol):
         raise SolverError("generator bounds violated")
-    coefficients, limit, slack_allowed = _row_arrays(problem.flow_rows, len(problem.demand))
-    slack = np.where(slack_allowed, result.slack_values, 0.0)
+    rows = problem.flow_rows
+    if coefficients is None:
+        coefficients = _row_arrays(rows, len(problem.demand))[0]
+    limit = np.array([row.limit for row in rows], dtype=float)
+    slack = np.where([row.slack_allowed for row in rows], result.slack_values, 0.0)
     margin = np.abs(coefficients @ _injections(problem, p)) - (limit + slack)
     violated = np.flatnonzero(margin > tol * np.maximum(1.0, limit))
     if violated.size:
@@ -204,11 +230,101 @@ def audit_result(problem: DispatchProblem, result: DispatchResult,
             f"flow row {r} violated by {margin[r]:.3e} MW at {problem.hour}")
 
 
-def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None) -> DispatchResult:
-    lp, layout = build_lp(problem)
-    solution: LpSolution = solve_lp(lp)
+def _same_row(held: FlowRow, row: FlowRow) -> bool:
+    """Whether ``held``'s LP rows serve ``row`` once their limits are set."""
+    return held is row or (
+        (held.monitored_branch, held.outage_branch, held.slack_allowed)
+        == (row.monitored_branch, row.outage_branch, row.slack_allowed)
+        and np.array_equal(held.coefficients, row.coefficients))
+
+
+class DispatchModel:
+    """The LP of the dispatch problems solved through it, held in one
+    ``LpModel`` and changed in place from one problem to the next, so each
+    solve starts from the basis of the one before. A study keeps one per
+    chunk of hours; every problem a model serves has the same generators,
+    buses and penalty price.
+
+    ``hold`` brings it to a problem. Held flow rows are kept in order while
+    each equals the problem's next row (same branches, slack flag and
+    coefficients); the others are deleted, with their slacks. The problem's
+    remaining rows are lowered and appended, so the LP holds the problem's
+    rows in the problem's order. A new hour's data sets the segment bounds
+    and the balance row again in place, and a new hour or a new kept row
+    object sets the right-hand sides of the kept rows again.
+    """
+
+    def __init__(self):
+        self.lp: LpModel | None = None
+        self.problem: DispatchProblem | None = None  # the problem the LP holds
+
+    def _start(self, problem: DispatchProblem) -> None:
+        seg_owner, cap, price, before = _segments(problem.cost_curves)
+        lo, hi = _segment_bounds(problem, seg_owner, cap, before)
+        n = len(seg_owner)
+        self.segments = seg_owner, cap, before
+        self.coefficients = np.zeros((0, len(problem.demand)))  # the held flow rows
+        self.lp = LpModel(LpProblem(price, None, None, _balance_row(n, n),
+                                    np.array([float(problem.demand.sum())]),
+                                    list(zip(lo.tolist(), hi.tolist()))))
+
+    def hold(self, problem: DispatchProblem) -> _Layout:
+        held = self.problem
+        if held is None:
+            self._start(problem)
+            held_rows, new_hour = (), False
+        else:
+            held_rows = held.flow_rows
+            new_hour = not (np.array_equal(held.demand, problem.demand)
+                            and np.array_equal(held.gen_min, problem.gen_min)
+                            and np.array_equal(held.gen_max, problem.gen_max))
+        lp = self.lp
+        seg_owner = self.segments[0]
+        if new_hour:
+            lp.set_bounds(*_segment_bounds(problem, *self.segments))
+            lp.set_b_eq(np.array([float(problem.demand.sum())]))
+
+        rows = problem.flow_rows
+        keep = []
+        for i, row in enumerate(held_rows):
+            if len(keep) < len(rows) and _same_row(row, rows[len(keep)]):
+                keep.append(i)
+        n_keep = len(keep)
+        if n_keep < len(held_rows):
+            gone = np.setdiff1d(np.arange(len(held_rows)), keep)
+            lp.delete_rows((2 * gone[:, None] + np.arange(2)).ravel())
+            self.coefficients = self.coefficients[keep]
+        if new_hour or any(rows[j] is not held_rows[i] for j, i in enumerate(keep)):
+            limit = np.array([row.limit for row in rows[:n_keep]], dtype=float)
+            lp.set_b_ub(np.arange(2 * n_keep), _flow_rhs(self.coefficients, limit, problem.demand))
+
+        if n_keep < len(rows):
+            coefficients, limit, slack_allowed = _row_arrays(rows[n_keep:], len(problem.demand))
+            b_ub, row, col, value = _flow_entries(coefficients, limit,
+                                                  problem.gen_bus[seg_owner], problem.demand)
+            slack = np.where(slack_allowed, np.cumsum(slack_allowed) - 1, -1)
+            lp.add_rows(b_ub, row, col, value, np.repeat(slack, 2), problem.penalty_price)
+            self.coefficients = np.concatenate((self.coefficients, coefficients))
+        self.problem = problem
+        # slacks are added in row order and deleted with both rows of their
+        # flow row, so the slack columns stay in the order of their flow rows
+        slack_rows = np.flatnonzero([row.slack_allowed for row in rows])
+        return _Layout(seg_owner, len(seg_owner), slack_rows)
+
+
+def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None,
+                  model: DispatchModel | None = None) -> DispatchResult:
+    """Solve one dispatch problem: through ``model``, changed in place to
+    hold it, or else as a fresh LP built by ``build_lp``."""
+    if model is None:
+        lp, layout = build_lp(problem)
+        solution: LpSolution = solve_lp(lp)
+    else:
+        layout = model.hold(problem)
+        solution = model.lp.solve()
     if solution.status != OPTIMAL:
-        return DispatchResult(problem.hour, solution.status, message=solution.message)
+        return DispatchResult(problem.hour, solution.status, message=solution.message,
+                              simplex_iterations=solution.simplex_iterations)
 
     n_gen = len(problem.cost_curves)
     p_gen = np.zeros(n_gen)
@@ -227,8 +343,9 @@ def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None) -> D
 
     result = DispatchResult(
         problem.hour, OPTIMAL, p_gen, flows, solution.objective,
-        row_duals, float(solution.eq_marginals[0]), slack_values)
-    audit_result(problem, result)
+        row_duals, float(solution.eq_marginals[0]), slack_values,
+        simplex_iterations=solution.simplex_iterations)
+    audit_result(problem, result, coefficients=None if model is None else model.coefficients)
     return result
 
 
@@ -254,9 +371,9 @@ def solve_penalized_dcopf(problem: DispatchProblem,
     return solve_problem(problem, ptdf=ptdf)
 
 
-def solve_copperplate(network: Network, data: HourData,
-                      factors=None) -> DispatchResult:
+def solve_copperplate(network: Network, data: HourData, factors=None,
+                      model: DispatchModel | None = None) -> DispatchResult:
     """Merit-order dispatch with no transmission constraints; flows (when a
     PTDF is supplied) are reported for information only."""
     problem = build_problem(network, data, [])
-    return solve_problem(problem, ptdf=None if factors is None else factors.ptdf)
+    return solve_problem(problem, ptdf=None if factors is None else factors.ptdf, model=model)

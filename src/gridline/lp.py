@@ -2,10 +2,13 @@
 
 The dispatch code builds problems against this interface only; tests are
 solver-agnostic at 1e-6 tolerances. The backend is the HiGHS dual simplex
-bundled with scipy, called through its bindings directly: one fresh solver
-per LP, with the options ``scipy.optimize.linprog(method="highs")`` uses
-(presolve on, dual simplex, no output). A fresh solver keeps every result a
-function of its own model, never of which LP a worker solved before.
+bundled with scipy, called through its bindings directly, with the options
+``scipy.optimize.linprog(method="highs")`` uses (presolve on, dual simplex,
+no output) and one thread. ``solve_lp`` passes one LP to a fresh solver.
+``LpModel`` keeps one solver and changes its LP in place, so that each solve
+starts from the basis the one before it ended on. A study keeps one
+``LpModel`` per fixed chunk of hours, so a result is a function of its
+chunk's inputs alone, never of which chunk a worker solved before.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ _OPTIONS.presolve = "on"
 _OPTIONS.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
+_OPTIONS.threads = 1  # the dual simplex is serial; no pool of idle threads per worker
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,7 @@ class LpSolution:
     lower_marginals: np.ndarray | None
     upper_marginals: np.ndarray | None
     message: str = ""  # the solver's own account of a non-optimal status
+    simplex_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -77,13 +82,21 @@ class HighsResult:
     col_status: np.ndarray | None = None  # HighsBasisStatus values
 
 
-def linprog(model: highs.HighsLp) -> HighsResult:
-    """Pass one model to a fresh HiGHS solver and run it."""
+def _new_solver() -> highs._Highs:
     solver = highs._Highs()
     solver.passOptions(_OPTIONS)
-    if solver.passModel(model) == highs.HighsStatus.kError:
-        return HighsResult(_STATUS.kModelError,
-                           solver.modelStatusToString(_STATUS.kModelError), 0)
+    return solver
+
+
+def linprog(model: highs.HighsLp | None = None,
+            solver: highs._Highs | None = None) -> HighsResult:
+    """Run one LP: ``model`` in a fresh solver, or else ``solver`` as it
+    stands, from the basis it holds."""
+    if solver is None:
+        solver = _new_solver()
+        if solver.passModel(model) == highs.HighsStatus.kError:
+            return HighsResult(_STATUS.kModelError,
+                               solver.modelStatusToString(_STATUS.kModelError), 0)
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
@@ -135,21 +148,127 @@ def _highs_model(problem: LpProblem) -> highs.HighsLp:
     return model
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    result = linprog(_highs_model(problem))
+def _solution(result: HighsResult, ineq: slice | None, eq: slice) -> LpSolution:
+    """``result`` in the solver contract; ``ineq`` and ``eq`` pick the
+    ``<=`` and the equality rows out of the solver's rows."""
+    nit = result.nit
     if result.status == _STATUS.kOptimal:
-        n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
         return LpSolution(
             OPTIMAL, result.x, float(result.objective),
-            None if problem.a_ub is None else result.row_dual[:n_ub],
-            result.row_dual[n_ub:],
+            None if ineq is None else result.row_dual[ineq], result.row_dual[eq],
             np.where(result.col_status == _AT_LOWER, result.col_dual, 0.0),
             np.where(result.col_status == _AT_UPPER, result.col_dual, 0.0),
-        )
+            simplex_iterations=nit)
     if result.status in (_STATUS.kInfeasible, _STATUS.kModelError):
-        return LpSolution(INFEASIBLE, None, None, None, None, None, None)
+        return LpSolution(INFEASIBLE, None, None, None, None, None, None,
+                          simplex_iterations=nit)
     if result.status == _STATUS.kUnbounded:
         # all dispatch variables are box-bounded, so this signals bad data
         raise SolverError("LP unbounded; input data is inconsistent")
     return LpSolution(ERROR, None, None, None, None, None, None,
-                      f"HiGHS status {int(result.status)}: {result.message}")
+                      f"HiGHS status {int(result.status)}: {result.message}",
+                      simplex_iterations=nit)
+
+
+def csr_rows(n_rows: int, row: np.ndarray, col: np.ndarray, value: np.ndarray,
+             slack_col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR (start, index, value) of ``n_rows`` rows given as entries sorted
+    by ``row``, with an entry -1 in column ``slack_col[i]`` last in each row
+    i where ``slack_col[i]`` >= 0."""
+    penalized = np.flatnonzero(slack_col >= 0)
+    rows = np.concatenate((row, penalized))
+    order = np.argsort(rows, kind="stable")
+    start = np.searchsorted(rows[order], np.arange(n_rows + 1)).astype(np.int32)
+    index = np.concatenate((col, slack_col[penalized]))[order].astype(np.int32)
+    return start, index, np.concatenate((value, np.full(penalized.size, -1.0)))[order]
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
+    return _solution(linprog(_highs_model(problem)),
+                     None if problem.a_ub is None else slice(0, n_ub), slice(n_ub, None))
+
+
+class LpModel:
+    """An LP held in one solver and changed in place between solves.
+
+    The LP is ``problem``'s equality rows, columns and bounds, plus ``<=``
+    rows added and deleted since, in the order added (in the solver they
+    follow the equality rows). Each added row may have a slack column of
+    its own or share one with other rows added with it: cost
+    ``slack_cost``, bounds [0, inf), entry -1 in each of its rows. Slack
+    columns follow ``problem``'s columns in the order they were added, and
+    go when their last row goes.
+    """
+
+    def __init__(self, problem: LpProblem):
+        """``problem`` has no ``<=`` rows."""
+        self._solver = _new_solver()
+        self._n_eq = problem.a_eq.shape[0]
+        self._n_cols = len(problem.cost)
+        self._row_slack = np.zeros(0, dtype=np.int32)  # per <= row: its slack column or -1
+        self._check(self._solver.passModel(_highs_model(problem)), "passModel")
+
+    @staticmethod
+    def _check(status, call: str) -> None:
+        if status == highs.HighsStatus.kError:
+            raise SolverError(f"HiGHS refused {call}")
+
+    def add_rows(self, b_ub: np.ndarray, row: np.ndarray, col: np.ndarray,
+                 value: np.ndarray, slack: np.ndarray, slack_cost: float) -> None:
+        """Append the rows sum(value[k] x[col[k]] for row[k] == i) <= b_ub[i].
+        The entries are sorted by ``row`` and lie in ``problem``'s columns.
+        New rows with the same ``slack`` >= 0 share new slack column number
+        ``slack`` (counted from 0, none skipped); -1 means none."""
+        solver = self._solver
+        n_rows = len(b_ub)
+        n_slacks = int(slack.max(initial=-1)) + 1
+        if n_slacks:
+            no_entries = np.zeros(0, dtype=np.int32)
+            self._check(solver.addCols(n_slacks, np.full(n_slacks, float(slack_cost)),
+                                       np.zeros(n_slacks), np.full(n_slacks, np.inf),
+                                       0, no_entries, no_entries, np.zeros(0)), "addCols")
+        slack_col = np.where(slack >= 0, solver.getNumCol() - n_slacks + slack, -1)
+        start, index, values = csr_rows(n_rows, row, col, value, slack_col)
+        self._check(solver.addRows(n_rows, np.full(n_rows, -np.inf), np.asarray(b_ub, float),
+                                   len(index), start[:-1], index, values), "addRows")
+        self._row_slack = np.concatenate((self._row_slack, slack_col.astype(np.int32)))
+
+    def delete_rows(self, rows: np.ndarray) -> None:
+        """Delete the ``<=`` rows at these positions (ascending), with every
+        slack column none of the remaining rows uses."""
+        keep = np.ones(len(self._row_slack), dtype=bool)
+        keep[rows] = False
+        kept = self._row_slack[keep]
+        slacks = np.setdiff1d(self._row_slack[~keep], kept)
+        slacks = slacks[slacks >= 0].astype(np.int32)
+        indices = (self._n_eq + np.asarray(rows)).astype(np.int32)
+        self._check(self._solver.deleteRows(len(indices), indices), "deleteRows")
+        if slacks.size:
+            self._check(self._solver.deleteCols(len(slacks), slacks), "deleteCols")
+        self._row_slack = np.where(kept >= 0, kept - np.searchsorted(slacks, kept),
+                                   -1).astype(np.int32)
+
+    def set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
+        """New bounds of ``problem``'s columns."""
+        n = self._n_cols
+        self._check(self._solver.changeColsBounds(n, np.arange(n, dtype=np.int32),
+                                                  np.asarray(lower, float),
+                                                  np.asarray(upper, float)),
+                    "changeColsBounds")
+
+    def set_b_eq(self, b_eq: np.ndarray) -> None:
+        for r, value in enumerate(np.asarray(b_eq, float).tolist()):
+            self._check(self._solver.changeRowBounds(r, value, value), "changeRowBounds")
+
+    def set_b_ub(self, rows: np.ndarray, b_ub: np.ndarray) -> None:
+        """New right-hand sides of the ``<=`` rows at these positions."""
+        for r, value in zip(np.asarray(rows).tolist(), np.asarray(b_ub, float).tolist()):
+            self._check(self._solver.changeRowBounds(self._n_eq + r, -np.inf, value),
+                        "changeRowBounds")
+
+    def solve(self) -> LpSolution:
+        """Solve from the current basis. ``x`` holds ``problem``'s columns,
+        then the slack columns."""
+        return _solution(linprog(solver=self._solver), slice(self._n_eq, None),
+                         slice(0, self._n_eq))

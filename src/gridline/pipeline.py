@@ -4,12 +4,14 @@ Hours are independent (no unit commitment or ramping), but consecutive
 hours mostly bind the same few flow rows. So a task is one regime's chunk
 of ``CARRY_HOURS`` consecutive hours, solved in order, and each hour's
 constraint generation starts from the rows that bound the hour before it.
-The carried set is empty at each chunk start and after any hour that did
-not solve cleanly, and an exception in one hour is that hour's error
-alone. Chunks start at fixed positions and are mapped over a worker pool;
-all shared inputs are immutable and results are merged in task order, so
-outputs depend only on the inputs and ``CARRY_HOURS``, for any worker
-count.
+Every LP of a chunk is solved in one ``DispatchModel``, changed in place
+and re-solved from the basis of the LP before. The carried set is empty,
+and the model new, at each chunk start and after any hour that did not
+solve cleanly, and an exception in one hour is that hour's error alone.
+Chunks start at fixed positions and are mapped over a worker pool; all
+shared inputs are immutable, HiGHS runs single-threaded, and results are
+merged in task order, so outputs depend only on the inputs and
+``CARRY_HOURS``, for any worker count.
 
 Cross-regime aggregates (costs, generation, curtailment, emissions and the
 congestion decomposition) are computed only over hours that solved cleanly
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatch import (DEFAULT_PENALTY, hour_data, solve_copperplate)
+from .dispatch import DEFAULT_PENALTY, DispatchModel, hour_data, solve_copperplate
 from .errors import GridlineError
 from .factors import build_factors
 from .lp import ERROR, OPTIMAL
@@ -100,8 +102,9 @@ class HourOutcome:
     flows: np.ndarray | None = None
     # (monitored, outaged or None) branch positions, row limit, dual, slack
     binding_rows: list[tuple[int, int | None, float, float, float]] = field(default_factory=list)
-    # per LP solve: (iteration, base rows, contingency rows appended, objective)
-    trace: list[tuple[int, int, int, float]] = field(default_factory=list)
+    # per LP solve: (iteration, base rows, contingency rows appended,
+    # simplex iterations, objective)
+    trace: list[tuple[int, int, int, int, float]] = field(default_factory=list)
     message: str = ""
 
     @property
@@ -130,23 +133,29 @@ def _init_worker(state: _WorkerState) -> None:
 
 def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> list[HourOutcome]:
     """Hours ``start`` to ``stop - 1`` of one regime, in order, each seeded
-    with the binding rows of the hour before it when that hour was ok."""
+    with the binding rows of the hour before it and solved in the same
+    model when that hour was ok, and from nothing in a new model if not."""
     regime, start, stop = chunk
     outcomes = []
     carried = ()
+    model = DispatchModel()
     for pos in range(start, stop):
-        outcome = _solve_task(state, (regime, pos), carried)
-        carried = tuple((b, c) for b, c, *_ in outcome.binding_rows) if outcome.ok else ()
+        outcome = _solve_task(state, (regime, pos), carried, model)
+        if outcome.ok:
+            carried = tuple((b, c) for b, c, *_ in outcome.binding_rows)
+        else:
+            carried, model = (), DispatchModel()
         outcomes.append(outcome)
     return outcomes
 
 
 def _solve_task(state: _WorkerState, task: tuple[str, int],
-                carried: tuple[tuple[int, int | None], ...]) -> HourOutcome:
+                carried: tuple[tuple[int, int | None], ...],
+                model: DispatchModel) -> HourOutcome:
     regime, pos = task
     hour = state.series.hours[pos]
     try:
-        outcome = _solve_hour(state, regime, pos, hour, carried)
+        outcome = _solve_hour(state, regime, pos, hour, carried, model)
     except Exception as exc:  # one failed task must not abort the others
         message = str(exc) if isinstance(exc, GridlineError) else f"{type(exc).__name__}: {exc}"
         outcome = HourOutcome(regime, hour, ERROR, False, message=message)
@@ -156,22 +165,23 @@ def _solve_task(state: _WorkerState, task: tuple[str, int],
 
 
 def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime,
-                carried: tuple[tuple[int, int | None], ...]) -> HourOutcome:
+                carried: tuple[tuple[int, int | None], ...],
+                model: DispatchModel) -> HourOutcome:
     network = state.network
     data = hour_data(network, state.series, hour)
     if regime == UNCONGESTED:
-        result = solve_copperplate(network, data, state.factors)
+        result = solve_copperplate(network, data, state.factors, model)
         outcome = HourOutcome(regime, hour, result.status, result.status == OPTIMAL,
                               result.objective, result.p_gen, result.flows,
                               message=result.message)
         if result.status == OPTIMAL:
-            outcome.trace = [(0, 0, 0, result.objective)]
+            outcome.trace = [(0, 0, 0, result.simplex_iterations, result.objective)]
         return outcome
     rating = state.ratings[regime]
     solution = solve_scdcopf(
         network, state.factors, data,
         rating.normal_limit[pos], rating.contingency_limit[pos],
-        state.max_iterations, state.penalty_price, state.slack_base_rows, carried)
+        state.max_iterations, state.penalty_price, state.slack_base_rows, carried, model=model)
     result = solution.dispatch
     outcome = HourOutcome(regime, hour, result.status, solution.converged,
                           result.objective, result.p_gen, result.flows,
@@ -395,9 +405,10 @@ def _write_outputs(config, network, series, by_regime, ratings, summary) -> None
                   ((branch_id, repr(float(cost)), hours)
                    for branch_id, cost, hours in summary.congestion_tables[regime]))
         write_csv(regime_dir / "iteration_trace.csv",
-                  ["hour", "iteration", "base_rows", "violations_added", "objective"],
-                  ((stamps[o.hour], it, base, added, repr(float(obj)))
-                   for o in outcomes for it, base, added, obj in o.trace))
+                  ["hour", "iteration", "base_rows", "violations_added", "simplex_iterations",
+                   "objective"],
+                  ((stamps[o.hour], it, base, added, nit, repr(float(obj)))
+                   for o in outcomes for it, base, added, nit, obj in o.trace))
 
     payload = summary.to_json_dict()
     with open(out / "summary.json", "w", encoding="utf-8") as handle:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispatch import (DEFAULT_PENALTY, DispatchResult, FlowRow, HourData,
+from .dispatch import (DEFAULT_PENALTY, DispatchModel, DispatchResult, FlowRow, HourData,
                        base_flow_rows, build_problem, solve_problem)
 from .factors import ROW_BLOCK, SensitivityFactors
 from .lp import OPTIMAL
@@ -111,8 +111,9 @@ class ScopfResult:
     violations: tuple[tuple[int, int], ...]
     converged: bool
     flow_rows: tuple[FlowRow, ...]  # base and contingency rows, in the order added
-    # per LP solve: (iteration, base rows, contingency rows appended, objective)
-    trace: list[tuple[int, int, int, float]]
+    # per LP solve: (iteration, base rows, contingency rows appended,
+    # simplex iterations, objective)
+    trace: list[tuple[int, int, int, int, float]]
 
 
 def contingency_row(factors: SensitivityFactors, monitored: int, outaged: int,
@@ -134,7 +135,8 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
                   penalty_price: float = DEFAULT_PENALTY,
                   slack_base_rows: bool = False,
-                  carried: Sequence[tuple[int, int | None]] = ()) -> ScopfResult:
+                  carried: Sequence[tuple[int, int | None]] = (),
+                  model: DispatchModel | None = None) -> ScopfResult:
     """Constraint generation for base and contingency rows in one loop.
 
     Start from the LP with no flow rows. After each solve, add a base row
@@ -156,6 +158,10 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
     (monitored, outaged) branch positions with ``outaged`` None for a base
     row. They are lowered with this hour's limits and never added twice;
     the first trace entry counts them as its base and contingency rows.
+
+    Every pass solves through ``model`` (a new one when None), so each LP
+    after the first adds only its new rows to the one before and re-solves
+    from its basis; the first drops the model's rows that are not carried.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -167,7 +173,8 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
     has_base_row = np.zeros(network.n_branches, dtype=bool)
     rows: list[FlowRow] = []
     pairs: set[tuple[int, int]] = set()
-    trace: list[tuple[int, int, int, float]] = []
+    trace: list[tuple[int, int, int, int, float]] = []
+    model = DispatchModel() if model is None else model
     violations = ()
     iterations = n_base = added = 0
     if carried:
@@ -183,10 +190,10 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
         added = len(rows) - n_base
     while True:
         result = solve_problem(build_problem(network, data, rows, penalty_price),
-                               ptdf=factors.ptdf)
+                               ptdf=factors.ptdf, model=model)
         if result.status != OPTIMAL:
             return ScopfResult(result, iterations, violations, False, tuple(rows), trace)
-        trace.append((iterations, n_base, added, result.objective))
+        trace.append((iterations, n_base, added, result.simplex_iterations, result.objective))
         overload = np.abs(result.flows) - base_cap
         new_base = np.flatnonzero((overload > 0.0) & ~has_base_row)
         if new_base.size:

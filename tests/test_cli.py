@@ -230,11 +230,17 @@ def test_option_inventory():
      "emission factors must be finite and >= 0, got {'coal': -1.0}"),
     ("run", ["--emission-factors", "natural_gas=nan"], 2,
      "emission factors must be finite and >= 0, got {'natural_gas': nan}"),
+    ("ratings", ["--regimes", ""], 2, "at least one regime required"),
+    ("ratings", ["--regimes", ","], 2, "at least one regime required"),
+    *[(command, ["--params", "{tmp}/latin.txt"], 1,
+       "{tmp}/latin.txt: not UTF-8 text (invalid start byte at byte 18)")
+      for command in ("run", "ratings", "sweep")],
 ])
 def test_bad_inputs_end_with_a_message(runner, cases_dir, tmp_path, command, args, code,
                                        message):
     (tmp_path / "nonsense.txt").write_text("nonsense = 1\n")
     (tmp_path / "air.txt").write_text("air_density = -1\n")
+    (tmp_path / "latin.txt").write_bytes(b"t_conductor = 100 \xff\n")
     out = tmp_path / "out"
     result = runner.invoke(main, [
         command, "--case", str(cases_dir / "case5"),

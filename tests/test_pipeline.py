@@ -237,11 +237,11 @@ def test_config_validation(cases_dir, tmp_path):
 
 
 def test_lp_error_names_regime_hour_and_cause(cases_dir, tmp_path, monkeypatch):
-    from gridline import dispatch
-    from gridline.lp import ERROR, LpSolution
+    from gridline import lp
+    from gridline.lp import HighsResult
 
-    monkeypatch.setattr(dispatch, "solve_lp", lambda lp: LpSolution(
-        ERROR, None, None, None, None, None, None, "HiGHS status 4: numerical trouble"))
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: HighsResult(
+        lp._STATUS.kSolveError, "numerical trouble", 0))
     out = tmp_path / "out"
     summary = run(RunConfig(
         case_directory=cases_dir / "case3", output_directory=out,
@@ -256,12 +256,12 @@ def test_lp_error_names_regime_hour_and_cause(cases_dir, tmp_path, monkeypatch):
 
 
 def test_unexpected_exception_becomes_task_error(cases_dir, tmp_path, monkeypatch):
-    from gridline import dispatch
+    from gridline import lp
 
-    def broken(lp):
+    def broken(*args, **kwargs):
         raise RuntimeError("bindings gave up")
 
-    monkeypatch.setattr(dispatch, "solve_lp", broken)
+    monkeypatch.setattr(lp, "linprog", broken)
     out = tmp_path / "out"
     summary = run(RunConfig(
         case_directory=cases_dir / "case3", output_directory=out,
@@ -303,7 +303,7 @@ def test_iteration_trace_counts_base_rows_and_ends_on_final_objective(case5_run)
         with open(out / regime / "iteration_trace.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert list(rows[0]) == ["hour", "iteration", "base_rows", "violations_added",
-                                 "objective"]
+                                 "simplex_iterations", "objective"]
         by_hour = {}
         for row in rows:
             by_hour.setdefault(row["hour"], []).append(row)
@@ -393,9 +393,20 @@ def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
             raise RuntimeError("weather feed gave up")
         return original(network, series, hour)
 
+    models = {}
+    solve_task = pipeline._solve_task
+
+    def recording(state, task, carried, model):
+        models[task[1]] = model
+        return solve_task(state, task, carried, model)
+
     monkeypatch.setattr(pipeline, "hour_data", broken)
+    monkeypatch.setattr(pipeline, "_solve_task", recording)
     out = tmp_path / "broken"
     summary = run(case5_config(cases_dir, out, regimes=("slr",)))
+    # the chunk drops its model with the failed hour and goes on in a new one
+    assert models[10] is models[11] is models[12]
+    assert models[13] is models[14] and models[13] is not models[12]
     assert summary.regimes["slr"].error_hours == [
         f"slr {failing}: RuntimeError: weather feed gave up"]
     assert summary.regimes["slr"].solved_hours == 23
@@ -407,14 +418,27 @@ def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
         if hour != failing:
             assert final_broken[hour] == pytest.approx(final[hour], rel=1e-9)
 
+    # in a new model the hour after the failed one is a cold start: every
+    # pass, simplex iterations included, is that of a chunk starting there
+    monkeypatch.setattr(pipeline, "hour_data", original)
+    monkeypatch.setattr(pipeline, "CARRY_HOURS", 13)
+    restart = tmp_path / "restart"
+    run(case5_config(cases_dir, restart, regimes=("slr",)))
+
+    def passes(out, hour):
+        with open(out / "slr" / "iteration_trace.csv", newline="") as handle:
+            return [row for row in csv.DictReader(handle) if row["hour"] == hour]
+
+    assert passes(out, hours[13]) == passes(restart, hours[13])
+
 
 def test_each_hour_carries_only_the_binding_rows_of_the_hour_before(
         cases_dir, tmp_path, monkeypatch):
     calls = []
     original = pipeline.solve_scdcopf
 
-    def recording(*args):
-        solution = original(*args)
+    def recording(*args, **kwargs):
+        solution = original(*args, **kwargs)
         calls.append((tuple(args[-1]), solution))
         return solution
 

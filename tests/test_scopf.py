@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridline.dispatch import HourData, hour_data
+from gridline.dispatch import DispatchModel, HourData, hour_data
 from gridline.factors import build_factors
 import gridline.scopf as scopf
 from gridline.lp import OPTIMAL
@@ -303,7 +303,8 @@ def test_carried_base_row_with_slack_is_not_added_again():
     assert [(row.monitored_branch, row.outage_branch, row.slack_allowed)
             for row in solution.flow_rows] == [(0, None, True)]
     assert solution.dispatch.slack_values == pytest.approx([50.0], abs=1e-6)
-    assert solution.trace == [(0, 1, 0, solution.dispatch.objective)]
+    assert solution.trace == [(0, 1, 0, solution.dispatch.simplex_iterations,
+                               solution.dispatch.objective)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -394,3 +395,52 @@ def test_prefiltered_screen_without_branches_or_meshed_outages():
     solution = solve_scdcopf(path, factors, data, np.full(2, 50.0), np.full(2, 50.0))
     assert solution.converged and solution.iterations == 0
     assert solution.dispatch.p_gen == pytest.approx([50.0, 30.0], abs=1e-6)
+
+
+def test_one_model_across_hours_matches_fresh_solves():
+    # hours of one chunk solved through one model, seeded with the binding
+    # rows of the hour before, against a fresh solve with the same seed rows;
+    # counts the drawn sequences that both added a penalized row in a later
+    # pass of an hour and deleted a row that the next hour did not carry
+    seen = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=meshed_hours(), draw=st.data())
+    def check(case, draw):
+        net, data, normal, contingency = case
+        factors = build_factors(net)
+        ratio = contingency / normal
+        model, carried, before = DispatchModel(), (), 0
+        added = deleted = False
+        for _ in range(draw.draw(st.integers(3, 6))):
+            demand = data.demand * np.array(draw.draw(st.lists(
+                st.floats(0.5, 1.4), min_size=len(data.demand), max_size=len(data.demand))))
+            hour = HourData(HOUR, demand, data.gen_min, data.gen_max)
+            limits = normal * draw.draw(st.floats(0.7, 1.3))
+            chunk = solve_scdcopf(net, factors, hour, limits, ratio * limits,
+                                  carried=carried, model=model)
+            fresh = solve_scdcopf(net, factors, hour, limits, ratio * limits, carried=carried)
+            assert chunk.dispatch.status == fresh.dispatch.status
+            if fresh.dispatch.status != OPTIMAL:
+                model, carried, before = DispatchModel(), (), 0
+                continue
+            assert chunk.dispatch.objective == pytest.approx(fresh.dispatch.objective,
+                                                             rel=1e-9, abs=1e-9)
+            assert chunk.converged == fresh.converged
+            if np.all(fresh.dispatch.slack_values == 0.0):
+                assert len(verify_n1(chunk.dispatch.flows, factors.lodf, ratio * limits)) == 0
+            deleted |= before > len(carried)
+            added |= any(it > 0 for it, *_ in chunk.trace)
+            result = chunk.dispatch
+            carried = tuple(
+                (row.monitored_branch, row.outage_branch)
+                for row, dual, slack in zip(chunk.flow_rows, result.row_duals,
+                                            result.slack_values)
+                if abs(dual) > 1e-9 or slack > 1e-9)
+            before = len(chunk.flow_rows)
+            if not chunk.converged:
+                model, carried, before = DispatchModel(), (), 0
+        seen.append(added and deleted)
+
+    check()
+    assert any(seen), len(seen)
