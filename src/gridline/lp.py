@@ -104,7 +104,7 @@ def linprog(model: highs.HighsLp | None = None,
     if status != _STATUS.kOptimal:
         return HighsResult(status, message, info.simplex_iteration_count)
     solution = solver.getSolution()
-    col_status = np.array([int(s) for s in solver.getBasis().col_status], dtype=np.int8)
+    col_status = np.array(solver.getBasis().col_status, dtype=np.int8)  # enums to ints
     return HighsResult(status, message, info.simplex_iteration_count,
                        np.array(solution.col_value), info.objective_function_value,
                        np.array(solution.row_dual), np.array(solution.col_dual),

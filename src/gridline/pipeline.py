@@ -9,9 +9,9 @@ and re-solved from the basis of the LP before. The carried set is empty,
 and the model new, at each chunk start and after any hour that did not
 solve cleanly, and an exception in one hour is that hour's error alone.
 Chunks start at fixed positions and are mapped over a worker pool; all
-shared inputs are immutable, HiGHS runs single-threaded, and results are
-merged in task order, so outputs depend only on the inputs and
-``CARRY_HOURS``, for any worker count.
+shared inputs are immutable, HiGHS runs single-threaded, each chunk task
+renders its own rows of the per-hour files, and the parent appends them in
+task order, so outputs depend only on the inputs and ``CARRY_HOURS``.
 
 Cross-regime aggregates (costs, generation, curtailment, emissions and the
 congestion decomposition) are computed only over hours that solved cleanly
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime
 from multiprocessing import Pool
@@ -38,7 +39,7 @@ from .network import (VARIABLE_FUELS, HourlySeries, Network, load_hourly_series,
 from .ratings import (AAR, DLR, RATED_REGIMES, SLR, RatingParams, RatingSeries,
                       build_rating_series)
 from .scopf import DEFAULT_MAX_ITERATIONS, solve_scdcopf
-from .util import format_hour, render_floats, write_csv
+from .util import format_hour, open_csv, write_csv
 from .weather import load_weather
 
 UNCONGESTED = "uncongested"
@@ -47,6 +48,13 @@ ALL_REGIMES = RATED_REGIMES + (UNCONGESTED,)
 DEFAULT_EMISSION_FACTORS = {"coal": 1.0, "natural_gas": 0.42}  # tons CO2 / MWh
 BINDING_DUAL_TOL = 1e-9
 CARRY_HOURS = 24  # hours per task; binding rows carry only within a task
+
+HOURLY_HEADERS = {  # the per-hour files: each chunk task renders its own rows of them
+    "dispatch.csv": ["time", "gen_id", "mw"],
+    "flows.csv": ["time", "branch_id", "mw"],
+    "ratings.csv": ["time", "branch_id", "regime", "multiplier", "normal_limit_mva",
+                    "contingency_limit_mva"],
+}
 
 CONGESTION_PROXY_NOTE = ("congestion_cost_proxy_usd = sum over binding rows of "
                          "|shadow price| x row limit; attribution to branches "
@@ -112,6 +120,9 @@ class HourOutcome:
         return self.status == OPTIMAL and self.converged
 
 
+ChunkResult = tuple[list[HourOutcome], dict[str, str]]  # outcomes, text by file name
+
+
 @dataclass(frozen=True)
 class _WorkerState:
     network: Network
@@ -131,10 +142,11 @@ def _init_worker(state: _WorkerState) -> None:
     _STATE = state
 
 
-def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> list[HourOutcome]:
+def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> ChunkResult:
     """Hours ``start`` to ``stop - 1`` of one regime, in order, each seeded
     with the binding rows of the hour before it and solved in the same
-    model when that hour was ok, and from nothing in a new model if not."""
+    model when that hour was ok, and from nothing in a new model if not.
+    Returns the outcomes and the chunk's rows of each per-hour file."""
     regime, start, stop = chunk
     outcomes = []
     carried = ()
@@ -146,7 +158,15 @@ def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> list[HourO
         else:
             carried, model = (), DispatchModel()
         outcomes.append(outcome)
-    return outcomes
+    network = state.network
+    solved = [(format_hour(o.hour), o) for o in outcomes if o.status == OPTIMAL]
+    texts = {"dispatch.csv": render_hourly([g.id for g in network.generators],
+                                           [(stamp, o.p_gen) for stamp, o in solved]),
+             "flows.csv": render_hourly([b.id for b in network.branches],
+                                        [(stamp, o.flows) for stamp, o in solved])}
+    if regime in state.ratings:
+        texts["ratings.csv"] = "".join(render_ratings(state.ratings[regime], start, stop))
+    return outcomes, texts
 
 
 def _solve_task(state: _WorkerState, task: tuple[str, int],
@@ -195,7 +215,7 @@ def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime,
     return outcome
 
 
-def _solve_chunk_global(chunk: tuple[str, int, int]) -> list[HourOutcome]:
+def _solve_chunk_global(chunk: tuple[str, int, int]) -> ChunkResult:
     return _solve_chunk(_STATE, chunk)
 
 
@@ -310,22 +330,27 @@ def run(config: RunConfig) -> RunSummary:
                          config.slack_base_rows)
     chunks = [(regime, start, min(start + CARRY_HOURS, len(hours)))
               for regime in config.regimes for start in range(0, len(hours), CARRY_HOURS)]
-    if config.worker_count == 1:
-        solved = [_solve_chunk(state, chunk) for chunk in chunks]
-    else:
-        with Pool(config.worker_count, initializer=_init_worker,
-                  initargs=(state,)) as pool:
-            solved = pool.map(_solve_chunk_global, chunks, chunksize=1)
-    outcomes = [outcome for chunk in solved for outcome in chunk]
-
     by_regime: dict[str, list[HourOutcome]] = {r: [] for r in config.regimes}
-    for outcome in outcomes:
-        by_regime[outcome.regime].append(outcome)
+    files = {}  # (regime, file name): handle, opened with the regime's first chunk
+    with ExitStack() as stack:
+        if config.worker_count == 1:
+            solved = (_solve_chunk(state, chunk) for chunk in chunks)
+        else:
+            pool = stack.enter_context(Pool(config.worker_count, initializer=_init_worker,
+                                            initargs=(state,)))
+            solved = pool.imap(_solve_chunk_global, chunks, chunksize=1)
+        for (regime, _, _), (outcomes, texts) in zip(chunks, solved):
+            by_regime[regime].extend(outcomes)
+            for name, text in texts.items():
+                if (regime, name) not in files:
+                    path = Path(config.output_directory) / regime / name
+                    files[regime, name] = stack.enter_context(open_csv(path, HOURLY_HEADERS[name]))
+                files[regime, name].write(text)
 
     common = [pos for pos in range(len(hours))
               if all(by_regime[r][pos].ok for r in config.regimes)]
     summary = _aggregate(config, network, series, by_regime, common)
-    _write_outputs(config, network, series, by_regime, ratings, summary)
+    _write_outputs(config, series, by_regime, summary)
     return summary
 
 
@@ -368,38 +393,45 @@ def _aggregate(config, network, series, by_regime, common_positions) -> RunSumma
     return RunSummary(summaries, hours, [hours[pos] for pos in common_positions], tables)
 
 
+def render_hourly(ids, hours) -> str:
+    """``time,<id>,<value>`` lines: for each (stamp, values) of ``hours``,
+    one line per id, each value as the ``repr`` of a Python float."""
+    tails = [f",{i}," for i in ids]
+    return "".join([f"{stamp}{tail}{value!r}\n" for stamp, values in hours
+                    for tail, value in zip(tails, np.asarray(values, dtype=float).tolist())])
+
+
+def render_ratings(rating: RatingSeries, start: int, stop: int):
+    """``ratings.csv`` lines of hours ``start`` to ``stop - 1``, one block
+    per hour. An hour whose rows equal the hour before's bit for bit reuses
+    their rendered text, so a constant series is rendered once."""
+    columns = (rating.multiplier, rating.normal_limit, rating.contingency_limit)
+    heads = [f",{branch_id},{rating.regime}," for branch_id in rating.branch_ids]
+    key = tails = None
+    for pos in range(start, stop):
+        rows = [np.asarray(column[pos], dtype=float) for column in columns]
+        if (new_key := b"".join(row.tobytes() for row in rows)) != key:
+            key = new_key
+            # joined by the hour's stamp, so that each line starts with it
+            tails = ["", *(f"{head}{m!r},{n!r},{c!r}\n" for head, m, n, c
+                           in zip(heads, *(row.tolist() for row in rows)))]
+        yield format_hour(rating.hours[pos]).join(tails)
+
+
 def write_ratings(path: Path, ratings: list[RatingSeries]) -> None:
     """ratings.csv: one row per (regime, hour, branch)."""
-    def rows(rating: RatingSeries):
-        columns = (rating.multiplier, rating.normal_limit, rating.contingency_limit)
-        for stamp, *values in zip(map(format_hour, rating.hours), *columns):
-            for branch_id, multiplier, normal, contingency in zip(
-                    rating.branch_ids, *map(render_floats, values)):
-                yield stamp, branch_id, rating.regime, multiplier, normal, contingency
-
-    write_csv(path, ["time", "branch_id", "regime", "multiplier",
-                     "normal_limit_mva", "contingency_limit_mva"],
-              (row for rating in ratings for row in rows(rating)))
+    with open_csv(path, HOURLY_HEADERS["ratings.csv"]) as handle:
+        for rating in ratings:
+            handle.writelines(render_ratings(rating, 0, len(rating.hours)))
 
 
-def _write_outputs(config, network, series, by_regime, ratings, summary) -> None:
+def _write_outputs(config, series, by_regime, summary) -> None:
+    """The files that need every hour: per regime the congestion table and
+    the iteration trace, and ``summary.json``."""
     out = Path(config.output_directory)
-    out.mkdir(parents=True, exist_ok=True)
-    gen_ids = [g.id for g in network.generators]
-    branch_ids = [b.id for b in network.branches]
     stamps = {hour: format_hour(hour) for hour in series.hours}
-
     for regime, outcomes in by_regime.items():
         regime_dir = out / regime
-        solved = [(stamps[o.hour], o) for o in outcomes if o.status == OPTIMAL]
-        write_csv(regime_dir / "dispatch.csv", ["time", "gen_id", "mw"],
-                  ((stamp, gen_id, mw) for stamp, o in solved
-                   for gen_id, mw in zip(gen_ids, render_floats(o.p_gen))))
-        write_csv(regime_dir / "flows.csv", ["time", "branch_id", "mw"],
-                  ((stamp, branch_id, mw) for stamp, o in solved if o.flows is not None
-                   for branch_id, mw in zip(branch_ids, render_floats(o.flows))))
-        if regime in ratings:
-            write_ratings(regime_dir / "ratings.csv", [ratings[regime]])
         write_csv(regime_dir / "congestion_by_branch.csv",
                   ["branch_id", "congestion_cost_proxy_usd", "binding_hours"],
                   ((branch_id, repr(float(cost)), hours)

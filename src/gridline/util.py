@@ -67,11 +67,16 @@ def render_floats(values):
     return map(repr, np.asarray(values, dtype=float).tolist())
 
 
+def open_csv(path: Path, header: list[str]):
+    """``path`` open for writing after its header line, its directory made."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle = open(path, "w", newline="", encoding="utf-8")
+    handle.write(",".join(map(str, header)) + "\n")
+    return handle
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write a header and rows whose cells are already rendered: floats as
     ``render_floats`` text, other cells as strings or ints."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    with open_csv(path, header) as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)

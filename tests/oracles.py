@@ -9,11 +9,14 @@ at a time with ``math`` instead of on arrays), distances use the spherical
 law of cosines instead of the haversine, the SC-DCOPF oracle enumerates
 every contingency row up front instead of screening, LPs go through
 scipy's public ``linprog`` instead of the direct HiGHS calls, and CSV
-cells are formatted one value at a time instead of as rendered columns.
+cells are formatted one value at a time through ``csv.writer`` instead of
+as rendered columns and reused line tails.
 """
 
 import csv
+import io
 import math
+from datetime import timezone
 
 import numpy as np
 
@@ -291,3 +294,29 @@ def per_value_write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def _per_value_csv_text(rows):
+    """``rows`` as ``per_value_write_csv`` writes them, without a header."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buffer.getvalue()
+
+
+def per_value_render_hourly(ids, hours):
+    """``pipeline.render_hourly`` one cell at a time through ``csv.writer``."""
+    return _per_value_csv_text((stamp, i, value) for stamp, values in hours
+                               for i, value in zip(ids, values))
+
+
+def per_value_render_ratings(rating, start, stop):
+    """``pipeline.render_ratings`` one cell at a time through ``csv.writer``,
+    every hour rendered afresh."""
+    for pos in range(start, stop):
+        stamp = rating.hours[pos].astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        yield _per_value_csv_text(
+            (stamp, branch_id, rating.regime, m, n, c) for branch_id, m, n, c in zip(
+                rating.branch_ids, rating.multiplier[pos], rating.normal_limit[pos],
+                rating.contingency_limit[pos]))

@@ -1,16 +1,23 @@
 import csv
+import gc
 import json
 import shutil
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import gridline.pipeline as pipeline
+from gridline.cli import main
 from gridline.factors import SensitivityFactors
+from gridline.network import load_hourly_series, load_network
 from gridline.pipeline import (HourOutcome, RunConfig, congestion_by_branch,
                                emissions, run)
+from gridline.ratings import RatingParams, RatingSeries, build_rating_series
 from gridline.util import format_hour, parse_hour
+from gridline.weather import load_weather
 
 import oracles
 
@@ -284,11 +291,23 @@ def test_rendered_columns_match_per_value_formatting(cases_dir, tmp_path, monkey
         regimes=("slr", "aar", "dlr", "uncongested"),
     )
     run(config)
-    # the same run with numpy scalars left for the writer to format one by one
-    monkeypatch.setattr(pipeline, "render_floats",
-                        lambda values: list(np.asarray(values, dtype=float)))
-    monkeypatch.setattr(pipeline, "write_csv", oracles.per_value_write_csv)
+    # the same run with every cell formatted one by one by csv.writer
+    calls = []
+
+    def counted(oracle):
+        def wrapper(*args):
+            calls.append(oracle.__name__)
+            return oracle(*args)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "render_hourly", counted(oracles.per_value_render_hourly))
+    monkeypatch.setattr(pipeline, "render_ratings", counted(oracles.per_value_render_ratings))
+    monkeypatch.setattr(pipeline, "write_csv", counted(oracles.per_value_write_csv))
     run(replace(config, output_directory=tmp_path / "per_value"))
+    # one chunk per regime: dispatch and flows, ratings if rated, and the
+    # congestion table and iteration trace
+    assert sorted(calls) == (["per_value_render_hourly"] * 8 + ["per_value_render_ratings"] * 3
+                             + ["per_value_write_csv"] * 8)
     files = sorted(p.relative_to(tmp_path / "rendered")
                    for p in (tmp_path / "rendered").rglob("*") if p.is_file())
     assert len(files) == 4 * 4 + 3 + 1
@@ -455,3 +474,139 @@ def test_each_hour_carries_only_the_binding_rows_of_the_hour_before(
         assert carried == binding
         dropped += len(before.flow_rows) - len(binding)
     assert dropped > 0  # some rows that did not bind were left behind
+
+
+def with_repeated_hours(rating):
+    """``rating`` with hour 5 equal to hour 4, and hour 6 equal to hour 5
+    but for the contingency limit of the branch at position 1."""
+    columns = [np.array(c, dtype=float) for c in
+               (rating.multiplier, rating.normal_limit, rating.contingency_limit)]
+    for column in columns:
+        column[5] = column[6] = column[4]
+    columns[2][6, 1] += 1.0
+    return replace(rating, multiplier=columns[0], normal_limit=columns[1],
+                   contingency_limit=columns[2])
+
+
+def test_render_ratings_reuses_only_bit_identical_hours():
+    hours = tuple(parse_hour(f"2016-07-01T0{h}:00:00Z") for h in range(6))
+    row = [1.0, 0.5, 0.0]
+    multiplier = np.array([row, row, row, row, row, [1.0, 0.5, -0.0]])
+    normal = 100.0 * multiplier
+    contingency = normal.copy()
+    contingency[2, 1] = 60.0  # one value of one column, in one hour
+    rating = RatingSeries("dlr", hours, (7, 3, 9), multiplier, normal, contingency)
+    for start, stop in ((0, 6), (2, 5), (3, 3)):
+        assert (list(pipeline.render_ratings(rating, start, stop))
+                == list(oracles.per_value_render_ratings(rating, start, stop)))
+    assert "-0.0,-0.0,-0.0" in list(pipeline.render_ratings(rating, 0, 6))[5]
+
+
+def test_ratings_files_reuse_repeated_hours_and_match_the_oracle(cases_dir, tmp_path,
+                                                                 monkeypatch):
+    # hour 7 has no weather, so its AAR and DLR ratings are SLR's, and
+    # hours 4-6 repeat with one change; chunks of 5 start at hours 0, 5, 10, ...
+    case = cases_dir / "case5"
+    lines = (cases_dir / "weather_case5.csv").read_text().splitlines()
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join(line for line in lines if "T07:" not in line) + "\n")
+    network = load_network(case)
+    hours = list(load_hourly_series(case, network).hours)
+    expected = {regime: with_repeated_hours(build_rating_series(
+        network, load_weather(gappy), hours, regime, RatingParams()))
+        for regime in ("slr", "aar", "dlr")}
+    slr, dlr = expected["slr"], expected["dlr"]
+    for column in ("multiplier", "normal_limit", "contingency_limit"):
+        dlr_column = getattr(dlr, column)
+        assert np.array_equal(dlr_column[7], getattr(slr, column)[7])
+        assert not np.array_equal(dlr_column[7], dlr_column[6])
+        assert not np.array_equal(dlr_column[7], dlr_column[8])
+
+    def rendered(regimes):
+        header = "time,branch_id,regime,multiplier,normal_limit_mva,contingency_limit_mva\n"
+        return header + "".join(
+            text for regime in regimes
+            for text in oracles.per_value_render_ratings(expected[regime], 0, len(hours)))
+
+    def repeated(*args):
+        return with_repeated_hours(build_rating_series(*args))
+
+    monkeypatch.setattr(pipeline, "CARRY_HOURS", 5)
+    monkeypatch.setattr(pipeline, "build_rating_series", repeated)
+    monkeypatch.setattr("gridline.cli.build_rating_series", repeated)
+    out = tmp_path / "run"
+    run(RunConfig(case_directory=case, output_directory=out, weather_file=gappy,
+                  regimes=("slr", "aar", "dlr")))
+    for regime in ("slr", "aar", "dlr"):
+        assert (out / regime / "ratings.csv").read_text() == rendered([regime]), regime
+    result = CliRunner().invoke(main, ["ratings", "--case", str(case), "--weather", str(gappy),
+                                       "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "cli" / "ratings.csv").read_text() == rendered(["slr", "aar", "dlr"])
+
+
+def csv_hours(path):
+    with open(path, newline="") as handle:
+        return [row["time"] for row in csv.DictReader(handle)]
+
+
+def test_failed_hours_mid_chunk_leave_only_their_rows_out(cases_dir, tmp_path, monkeypatch):
+    # hour 12 is infeasible and hour 6 raises, each inside a chunk of 5
+    case = tmp_path / "case3"
+    shutil.copytree(cases_dir / "case3", case)
+    lines = (case / "demand.csv").read_text().splitlines()
+    (case / "demand.csv").write_text("\n".join(
+        line.rsplit(",", 1)[0] + ",900.0" if "T12:" in line and ",2," in line else line
+        for line in lines) + "\n")
+    original = pipeline.hour_data
+
+    def broken(network, series, hour):
+        if hour.hour == 6:
+            raise RuntimeError("weather feed gave up")
+        return original(network, series, hour)
+
+    monkeypatch.setattr(pipeline, "CARRY_HOURS", 5)
+    monkeypatch.setattr(pipeline, "hour_data", broken)
+    network = load_network(case)
+    hours = [format_hour(h) for h in load_hourly_series(case, network).hours]
+    failed = {hours[6], hours[12]}
+    outs = []
+    for workers in (1, 2):
+        outs.append(tmp_path / f"workers{workers}")
+        summary = run(RunConfig(case_directory=case, output_directory=outs[-1],
+                                regimes=("slr", "uncongested"), worker_count=workers))
+        for regime in ("slr", "uncongested"):
+            assert summary.regimes[regime].infeasible_hours == [hours[12]]
+            assert len(summary.regimes[regime].error_hours) == 1
+            for name, count in (("dispatch.csv", len(network.generators)),
+                                ("flows.csv", len(network.branches))):
+                assert csv_hours(outs[-1] / regime / name) == [
+                    hour for hour in hours if hour not in failed for _ in range(count)]
+        assert csv_hours(outs[-1] / "slr" / "ratings.csv") == [
+            hour for hour in hours for _ in network.branches]
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert len(files) == 2 * 4 + 1 + 1
+    for rel in files:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_escaping_exception_closes_every_output_file(cases_dir, tmp_path, monkeypatch,
+                                                        workers):
+    original = pipeline.render_hourly
+
+    def broken(ids, hours):
+        if any(stamp.endswith("T07:00:00Z") for stamp, _ in hours):
+            raise RuntimeError("renderer gave up")
+        return original(ids, hours)
+
+    monkeypatch.setattr(pipeline, "CARRY_HOURS", 5)
+    monkeypatch.setattr(pipeline, "render_hourly", broken)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="renderer gave up"):
+            run(case5_config(cases_dir, tmp_path / "out", worker_count=workers))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    # the chunk before the failed one was written
+    assert csv_hours(tmp_path / "out" / "slr" / "dispatch.csv")[-1].endswith("T04:00:00Z")
