@@ -235,7 +235,8 @@ def _same_row(held: FlowRow, row: FlowRow) -> bool:
     return held is row or (
         (held.monitored_branch, held.outage_branch, held.slack_allowed)
         == (row.monitored_branch, row.outage_branch, row.slack_allowed)
-        and np.array_equal(held.coefficients, row.coefficients))
+        and (held.coefficients is row.coefficients
+             or np.array_equal(held.coefficients, row.coefficients)))
 
 
 class DispatchModel:
@@ -245,13 +246,13 @@ class DispatchModel:
     chunk of hours; every problem a model serves has the same generators,
     buses and penalty price.
 
-    ``hold`` brings it to a problem. Held flow rows are kept in order while
-    each equals the problem's next row (same branches, slack flag and
-    coefficients); the others are deleted, with their slacks. The problem's
-    remaining rows are lowered and appended, so the LP holds the problem's
-    rows in the problem's order. A new hour's data sets the segment bounds
-    and the balance row again in place, and a new hour or a new kept row
-    object sets the right-hand sides of the kept rows again.
+    ``hold`` brings it to a problem whose flow rows begin with the rows it
+    holds (same branches, slack flag and coefficients, in order); the
+    problem's remaining rows are lowered and appended, so the LP holds the
+    problem's rows in the problem's order. Rows are never deleted. A new
+    hour's data sets the segment bounds and the balance row again in place,
+    and a new hour or a new held row object sets the right-hand sides of
+    the held rows again.
     """
 
     def __init__(self):
@@ -269,12 +270,17 @@ class DispatchModel:
                                     list(zip(lo.tolist(), hi.tolist()))))
 
     def hold(self, problem: DispatchProblem) -> _Layout:
+        """Raises ValueError, and changes nothing, if ``problem``'s flow rows
+        do not begin with the held rows."""
         held = self.problem
+        rows = problem.flow_rows
         if held is None:
             self._start(problem)
             held_rows, new_hour = (), False
         else:
             held_rows = held.flow_rows
+            if len(rows) < len(held_rows) or not all(map(_same_row, held_rows, rows)):
+                raise ValueError("the problem's flow rows do not begin with the held rows")
             new_hour = not (np.array_equal(held.demand, problem.demand)
                             and np.array_equal(held.gen_min, problem.gen_min)
                             and np.array_equal(held.gen_max, problem.gen_max))
@@ -284,30 +290,20 @@ class DispatchModel:
             lp.set_bounds(*_segment_bounds(problem, *self.segments))
             lp.set_b_eq(np.array([float(problem.demand.sum())]))
 
-        rows = problem.flow_rows
-        keep = []
-        for i, row in enumerate(held_rows):
-            if len(keep) < len(rows) and _same_row(row, rows[len(keep)]):
-                keep.append(i)
-        n_keep = len(keep)
-        if n_keep < len(held_rows):
-            gone = np.setdiff1d(np.arange(len(held_rows)), keep)
-            lp.delete_rows((2 * gone[:, None] + np.arange(2)).ravel())
-            self.coefficients = self.coefficients[keep]
-        if new_hour or any(rows[j] is not held_rows[i] for j, i in enumerate(keep)):
-            limit = np.array([row.limit for row in rows[:n_keep]], dtype=float)
-            lp.set_b_ub(np.arange(2 * n_keep), _flow_rhs(self.coefficients, limit, problem.demand))
+        n_held = len(held_rows)
+        if new_hour or any(row is not held_row for row, held_row in zip(rows, held_rows)):
+            limit = np.array([row.limit for row in rows[:n_held]], dtype=float)
+            lp.set_b_ub(np.arange(2 * n_held), _flow_rhs(self.coefficients, limit, problem.demand))
 
-        if n_keep < len(rows):
-            coefficients, limit, slack_allowed = _row_arrays(rows[n_keep:], len(problem.demand))
+        if n_held < len(rows):
+            coefficients, limit, slack_allowed = _row_arrays(rows[n_held:], len(problem.demand))
             b_ub, row, col, value = _flow_entries(coefficients, limit,
                                                   problem.gen_bus[seg_owner], problem.demand)
             slack = np.where(slack_allowed, np.cumsum(slack_allowed) - 1, -1)
             lp.add_rows(b_ub, row, col, value, np.repeat(slack, 2), problem.penalty_price)
             self.coefficients = np.concatenate((self.coefficients, coefficients))
         self.problem = problem
-        # slacks are added in row order and deleted with both rows of their
-        # flow row, so the slack columns stay in the order of their flow rows
+        # slacks are appended in row order, so their columns follow the flow rows
         slack_rows = np.flatnonzero([row.slack_allowed for row in rows])
         return _Layout(seg_owner, len(seg_owner), slack_rows)
 

@@ -5,10 +5,11 @@ solver-agnostic at 1e-6 tolerances. The backend is the HiGHS dual simplex
 bundled with scipy, called through its bindings directly, with the options
 ``scipy.optimize.linprog(method="highs")`` uses (presolve on, dual simplex,
 no output) and one thread. ``solve_lp`` passes one LP to a fresh solver.
-``LpModel`` keeps one solver and changes its LP in place, so that each solve
-starts from the basis the one before it ended on. A study keeps one
-``LpModel`` per fixed chunk of hours, so a result is a function of its
-chunk's inputs alone, never of which chunk a worker solved before.
+``LpModel`` keeps one solver, appends rows to its LP and moves its bounds in
+place, so that each solve starts from the basis the one before it ended on.
+A study keeps one ``LpModel`` per fixed chunk of hours, so a result is a
+function of its chunk's inputs alone, never of which chunk a worker solved
+before.
 """
 
 from __future__ import annotations
@@ -192,13 +193,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 class LpModel:
     """An LP held in one solver and changed in place between solves.
 
-    The LP is ``problem``'s equality rows, columns and bounds, plus ``<=``
-    rows added and deleted since, in the order added (in the solver they
-    follow the equality rows). Each added row may have a slack column of
-    its own or share one with other rows added with it: cost
-    ``slack_cost``, bounds [0, inf), entry -1 in each of its rows. Slack
-    columns follow ``problem``'s columns in the order they were added, and
-    go when their last row goes.
+    The LP is ``problem``'s equality rows, columns and bounds, plus the
+    ``<=`` rows added since, in the order added (in the solver they follow
+    the equality rows). Each added row may have a slack column of its own
+    or share one with other rows added with it: cost ``slack_cost``, bounds
+    [0, inf), entry -1 in each of its rows. Slack columns follow
+    ``problem``'s columns in the order they were added. Rows and columns
+    are only ever appended.
     """
 
     def __init__(self, problem: LpProblem):
@@ -206,7 +207,6 @@ class LpModel:
         self._solver = _new_solver()
         self._n_eq = problem.a_eq.shape[0]
         self._n_cols = len(problem.cost)
-        self._row_slack = np.zeros(0, dtype=np.int32)  # per <= row: its slack column or -1
         self._check(self._solver.passModel(_highs_model(problem)), "passModel")
 
     @staticmethod
@@ -232,22 +232,6 @@ class LpModel:
         start, index, values = csr_rows(n_rows, row, col, value, slack_col)
         self._check(solver.addRows(n_rows, np.full(n_rows, -np.inf), np.asarray(b_ub, float),
                                    len(index), start[:-1], index, values), "addRows")
-        self._row_slack = np.concatenate((self._row_slack, slack_col.astype(np.int32)))
-
-    def delete_rows(self, rows: np.ndarray) -> None:
-        """Delete the ``<=`` rows at these positions (ascending), with every
-        slack column none of the remaining rows uses."""
-        keep = np.ones(len(self._row_slack), dtype=bool)
-        keep[rows] = False
-        kept = self._row_slack[keep]
-        slacks = np.setdiff1d(self._row_slack[~keep], kept)
-        slacks = slacks[slacks >= 0].astype(np.int32)
-        indices = (self._n_eq + np.asarray(rows)).astype(np.int32)
-        self._check(self._solver.deleteRows(len(indices), indices), "deleteRows")
-        if slacks.size:
-            self._check(self._solver.deleteCols(len(slacks), slacks), "deleteCols")
-        self._row_slack = np.where(kept >= 0, kept - np.searchsorted(slacks, kept),
-                                   -1).astype(np.int32)
 
     def set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
         """New bounds of ``problem``'s columns."""

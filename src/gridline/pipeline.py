@@ -2,12 +2,12 @@
 
 Hours are independent (no unit commitment or ramping), but consecutive
 hours mostly bind the same few flow rows. So a task is one regime's chunk
-of ``CARRY_HOURS`` consecutive hours, solved in order, and each hour's
-constraint generation starts from the rows that bound the hour before it.
-Every LP of a chunk is solved in one ``DispatchModel``, changed in place
-and re-solved from the basis of the LP before. The carried set is empty,
-and the model new, at each chunk start and after any hour that did not
-solve cleanly, and an exception in one hour is that hour's error alone.
+of ``CARRY_HOURS`` consecutive hours, solved in order in one
+``DispatchModel``, changed in place and re-solved from the basis of the LP
+before. Each hour's constraint generation starts from every flow row the
+model holds, at the hour's own limits, and adds only rows it lacks. The
+model is new at each chunk start and after any hour that did not solve
+cleanly, and an exception in one hour is that hour's error alone.
 Chunks start at fixed positions and are mapped over a worker pool; all
 shared inputs are immutable, HiGHS runs single-threaded, each chunk task
 renders its own rows of the per-hour files, and the parent appends them in
@@ -47,7 +47,7 @@ ALL_REGIMES = RATED_REGIMES + (UNCONGESTED,)
 
 DEFAULT_EMISSION_FACTORS = {"coal": 1.0, "natural_gas": 0.42}  # tons CO2 / MWh
 BINDING_DUAL_TOL = 1e-9
-CARRY_HOURS = 24  # hours per task; binding rows carry only within a task
+CARRY_HOURS = 24  # hours per task; flow rows are held only within a task
 
 HOURLY_HEADERS = {  # the per-hour files: each chunk task renders its own rows of them
     "dispatch.csv": ["time", "gen_id", "mw"],
@@ -107,7 +107,7 @@ class HourOutcome:
     converged: bool
     objective: float | None = None
     p_gen: np.ndarray | None = None
-    flows: np.ndarray | None = None
+    flows: np.ndarray | None = None  # dropped once the chunk task has rendered them
     # (monitored, outaged or None) branch positions, row limit, dual, slack
     binding_rows: list[tuple[int, int | None, float, float, float]] = field(default_factory=list)
     # per LP solve: (iteration, base rows, contingency rows appended,
@@ -143,20 +143,17 @@ def _init_worker(state: _WorkerState) -> None:
 
 
 def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> ChunkResult:
-    """Hours ``start`` to ``stop - 1`` of one regime, in order, each seeded
-    with the binding rows of the hour before it and solved in the same
-    model when that hour was ok, and from nothing in a new model if not.
-    Returns the outcomes and the chunk's rows of each per-hour file."""
+    """Hours ``start`` to ``stop - 1`` of one regime, in order, each solved
+    in the model of the hour before it when that hour was ok, and in a new
+    model if not. Returns the outcomes, without their flows, and the
+    chunk's rows of each per-hour file."""
     regime, start, stop = chunk
     outcomes = []
-    carried = ()
     model = DispatchModel()
     for pos in range(start, stop):
-        outcome = _solve_task(state, (regime, pos), carried, model)
-        if outcome.ok:
-            carried = tuple((b, c) for b, c, *_ in outcome.binding_rows)
-        else:
-            carried, model = (), DispatchModel()
+        outcome = _solve_task(state, (regime, pos), model)
+        if not outcome.ok:
+            model = DispatchModel()
         outcomes.append(outcome)
     network = state.network
     solved = [(format_hour(o.hour), o) for o in outcomes if o.status == OPTIMAL]
@@ -166,16 +163,17 @@ def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> ChunkResul
                                         [(stamp, o.flows) for stamp, o in solved])}
     if regime in state.ratings:
         texts["ratings.csv"] = "".join(render_ratings(state.ratings[regime], start, stop))
+    for outcome in outcomes:  # the parent never reads flows
+        outcome.flows = None
     return outcomes, texts
 
 
 def _solve_task(state: _WorkerState, task: tuple[str, int],
-                carried: tuple[tuple[int, int | None], ...],
                 model: DispatchModel) -> HourOutcome:
     regime, pos = task
     hour = state.series.hours[pos]
     try:
-        outcome = _solve_hour(state, regime, pos, hour, carried, model)
+        outcome = _solve_hour(state, regime, pos, hour, model)
     except Exception as exc:  # one failed task must not abort the others
         message = str(exc) if isinstance(exc, GridlineError) else f"{type(exc).__name__}: {exc}"
         outcome = HourOutcome(regime, hour, ERROR, False, message=message)
@@ -185,7 +183,6 @@ def _solve_task(state: _WorkerState, task: tuple[str, int],
 
 
 def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime,
-                carried: tuple[tuple[int, int | None], ...],
                 model: DispatchModel) -> HourOutcome:
     network = state.network
     data = hour_data(network, state.series, hour)
@@ -201,7 +198,7 @@ def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime,
     solution = solve_scdcopf(
         network, state.factors, data,
         rating.normal_limit[pos], rating.contingency_limit[pos],
-        state.max_iterations, state.penalty_price, state.slack_base_rows, carried, model=model)
+        state.max_iterations, state.penalty_price, state.slack_base_rows, model=model)
     result = solution.dispatch
     outcome = HourOutcome(regime, hour, result.status, solution.converged,
                           result.objective, result.p_gen, result.flows,

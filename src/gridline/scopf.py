@@ -1,7 +1,8 @@
 """Preventative N-1 security-constrained DCOPF by constraint generation.
 
-No flow row is lowered up front. Each pass solves the dispatch LP with the
-rows found so far and computes the full base-case flows from the PTDF.
+No flow row is lowered up front but those an earlier hour found. Each pass
+solves the dispatch LP with the rows found so far and computes the full
+base-case flows from the PTDF.
 Branches over their normal limit get a base row and the LP is re-solved;
 only a solve that violates no base row has its post-contingency flows
 screened with the LODF, and each violated (monitored, outaged) pair gets
@@ -21,7 +22,6 @@ and builds the LODF rows of those alone, in blocks, from the PTDF.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +135,13 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
                   max_iterations: int = DEFAULT_MAX_ITERATIONS,
                   penalty_price: float = DEFAULT_PENALTY,
                   slack_base_rows: bool = False,
-                  carried: Sequence[tuple[int, int | None]] = (),
                   model: DispatchModel | None = None) -> ScopfResult:
     """Constraint generation for base and contingency rows in one loop.
 
-    Start from the LP with no flow rows. After each solve, add a base row
-    for every branch without one whose flow exceeds its normal limit
-    (largest overload first, ties by position) and re-solve. Only a solve
+    Start from the LP with the rows ``model`` holds (see below; none in a
+    new model). After each solve, add a base row for every branch without
+    one whose flow exceeds its normal limit (largest overload first, ties
+    by position) and re-solve. Only a solve
     that violates no base row is screened: one penalized row per violated
     pair not yet present, then re-solve. The loop ends on a clean screen,
     on a non-optimal LP, after ``max_iterations`` contingency passes, or
@@ -154,14 +154,14 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
     Base rows are hard by default, keeping base solutions physical;
     ``slack_base_rows`` extends the penalized slacks to them as well.
 
-    ``carried`` seeds the first LP with rows found for another hour, as
-    (monitored, outaged) branch positions with ``outaged`` None for a base
-    row. They are lowered with this hour's limits and never added twice;
-    the first trace entry counts them as its base and contingency rows.
-
     Every pass solves through ``model`` (a new one when None), so each LP
-    after the first adds only its new rows to the one before and re-solves
-    from its basis; the first drops the model's rows that are not carried.
+    adds only its new rows to the one before and re-solves from its basis.
+    The first LP holds every row ``model`` holds from earlier hours, at this
+    hour's limits: ``normal_limits`` for base rows, ``contingency_limits``
+    for contingency rows, each keeping its slack flag. Any base or N-1 row
+    is a constraint of every hour, so this cannot change the optimum. Held
+    rows are never added twice, and the first trace entry counts them as its
+    base and contingency rows.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -170,24 +170,22 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
     if not (np.all(normal_limits > 0) and np.all(contingency_limits > 0)):
         raise ValueError("normal and contingency limits must all be > 0")
     base_cap = normal_limits * (1.0 + SCREEN_TOLERANCE)
-    has_base_row = np.zeros(network.n_branches, dtype=bool)
-    rows: list[FlowRow] = []
-    pairs: set[tuple[int, int]] = set()
-    trace: list[tuple[int, int, int, int, float]] = []
     model = DispatchModel() if model is None else model
+    held = () if model.problem is None else model.problem.flow_rows
+    rows = [FlowRow(row.coefficients,
+                    float((normal_limits if row.outage_branch is None
+                           else contingency_limits)[row.monitored_branch]),
+                    row.slack_allowed, row.monitored_branch, row.outage_branch)
+            for row in held]
+    has_base_row = np.zeros(network.n_branches, dtype=bool)
+    has_base_row[[row.monitored_branch for row in held if row.outage_branch is None]] = True
+    pairs = {(row.monitored_branch, row.outage_branch) for row in held
+             if row.outage_branch is not None}
+    trace: list[tuple[int, int, int, int, float]] = []
     violations = ()
-    iterations = n_base = added = 0
-    if carried:
-        base = [b for b, c in carried if c is None]
-        base_rows = iter(base_flow_rows(network, factors.ptdf, normal_limits,
-                                        slack_base_rows, base))
-        rows = [next(base_rows) if c is None
-                else contingency_row(factors, b, c, contingency_limits[b])
-                for b, c in carried]
-        has_base_row[base] = True
-        pairs.update((b, c) for b, c in carried if c is not None)
-        n_base = len(base)
-        added = len(rows) - n_base
+    iterations = 0
+    n_base = int(has_base_row.sum())
+    added = len(rows) - n_base
     while True:
         result = solve_problem(build_problem(network, data, rows, penalty_price),
                                ptdf=factors.ptdf, model=model)

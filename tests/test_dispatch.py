@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gridline.dispatch import (DispatchProblem, FlowRow, HourData, base_flow_rows,
-                               build_lp, build_problem, hour_data, solve_copperplate,
-                               solve_penalized_dcopf, solve_problem)
+from gridline.dispatch import (DispatchModel, DispatchProblem, FlowRow, HourData,
+                               base_flow_rows, build_lp, build_problem, hour_data,
+                               solve_copperplate, solve_penalized_dcopf, solve_problem)
 from gridline.factors import build_factors
 from gridline.lp import solve_lp
 from gridline.util import parse_hour
@@ -229,3 +229,30 @@ def test_lowered_rows_leave_out_entries_highs_would_drop(networks, serieses, fac
     assert np.any((magnitude > 0) & (magnitude <= MATRIX_ZERO_TOL))  # PTDF rounding noise
     assert np.all(np.abs(lp.a_ub.data) > MATRIX_ZERO_TOL)
     assert lp.a_ub.nnz == 2 * np.count_nonzero(magnitude > MATRIX_ZERO_TOL)
+
+
+@pytest.mark.parametrize("bad", ["shorter", "reordered", "slack flag", "coefficients"])
+def test_model_refuses_rows_that_do_not_begin_with_its_held_rows(networks, serieses,
+                                                                 factors_map, bad):
+    net, series, factors = networks["case30"], serieses["case30"], factors_map["case30"]
+    rows = base_flow_rows(net, factors.ptdf, 0.7 * net.static_rating)
+    problem = build_problem(net, hour_data(net, series, series.hours[0]), rows)
+    model, twin = DispatchModel(), DispatchModel()
+    first = solve_problem(problem, factors.ptdf, model)
+    solve_problem(problem, factors.ptdf, twin)
+    assert first.status == "optimal" and first.simplex_iterations > 0
+    head = rows[0]
+    changed = {
+        "shorter": rows[:-1],
+        "reordered": [rows[1], rows[0], *rows[2:]],
+        "slack flag": [FlowRow(head.coefficients, head.limit, True, 0), *rows[1:]],
+        "coefficients": [FlowRow(factors.ptdf[1], head.limit, False, 0), *rows[1:]],
+    }[bad]
+    # a new hour too, whose bounds the model would take on first
+    later = build_problem(net, hour_data(net, series, series.hours[12]), changed)
+    with pytest.raises(ValueError, match="held rows"):
+        model.hold(later)
+    assert model.problem is problem
+    again, reference = (solve_problem(problem, factors.ptdf, m) for m in (model, twin))
+    assert again.objective == reference.objective == first.objective
+    assert again.simplex_iterations == reference.simplex_iterations

@@ -389,10 +389,10 @@ def test_chunked_runs_are_worker_count_invariant(cases_dir, tmp_path, monkeypatc
         for pos, hour in enumerate(hours):
             assert final[hour] == pytest.approx(final_single[hour], rel=1e-9)
             assert first_single[hour] == (0, 0)
-            if pos % 5 == 0:  # every chunk starts with nothing carried
+            if pos % 5 == 0:  # every chunk starts in a new model, with no rows
                 assert first[hour] == (0, 0), (regime, hour)
         carried_hours += sum(1 for seeds in first.values() if seeds != (0, 0))
-    assert carried_hours > 0  # the chunks did carry rows between hours
+    assert carried_hours > 0  # the chunks did hold rows across hours
 
 
 def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
@@ -402,7 +402,7 @@ def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
     first, final = trace_by_hour(plain, "slr")
     hours = sorted(first)
     failing = hours[12]  # mid-chunk: the chunk covers hours 10-14
-    # without a failure, hours 12 and 13 start from the rows of the hour before
+    # without a failure, hours 12 and 13 start from the rows of the hours before
     assert first[hours[12]] != (0, 0) and first[hours[13]] != (0, 0)
 
     original = pipeline.hour_data
@@ -415,9 +415,9 @@ def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
     models = {}
     solve_task = pipeline._solve_task
 
-    def recording(state, task, carried, model):
+    def recording(state, task, model):
         models[task[1]] = model
-        return solve_task(state, task, carried, model)
+        return solve_task(state, task, model)
 
     monkeypatch.setattr(pipeline, "hour_data", broken)
     monkeypatch.setattr(pipeline, "_solve_task", recording)
@@ -432,13 +432,14 @@ def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
     first_broken, final_broken = trace_by_hour(out, "slr")
     assert failing not in first_broken
     assert first_broken[hours[13]] == (0, 0)  # reset after the failed hour
-    assert first_broken[hours[14]] == first[hours[14]]  # and the chunk went on
+    assert first_broken[hours[14]] != (0, 0)  # and the chunk went on
     for hour in hours:
         if hour != failing:
             assert final_broken[hour] == pytest.approx(final[hour], rel=1e-9)
 
     # in a new model the hour after the failed one is a cold start: every
-    # pass, simplex iterations included, is that of a chunk starting there
+    # pass of it and of the hour after it, simplex iterations included, is
+    # that of a chunk starting there
     monkeypatch.setattr(pipeline, "hour_data", original)
     monkeypatch.setattr(pipeline, "CARRY_HOURS", 13)
     restart = tmp_path / "restart"
@@ -448,32 +449,76 @@ def test_failed_hour_resets_the_carried_rows(cases_dir, tmp_path, monkeypatch):
         with open(out / "slr" / "iteration_trace.csv", newline="") as handle:
             return [row for row in csv.DictReader(handle) if row["hour"] == hour]
 
-    assert passes(out, hours[13]) == passes(restart, hours[13])
+    for hour in hours[13:15]:
+        assert passes(out, hour) == passes(restart, hour)
 
 
-def test_each_hour_carries_only_the_binding_rows_of_the_hour_before(
+def test_each_hour_first_holds_every_row_the_hour_before_ended_with(
         cases_dir, tmp_path, monkeypatch):
     calls = []
     original = pipeline.solve_scdcopf
 
-    def recording(*args, **kwargs):
-        solution = original(*args, **kwargs)
-        calls.append((tuple(args[-1]), solution))
+    def recording(network, factors, data, normal, contingency, *args, model):
+        held = () if model.problem is None else model.problem.flow_rows
+        solution = original(network, factors, data, normal, contingency, *args, model=model)
+        calls.append((model, held, normal, contingency, solution))
         return solution
 
     monkeypatch.setattr(pipeline, "solve_scdcopf", recording)
-    assert run(case5_config(cases_dir, tmp_path / "out", regimes=("slr",))).all_ok
-    assert len(calls) == 24 and calls[0][0] == ()  # one chunk of all 24 hours
-    dropped = 0
-    for (_, before), (carried, _) in zip(calls, calls[1:]):
-        result = before.dispatch
-        binding = tuple(
-            (row.monitored_branch, row.outage_branch)
-            for row, dual, slack in zip(before.flow_rows, result.row_duals, result.slack_values)
-            if abs(dual) > pipeline.BINDING_DUAL_TOL or slack > pipeline.BINDING_DUAL_TOL)
-        assert carried == binding
-        dropped += len(before.flow_rows) - len(binding)
-    assert dropped > 0  # some rows that did not bind were left behind
+    assert run(case5_config(cases_dir, tmp_path / "out", regimes=("slr", "aar"))).all_ok
+    # one chunk of all 24 hours per regime, each in one model from no rows
+    assert len(calls) == 48 and calls[0][1] == () and calls[24][1] == ()
+    assert len({id(model) for model, *_ in calls}) == 2
+    idle = relimited = 0
+    for before, (model, held, normal, contingency, solution) in zip(calls, calls[1:]):
+        if model is not before[0]:
+            continue
+        previous = before[-1]
+        assert list(map(id, held)) == list(map(id, previous.flow_rows))
+        n_base = sum(1 for row in held if row.outage_branch is None)
+        assert solution.trace[0][1:3] == (n_base, len(held) - n_base)
+        for row, now in zip(held, solution.flow_rows):  # at this hour's limits
+            assert (now.monitored_branch, now.outage_branch, now.slack_allowed) == (
+                row.monitored_branch, row.outage_branch, row.slack_allowed)
+            assert now.coefficients is row.coefficients
+            b = now.monitored_branch
+            assert now.limit == (normal[b] if now.outage_branch is None else contingency[b])
+            relimited += now.limit != row.limit
+        result = previous.dispatch
+        idle += sum(1 for dual, slack in zip(result.row_duals, result.slack_values)
+                    if abs(dual) <= pipeline.BINDING_DUAL_TOL
+                    and slack <= pipeline.BINDING_DUAL_TOL)
+    assert idle > 0  # rows that did not bind the hour before are held too
+    assert relimited > 0  # and AAR hours hold them at new limits
+
+
+def test_flows_are_rendered_in_the_chunk_and_not_returned(cases_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "CARRY_HOURS", 5)
+    solved = {regime: [] for regime in CASE5_REGIMES}  # (stamp, flows) the solves returned
+    solve_hour = pipeline._solve_hour
+
+    def recording(state, regime, pos, hour, model):
+        outcome = solve_hour(state, regime, pos, hour, model)
+        solved[regime].append((format_hour(hour), outcome.flows.copy()))
+        return outcome
+
+    received = []
+    aggregate = pipeline._aggregate
+
+    def receiving(config, network, series, by_regime, common):
+        received.extend(o for outcomes in by_regime.values() for o in outcomes)
+        return aggregate(config, network, series, by_regime, common)
+
+    monkeypatch.setattr(pipeline, "_solve_hour", recording)
+    monkeypatch.setattr(pipeline, "_aggregate", receiving)
+    out = tmp_path / "out"
+    assert run(case5_config(cases_dir, out)).all_ok
+    assert len(received) == 4 * 24 and all(o.flows is None for o in received)
+    branch_ids = [b.id for b in load_network(cases_dir / "case5").branches]
+    for regime, hours in solved.items():
+        assert len(hours) == 24
+        assert (out / regime / "flows.csv").read_text() == (
+            "time,branch_id,mw\n" + oracles.per_value_render_hourly(branch_ids, hours))
 
 
 def with_repeated_hours(rating):

@@ -260,17 +260,29 @@ def test_lazy_loop_matches_full_enumeration(case):
         assert solution.converged and len(residual) == 0
 
 
+def other_hour(draw, data, normal):
+    """``data`` with each bus demand scaled, and ``normal`` with all limits
+    scaled, by drawn factors."""
+    demand = data.demand * np.array(draw.draw(st.lists(
+        st.floats(0.5, 1.4), min_size=len(data.demand), max_size=len(data.demand))))
+    return (HourData(HOUR, demand, data.gen_min, data.gen_max),
+            normal * draw.draw(st.floats(0.7, 1.3)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=meshed_hours(), draw=st.data())
 def test_carried_rows_match_full_enumeration(case, draw):
+    # the hour is solved in a model that first solved drawn other hours, so
+    # it starts from every row those hours found
     net, data, normal, contingency = case
     factors = build_factors(net)
-    radial = {net.branch_index[b] for b in factors.radial_branches}
-    size = net.n_branches
-    candidates = ([(b, c) for c in range(size) if c not in radial
-                   for b in range(size) if b != c] + [(b, None) for b in range(size)])
-    carried = draw.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=12))
-    solution = solve_scdcopf(net, factors, data, normal, contingency, carried=carried)
+    ratio = contingency / normal
+    model = DispatchModel()
+    for _ in range(draw.draw(st.integers(1, 3))):
+        hour, limits = other_hour(draw, data, normal)
+        solve_scdcopf(net, factors, hour, limits, ratio * limits, model=model)
+    held = model.problem.flow_rows
+    solution = solve_scdcopf(net, factors, data, normal, contingency, model=model)
     oracle = oracles.full_enumeration_scdcopf(net, factors, data, normal, contingency)
     if oracle.status != OPTIMAL:
         assert solution.dispatch.status == oracle.status
@@ -281,28 +293,36 @@ def test_carried_rows_match_full_enumeration(case, draw):
     assert np.all(np.abs(result.flows) <= normal * (1 + 1e-6))
     rows = [(row.monitored_branch, row.outage_branch) for row in solution.flow_rows]
     assert len(set(rows)) == len(rows)
-    assert rows[:len(carried)] == carried  # lowered first, in the given order
-    n_base = sum(1 for _, c in carried if c is None)
-    assert solution.trace[0][:3] == (0, n_base, len(carried) - n_base)
-    for (b, c), row in zip(carried, solution.flow_rows):  # at this hour's limits
-        assert row.limit == (normal[b] if c is None else contingency[b])
+    # the held rows come first, in their order
+    assert rows[:len(held)] == [(row.monitored_branch, row.outage_branch) for row in held]
+    n_base = sum(1 for row in held if row.outage_branch is None)
+    assert solution.trace[0][:3] == (0, n_base, len(held) - n_base)
+    for before, row in zip(held, solution.flow_rows):  # at this hour's limits
+        b = row.monitored_branch
+        assert row.limit == (normal[b] if row.outage_branch is None else contingency[b])
+        assert row.coefficients is before.coefficients
+        assert row.slack_allowed == before.slack_allowed
     if np.all(oracle.slack_values == 0.0):
         residual = verify_n1(result.flows, factors.lodf, contingency)
         assert solution.converged and len(residual) == 0
 
 
 def test_carried_base_row_with_slack_is_not_added_again():
-    # the dear unit at bus 2 covers only 20 of the 80 MW there, so the line
-    # must carry 60 MW over its 10 MW limit: the slack absorbs 50 MW
+    # the dear unit at bus 2 covers only 20 MW there, so the line must carry
+    # the rest of bus 2's demand over its 10 MW limit: the slack absorbs
+    # 40 MW of a 70 MW demand and 50 MW of an 80 MW demand
     net = two_bus_network(line_limit=10.0)
     factors = build_factors(net, slack_bus=2)
-    data = HourData(HOUR, np.array([0.0, 80.0]), np.zeros(2), np.array([100.0, 20.0]))
     limits = np.array([10.0])
-    solution = solve_scdcopf(net, factors, data, limits, limits, slack_base_rows=True,
-                             carried=[(0, None)])
-    assert [(row.monitored_branch, row.outage_branch, row.slack_allowed)
-            for row in solution.flow_rows] == [(0, None, True)]
-    assert solution.dispatch.slack_values == pytest.approx([50.0], abs=1e-6)
+    model = DispatchModel()
+    for demand, slack in ((70.0, 40.0), (80.0, 50.0)):
+        data = HourData(HOUR, np.array([0.0, demand]), np.zeros(2), np.array([100.0, 20.0]))
+        solution = solve_scdcopf(net, factors, data, limits, limits, slack_base_rows=True,
+                                 model=model)
+        assert [(row.monitored_branch, row.outage_branch, row.slack_allowed)
+                for row in solution.flow_rows] == [(0, None, True)]
+        assert solution.dispatch.slack_values == pytest.approx([slack], abs=1e-6)
+    # the second hour holds the row from its first LP on, and adds nothing
     assert solution.trace == [(0, 1, 0, solution.dispatch.simplex_iterations,
                                solution.dispatch.objective)]
 
@@ -310,10 +330,11 @@ def test_carried_base_row_with_slack_is_not_added_again():
 @settings(max_examples=30, deadline=None)
 @given(case=meshed_hours())
 def test_empty_carried_set_changes_nothing(case):
+    # a new model holds no rows: solving through it is solving without one
     net, data, normal, contingency = case
     factors = build_factors(net)
     plain = solve_scdcopf(net, factors, data, normal, contingency)
-    seeded = solve_scdcopf(net, factors, data, normal, contingency, carried=())
+    seeded = solve_scdcopf(net, factors, data, normal, contingency, model=DispatchModel())
     assert seeded.dispatch.status == plain.dispatch.status
     assert seeded.dispatch.objective == plain.dispatch.objective
     assert seeded.trace == plain.trace
@@ -398,10 +419,10 @@ def test_prefiltered_screen_without_branches_or_meshed_outages():
 
 
 def test_one_model_across_hours_matches_fresh_solves():
-    # hours of one chunk solved through one model, seeded with the binding
-    # rows of the hour before, against a fresh solve with the same seed rows;
-    # counts the drawn sequences that both added a penalized row in a later
-    # pass of an hour and deleted a row that the next hour did not carry
+    # hours of one chunk solved through one model, each starting from every
+    # row the hours before it found, against a fresh solve from no rows;
+    # counts the drawn sequences in which a later hour both started with
+    # held rows and added a penalized row in a later pass
     seen = []
 
     @settings(max_examples=100, deadline=None)
@@ -410,37 +431,27 @@ def test_one_model_across_hours_matches_fresh_solves():
         net, data, normal, contingency = case
         factors = build_factors(net)
         ratio = contingency / normal
-        model, carried, before = DispatchModel(), (), 0
-        added = deleted = False
+        model = DispatchModel()
+        held = added = False
         for _ in range(draw.draw(st.integers(3, 6))):
-            demand = data.demand * np.array(draw.draw(st.lists(
-                st.floats(0.5, 1.4), min_size=len(data.demand), max_size=len(data.demand))))
-            hour = HourData(HOUR, demand, data.gen_min, data.gen_max)
-            limits = normal * draw.draw(st.floats(0.7, 1.3))
-            chunk = solve_scdcopf(net, factors, hour, limits, ratio * limits,
-                                  carried=carried, model=model)
-            fresh = solve_scdcopf(net, factors, hour, limits, ratio * limits, carried=carried)
+            hour, limits = other_hour(draw, data, normal)
+            chunk = solve_scdcopf(net, factors, hour, limits, ratio * limits, model=model)
+            fresh = solve_scdcopf(net, factors, hour, limits, ratio * limits)
             assert chunk.dispatch.status == fresh.dispatch.status
             if fresh.dispatch.status != OPTIMAL:
-                model, carried, before = DispatchModel(), (), 0
+                model = DispatchModel()
                 continue
             assert chunk.dispatch.objective == pytest.approx(fresh.dispatch.objective,
                                                              rel=1e-9, abs=1e-9)
             assert chunk.converged == fresh.converged
             if np.all(fresh.dispatch.slack_values == 0.0):
                 assert len(verify_n1(chunk.dispatch.flows, factors.lodf, ratio * limits)) == 0
-            deleted |= before > len(carried)
-            added |= any(it > 0 for it, *_ in chunk.trace)
-            result = chunk.dispatch
-            carried = tuple(
-                (row.monitored_branch, row.outage_branch)
-                for row, dual, slack in zip(chunk.flow_rows, result.row_duals,
-                                            result.slack_values)
-                if abs(dual) > 1e-9 or slack > 1e-9)
-            before = len(chunk.flow_rows)
+            if sum(chunk.trace[0][1:3]):
+                held = True
+                added |= any(it > 0 for it, *_ in chunk.trace)
             if not chunk.converged:
-                model, carried, before = DispatchModel(), (), 0
-        seen.append(added and deleted)
+                model = DispatchModel()
+        seen.append(held and added)
 
     check()
     assert any(seen), len(seen)
