@@ -123,6 +123,8 @@ def _rated_regimes(ctx, param, text):
     bad = [r for r in regimes if r not in RATED_REGIMES]
     if bad:
         raise ValueError(f"regimes {bad} have no ratings; choose from {RATED_REGIMES}")
+    if len(set(regimes)) < len(regimes):
+        raise ValueError(f"regimes must not repeat, got {list(regimes)}")
     return regimes
 
 

@@ -7,14 +7,15 @@ may carry a nonnegative slack variable penalized in the objective, which
 caps their shadow price at the penalty; base rows stay hard.
 
 ``solve_problem`` solves a problem as a fresh LP built by ``build_lp`` (the
-reference path), or through a ``DispatchModel`` that lowers only the rows
-its LP lacks and re-solves from the basis of the problem before. Either
-way the solution is audited against the problem's rows, independently of
-the solver.
+reference path), or through a ``DispatchModel`` that rewrites its LP's
+bounds, appends only the rows it lacks and re-solves from the last basis.
+Either way the solution is audited against the problem's rows,
+independently of the solver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -72,6 +73,10 @@ class DispatchProblem:
     cost_curves: tuple[tuple[tuple[float, float], ...], ...]  # per gen (cap, price)
     flow_rows: tuple[FlowRow, ...]
     penalty_price: float = DEFAULT_PENALTY
+
+    def __post_init__(self):
+        if not (math.isfinite(self.penalty_price) and self.penalty_price > 0):
+            raise ValueError(f"penalty_price must be finite and > 0, got {self.penalty_price}")
 
 
 @dataclass
@@ -247,62 +252,47 @@ class DispatchModel:
     buses and penalty price.
 
     ``hold`` brings it to a problem whose flow rows begin with the rows it
-    holds (same branches, slack flag and coefficients, in order); the
-    problem's remaining rows are lowered and appended, so the LP holds the
-    problem's rows in the problem's order. Rows are never deleted. A new
-    hour's data sets the segment bounds and the balance row again in place,
-    and a new hour or a new held row object sets the right-hand sides of
-    the held rows again.
+    holds (same branches, slack flag and coefficients, in order). It writes
+    the problem's segment bounds, balance row and the right-hand side of
+    every held row into the LP, then lowers and appends the problem's
+    remaining rows, so the LP holds the problem's rows in the problem's
+    order. Rows are never deleted.
     """
 
     def __init__(self):
         self.lp: LpModel | None = None
-        self.problem: DispatchProblem | None = None  # the problem the LP holds
-
-    def _start(self, problem: DispatchProblem) -> None:
-        seg_owner, cap, price, before = _segments(problem.cost_curves)
-        lo, hi = _segment_bounds(problem, seg_owner, cap, before)
-        n = len(seg_owner)
-        self.segments = seg_owner, cap, before
-        self.coefficients = np.zeros((0, len(problem.demand)))  # the held flow rows
-        self.lp = LpModel(LpProblem(price, None, None, _balance_row(n, n),
-                                    np.array([float(problem.demand.sum())]),
-                                    list(zip(lo.tolist(), hi.tolist()))))
+        self.rows: tuple[FlowRow, ...] = ()  # the flow rows the LP holds, in order
+        self.coefficients: np.ndarray | None = None  # ``rows``' coefficients, stacked
 
     def hold(self, problem: DispatchProblem) -> _Layout:
         """Raises ValueError, and changes nothing, if ``problem``'s flow rows
         do not begin with the held rows."""
-        held = self.problem
-        rows = problem.flow_rows
-        if held is None:
-            self._start(problem)
-            held_rows, new_hour = (), False
+        rows, held = problem.flow_rows, self.rows
+        if len(rows) < len(held) or not all(map(_same_row, held, rows)):
+            raise ValueError("the problem's flow rows do not begin with the held rows")
+        b_eq = np.array([float(problem.demand.sum())])
+        if self.lp is None:
+            seg_owner, cap, price, before = _segments(problem.cost_curves)
+            self.segments = seg_owner, cap, before
+            self.coefficients = np.zeros((0, len(problem.demand)))
+            lo, hi = _segment_bounds(problem, *self.segments)
+            n = len(seg_owner)
+            self.lp = LpModel(LpProblem(price, None, None, _balance_row(n, n), b_eq,
+                                        list(zip(lo.tolist(), hi.tolist()))))
         else:
-            held_rows = held.flow_rows
-            if len(rows) < len(held_rows) or not all(map(_same_row, held_rows, rows)):
-                raise ValueError("the problem's flow rows do not begin with the held rows")
-            new_hour = not (np.array_equal(held.demand, problem.demand)
-                            and np.array_equal(held.gen_min, problem.gen_min)
-                            and np.array_equal(held.gen_max, problem.gen_max))
-        lp = self.lp
+            limit = np.array([row.limit for row in rows[:len(held)]], dtype=float)
+            self.lp.set_bounds(*_segment_bounds(problem, *self.segments), b_eq,
+                               _flow_rhs(self.coefficients, limit, problem.demand))
         seg_owner = self.segments[0]
-        if new_hour:
-            lp.set_bounds(*_segment_bounds(problem, *self.segments))
-            lp.set_b_eq(np.array([float(problem.demand.sum())]))
-
-        n_held = len(held_rows)
-        if new_hour or any(row is not held_row for row, held_row in zip(rows, held_rows)):
-            limit = np.array([row.limit for row in rows[:n_held]], dtype=float)
-            lp.set_b_ub(np.arange(2 * n_held), _flow_rhs(self.coefficients, limit, problem.demand))
-
-        if n_held < len(rows):
-            coefficients, limit, slack_allowed = _row_arrays(rows[n_held:], len(problem.demand))
+        if len(held) < len(rows):
+            coefficients, limit, slack_allowed = _row_arrays(rows[len(held):],
+                                                             len(problem.demand))
             b_ub, row, col, value = _flow_entries(coefficients, limit,
                                                   problem.gen_bus[seg_owner], problem.demand)
             slack = np.where(slack_allowed, np.cumsum(slack_allowed) - 1, -1)
-            lp.add_rows(b_ub, row, col, value, np.repeat(slack, 2), problem.penalty_price)
+            self.lp.add_rows(b_ub, row, col, value, np.repeat(slack, 2), problem.penalty_price)
             self.coefficients = np.concatenate((self.coefficients, coefficients))
-        self.problem = problem
+        self.rows = rows
         # slacks are appended in row order, so their columns follow the flow rows
         slack_rows = np.flatnonzero([row.slack_allowed for row in rows])
         return _Layout(seg_owner, len(seg_owner), slack_rows)

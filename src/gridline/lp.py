@@ -5,11 +5,11 @@ solver-agnostic at 1e-6 tolerances. The backend is the HiGHS dual simplex
 bundled with scipy, called through its bindings directly, with the options
 ``scipy.optimize.linprog(method="highs")`` uses (presolve on, dual simplex,
 no output) and one thread. ``solve_lp`` passes one LP to a fresh solver.
-``LpModel`` keeps one solver, appends rows to its LP and moves its bounds in
-place, so that each solve starts from the basis the one before it ended on.
-A study keeps one ``LpModel`` per fixed chunk of hours, so a result is a
-function of its chunk's inputs alone, never of which chunk a worker solved
-before.
+``LpModel`` keeps one solver, appends rows to its LP and rewrites its bounds
+and right-hand sides in place, so that each solve starts from the basis the
+one before it ended on. A study keeps one ``LpModel`` per fixed chunk of
+hours, so a result is a function of its chunk's inputs alone, never of
+which chunk a worker solved before.
 """
 
 from __future__ import annotations
@@ -233,23 +233,21 @@ class LpModel:
         self._check(solver.addRows(n_rows, np.full(n_rows, -np.inf), np.asarray(b_ub, float),
                                    len(index), start[:-1], index, values), "addRows")
 
-    def set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
-        """New bounds of ``problem``'s columns."""
+    def set_bounds(self, lower: np.ndarray, upper: np.ndarray, b_eq: np.ndarray,
+                   b_ub: np.ndarray) -> None:
+        """New bounds of ``problem``'s columns, and new right-hand sides of
+        the equality rows and of every ``<=`` row, in the order added."""
+        solver = self._solver
+        if self._n_eq + len(b_ub) != solver.getNumRow():
+            raise ValueError("one right-hand side per row required")
         n = self._n_cols
-        self._check(self._solver.changeColsBounds(n, np.arange(n, dtype=np.int32),
-                                                  np.asarray(lower, float),
-                                                  np.asarray(upper, float)),
+        self._check(solver.changeColsBounds(n, np.arange(n, dtype=np.int32),
+                                            np.asarray(lower, float), np.asarray(upper, float)),
                     "changeColsBounds")
-
-    def set_b_eq(self, b_eq: np.ndarray) -> None:
-        for r, value in enumerate(np.asarray(b_eq, float).tolist()):
-            self._check(self._solver.changeRowBounds(r, value, value), "changeRowBounds")
-
-    def set_b_ub(self, rows: np.ndarray, b_ub: np.ndarray) -> None:
-        """New right-hand sides of the ``<=`` rows at these positions."""
-        for r, value in zip(np.asarray(rows).tolist(), np.asarray(b_ub, float).tolist()):
-            self._check(self._solver.changeRowBounds(self._n_eq + r, -np.inf, value),
-                        "changeRowBounds")
+        row_lower = np.concatenate((b_eq, np.full(len(b_ub), -np.inf))).tolist()
+        row_upper = np.concatenate((b_eq, b_ub)).tolist()
+        for r, (lo, hi) in enumerate(zip(row_lower, row_upper)):
+            self._check(solver.changeRowBounds(r, lo, hi), "changeRowBounds")
 
     def solve(self) -> LpSolution:
         """Solve from the current basis. ``x`` holds ``problem``'s columns,

@@ -34,7 +34,7 @@ from .dispatch import DEFAULT_PENALTY, DispatchModel, hour_data, solve_copperpla
 from .errors import GridlineError
 from .factors import build_factors
 from .lp import ERROR, OPTIMAL
-from .network import (VARIABLE_FUELS, HourlySeries, Network, load_hourly_series,
+from .network import (FUELS, VARIABLE_FUELS, HourlySeries, Network, load_hourly_series,
                       load_network)
 from .ratings import (AAR, DLR, RATED_REGIMES, SLR, RatingParams, RatingSeries,
                       build_rating_series)
@@ -91,6 +91,12 @@ class RunConfig:
         unknown = [r for r in self.regimes if r not in ALL_REGIMES]
         if unknown:
             raise ValueError(f"unknown regime(s) {unknown}; choose from {ALL_REGIMES}")
+        if len(set(self.regimes)) < len(self.regimes):
+            raise ValueError(f"regimes must not repeat, got {list(self.regimes)}")
+        unknown = [fuel for fuel in self.emission_factors if fuel not in FUELS]
+        if unknown:
+            raise ValueError(f"emission factors for unknown fuel(s) {unknown}; "
+                             f"choose from {FUELS}")
         bad = {fuel: v for fuel, v in self.emission_factors.items()
                if not (math.isfinite(v) and v >= 0)}
         if bad:

@@ -120,13 +120,10 @@ def contingency_row(factors: SensitivityFactors, monitored: int, outaged: int,
                     limit: float) -> FlowRow:
     """Post-contingency flow on the monitored branch as a function of
     injections: PTDF_b + LODF[b, c] * PTDF_c, limited at the monitored
-    branch's contingency rating, slack-allowed. LODF[b, c] (b != c) is
-    ``SensitivityFactors.lodf_rows``' expression, so it is bit for bit the
-    value the screen used."""
-    ptdf = factors.ptdf
-    lodf = ((ptdf[monitored, factors.branch_from[outaged]]
-             - ptdf[monitored, factors.branch_to[outaged]]) / factors.denominator[outaged])
-    coefficients = ptdf[monitored] + lodf * ptdf[outaged]
+    branch's contingency rating, slack-allowed. LODF[b, c] is read from
+    ``SensitivityFactors.lodf_rows``, so it is the value the screen used."""
+    lodf = factors.lodf_rows(np.array([monitored]))[0, outaged]
+    coefficients = factors.ptdf[monitored] + lodf * factors.ptdf[outaged]
     return FlowRow(coefficients, float(limit), True, monitored, outaged)
 
 
@@ -154,8 +151,9 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
     Base rows are hard by default, keeping base solutions physical;
     ``slack_base_rows`` extends the penalized slacks to them as well.
 
-    Every pass solves through ``model`` (a new one when None), so each LP
-    adds only its new rows to the one before and re-solves from its basis.
+    Every pass solves through ``model`` (a new one when None), which writes
+    this hour's bounds and the limits of every row it holds into its LP,
+    appends only the pass's new rows and re-solves from its last basis.
     The first LP holds every row ``model`` holds from earlier hours, at this
     hour's limits: ``normal_limits`` for base rows, ``contingency_limits``
     for contingency rows, each keeping its slack flag. Any base or N-1 row
@@ -171,7 +169,7 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
         raise ValueError("normal and contingency limits must all be > 0")
     base_cap = normal_limits * (1.0 + SCREEN_TOLERANCE)
     model = DispatchModel() if model is None else model
-    held = () if model.problem is None else model.problem.flow_rows
+    held = model.rows
     rows = [FlowRow(row.coefficients,
                     float((normal_limits if row.outage_branch is None
                            else contingency_limits)[row.monitored_branch]),

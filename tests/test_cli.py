@@ -90,6 +90,17 @@ def test_ratings_command(runner, cases_dir, tmp_path):
     assert len(lines) == 1 + 3 * 24 * 6  # three regimes, 24 hours, 6 branches
 
 
+def test_repeated_rating_regime_is_a_usage_error(runner, cases_dir, tmp_path):
+    out = tmp_path / "ratings_out"
+    result = runner.invoke(main, [
+        "ratings", "--case", str(cases_dir / "case5"),
+        "--weather", str(cases_dir / "weather_case5.csv"),
+        "--regimes", "dlr,DLR", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "regimes must not repeat, got ['dlr', 'dlr']" in result.output
+    assert not out.exists()
+
+
 def test_sweep_command(runner, cases_dir, tmp_path):
     out = tmp_path / "sweep_out"
     result = runner.invoke(main, [
@@ -144,6 +155,9 @@ def test_unknown_regime_rejected(runner, cases_dir, tmp_path):
     ("--max-iterations", "0", "max_iterations must be >= 1, got 0"),
     ("--penalty", "-5", "penalty_price must be finite and > 0, got -5.0"),
     ("--penalty", "inf", "penalty_price must be finite and > 0, got inf"),
+    ("--regimes", "slr,SLR", "regimes must not repeat, got ['slr', 'slr']"),
+    ("--emission-factors", "natural-gas=0.42,coal=1.0",
+     "emission factors for unknown fuel(s) ['natural-gas']"),
 ])
 def test_bad_run_settings_are_usage_errors(runner, cases_dir, tmp_path, option, value,
                                            message):

@@ -252,7 +252,7 @@ def test_model_refuses_rows_that_do_not_begin_with_its_held_rows(networks, serie
     later = build_problem(net, hour_data(net, series, series.hours[12]), changed)
     with pytest.raises(ValueError, match="held rows"):
         model.hold(later)
-    assert model.problem is problem
+    assert model.rows is problem.flow_rows
     again, reference = (solve_problem(problem, factors.ptdf, m) for m in (model, twin))
     assert again.objective == reference.objective == first.objective
     assert again.simplex_iterations == reference.simplex_iterations

@@ -134,9 +134,10 @@ shifts = st.floats(-3.0, 3.0).map(lambda v: round(v, 3))
 @settings(max_examples=150, deadline=None)
 @given(problem=box_lps(), draw=st.data())
 def test_lp_model_changed_in_place_matches_a_fresh_solve(problem, draw):
-    """Rows added in batches with private and shared slacks, and bounds and
-    right-hand sides moved: after each change the model solves to the
-    status and objective of the same LP in a fresh solver."""
+    """Rows added in batches with private and shared slacks, and the column
+    bounds and every right-hand side moved at once: after each change the
+    model solves to the status and objective of the same LP in a fresh
+    solver."""
     n = len(problem.cost)
     lower, upper = np.array(problem.bounds, dtype=float).T
     b_eq = problem.b_eq
@@ -183,15 +184,23 @@ def test_lp_model_changed_in_place_matches_a_fresh_solve(problem, draw):
             shift = np.array(draw.draw(st.lists(shifts, min_size=n, max_size=n)))
             lower, upper = lower + shift, upper + shift
             b_eq = b_eq + draw.draw(shifts)
-            model.set_bounds(lower, upper)
-            model.set_b_eq(b_eq)
-            if rows:
-                moved = draw.draw(st.integers(0, len(rows) - 1))
-                rows[moved] = (rows[moved][0], rows[moved][1] + draw.draw(shifts), rows[moved][2])
-                model.set_b_ub(np.array([moved]), np.array([rows[moved][1]]))
+            moves = draw.draw(st.lists(shifts, min_size=len(rows), max_size=len(rows)))
+            rows = [(a, b + move, slack) for (a, b, slack), move in zip(rows, moves)]
+            model.set_bounds(lower, upper, b_eq, np.array([b for _, b, _ in rows]))
         solution, reference = model.solve(), fresh()
         assert solution.status == reference.status
         if reference.status == OPTIMAL:
             assert solution.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-9)
             assert len(solution.x) == n + n_slacks
             assert len(solution.ineq_marginals) == len(rows)
+
+
+def test_lp_model_needs_one_right_hand_side_per_row(case30_lp):
+    no_rows = LpProblem(case30_lp.cost, None, None, case30_lp.a_eq, case30_lp.b_eq,
+                        case30_lp.bounds)
+    model = backend.LpModel(no_rows)
+    lower, upper = np.array(no_rows.bounds, dtype=float).T
+    with pytest.raises(ValueError, match="one right-hand side per row"):
+        model.set_bounds(lower, upper, no_rows.b_eq, np.zeros(1))
+    model.set_bounds(lower, upper, no_rows.b_eq, np.zeros(0))
+    assert model.solve().objective == solve_lp(no_rows).objective

@@ -1,9 +1,12 @@
 import csv
 import gc
+import importlib.util
 import json
 import shutil
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +244,12 @@ def test_config_validation(cases_dir, tmp_path):
         with pytest.raises(ValueError, match="emission factors must be finite and >= 0"):
             RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
                       emission_factors={"coal": 1.0, "natural_gas": factor})
+    with pytest.raises(ValueError, match=r"regimes must not repeat, got \['slr', 'dlr', 'slr'\]"):
+        RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
+                  regimes=("slr", "dlr", "slr"))
+    with pytest.raises(ValueError, match=r"unknown fuel\(s\) \['natural-gas'\]"):
+        RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
+                  emission_factors={"natural-gas": 0.42, "coal": 1.0})
 
 
 def test_lp_error_names_regime_hour_and_cause(cases_dir, tmp_path, monkeypatch):
@@ -459,7 +468,7 @@ def test_each_hour_first_holds_every_row_the_hour_before_ended_with(
     original = pipeline.solve_scdcopf
 
     def recording(network, factors, data, normal, contingency, *args, model):
-        held = () if model.problem is None else model.problem.flow_rows
+        held = model.rows
         solution = original(network, factors, data, normal, contingency, *args, model=model)
         calls.append((model, held, normal, contingency, solution))
         return solution
@@ -655,3 +664,40 @@ def test_an_escaping_exception_closes_every_output_file(cases_dir, tmp_path, mon
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     # the chunk before the failed one was written
     assert csv_hours(tmp_path / "out" / "slr" / "dispatch.csv")[-1].endswith("T04:00:00Z")
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def mesh900_peak(tmp_path_factory):
+    """The benchmark's seed-0 mesh900-peak inputs: a 30 x 30 mesh whose
+    second SLR hour starts from base rows the first hour found."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads.generate("mesh900-peak", 0, tmp_path_factory.mktemp("mesh900"),
+                              WORKLOADS.parent.parent)
+
+
+@pytest.mark.parametrize("slack_base_rows", [False, True])
+def test_held_base_rows_give_the_same_bytes_on_any_worker_count(mesh900_peak, tmp_path,
+                                                                slack_base_rows):
+    outs = [tmp_path / f"workers{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        config = RunConfig(case_directory=mesh900_peak.case_directory, output_directory=out,
+                           weather_file=mesh900_peak.weather_file,
+                           regimes=("slr", "dlr", "uncongested"), worker_count=workers,
+                           slack_base_rows=slack_base_rows)
+        assert run(config).all_ok
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    for rel in files:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+    with open(outs[0] / "slr" / "iteration_trace.csv", newline="") as handle:
+        trace = list(csv.DictReader(handle))
+    first, later = trace[0]["hour"], trace[-1]["hour"]
+    assert first != later
+    passes = [row for row in trace if row["hour"] == later]
+    assert passes[0]["iteration"] == "0" and int(passes[0]["base_rows"]) > 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gridline.dispatch import DispatchModel, HourData, hour_data
 from gridline.factors import build_factors
+import gridline.lp as lp
 import gridline.scopf as scopf
 from gridline.lp import OPTIMAL
 from gridline.ratings import SLR, RatingParams, build_rating_series
@@ -281,7 +282,7 @@ def test_carried_rows_match_full_enumeration(case, draw):
     for _ in range(draw.draw(st.integers(1, 3))):
         hour, limits = other_hour(draw, data, normal)
         solve_scdcopf(net, factors, hour, limits, ratio * limits, model=model)
-    held = model.problem.flow_rows
+    held = model.rows
     solution = solve_scdcopf(net, factors, data, normal, contingency, model=model)
     oracle = oracles.full_enumeration_scdcopf(net, factors, data, normal, contingency)
     if oracle.status != OPTIMAL:
@@ -455,3 +456,16 @@ def test_one_model_across_hours_matches_fresh_solves():
 
     check()
     assert any(seen), len(seen)
+
+
+@pytest.mark.parametrize("penalty", [float("nan"), float("inf"), 0.0, -5.0])
+def test_bad_penalty_price_is_refused_before_any_lp(networks, serieses, factors_map,
+                                                    monkeypatch, penalty):
+    net, series, factors = networks["case30"], serieses["case30"], factors_map["case30"]
+    data = hour_data(net, series, series.hours[12])
+    limits = 0.9 * net.static_rating
+    runs = []
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ValueError, match="penalty_price must be finite and > 0"):
+        solve_scdcopf(net, factors, data, limits, limits, penalty_price=penalty)
+    assert runs == []
