@@ -20,7 +20,7 @@ from .pipeline import DEFAULT_EMISSION_FACTORS, RunConfig, run, write_ratings
 from .ratings import RATED_REGIMES, RatingParams, build_rating_series, sweep_parameters
 from .network import load_hourly_series, load_network
 from .scopf import DEFAULT_MAX_ITERATIONS
-from .util import parse_hour, render_floats, write_csv
+from .util import check_span, parse_hour, render_floats, write_csv
 from .weather import load_weather
 
 _PARAM_FIELDS = {f.name for f in fields(RatingParams)}
@@ -107,9 +107,13 @@ class _Group(click.Group):
 
 
 def _hours(ctx, param, text):
-    if text is not None and ".." not in text:
+    if text is None:
+        return None
+    if ".." not in text:
         raise ValueError("expected START..END, e.g. 2016-01-01T00..2016-01-01T23")
-    return None if text is None else tuple(map(parse_hour, text.split("..", 1)))
+    span = tuple(map(parse_hour, text.split("..", 1)))
+    check_span(*span)
+    return span
 
 
 def _regimes(ctx, param, text):
@@ -135,6 +139,8 @@ def _floats(ctx, param, text):
         values = []
     if not values:
         raise ValueError(f"bad number list {text!r}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{param.opts[0]} values must not repeat, got {values}")
     return values
 
 

@@ -9,6 +9,7 @@ caps their shadow price at the penalty; base rows stay hard.
 ``solve_problem`` solves a problem as a fresh LP built by ``build_lp`` (the
 reference path), or through a ``DispatchModel`` that rewrites its LP's
 bounds, appends only the rows it lacks and re-solves from the last basis.
+Both paths lower flow rows to LP rows through the same ``_lower_rows``.
 Either way the solution is audited against the problem's rows,
 independently of the solver.
 """
@@ -75,8 +76,15 @@ class DispatchProblem:
     penalty_price: float = DEFAULT_PENALTY
 
     def __post_init__(self):
+        # the cost curves are checked once, by the ``Generator``s they come from
         if not (math.isfinite(self.penalty_price) and self.penalty_price > 0):
             raise ValueError(f"penalty_price must be finite and > 0, got {self.penalty_price}")
+        for name in ("demand", "gen_min", "gen_max"):
+            values = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {values[bad[0]]} "
+                                 f"at position {bad[0]}")
 
 
 @dataclass
@@ -96,7 +104,6 @@ class DispatchResult:
 @dataclass(frozen=True)
 class _Layout:
     seg_owner: np.ndarray  # variable -> generator (segments only)
-    n_segments: int
     slack_rows: np.ndarray  # flow-row positions with a slack, in variable order
 
 
@@ -151,15 +158,19 @@ def _flow_rhs(coefficients: np.ndarray, limit: np.ndarray, demand: np.ndarray) -
     return np.column_stack((limit + fixed, limit - fixed)).ravel()
 
 
-def _flow_entries(coefficients: np.ndarray, limit: np.ndarray, seg_bus: np.ndarray,
-                  demand: np.ndarray):
+def _lower_rows(rows: tuple[FlowRow, ...], seg_bus: np.ndarray, demand: np.ndarray):
     """Flow row r as the ``<=`` rows 2r (+) and 2r + 1 (-) over the segment
-    columns: their right-hand sides and, sorted by row, the (row, column,
-    value) of each entry HiGHS would keep."""
+    columns. Returns the rows' stacked coefficients, the LP rows'
+    right-hand sides, the (row, column, value) of each entry HiGHS would
+    keep, sorted by row, and each LP row's slack number: the slack-allowed
+    flow rows are numbered from 0 in order, and -1 marks a hard row."""
+    coefficients, limit, slack_allowed = _row_arrays(rows, len(demand))
     seg_coef = coefficients[:, seg_bus]
-    signed = np.stack((seg_coef, -seg_coef), axis=1).reshape(2 * len(limit), len(seg_bus))
+    signed = np.stack((seg_coef, -seg_coef), axis=1).reshape(2 * len(rows), len(seg_bus))
     row, col = np.nonzero(np.abs(signed) > MATRIX_ZERO_TOL)
-    return _flow_rhs(coefficients, limit, demand), row, col, signed[row, col]
+    slack = np.where(slack_allowed, np.cumsum(slack_allowed) - 1, -1)
+    return (coefficients, _flow_rhs(coefficients, limit, demand), (row, col, signed[row, col]),
+            np.repeat(slack, 2))
 
 
 def _balance_row(n_segments: int, n_vars: int) -> sparse.csr_matrix:
@@ -178,9 +189,9 @@ def build_lp(problem: DispatchProblem) -> tuple[LpProblem, _Layout]:
     seg_owner, cap, price, before = _segments(problem.cost_curves)
     n_segments = len(seg_owner)
     lo, hi = _segment_bounds(problem, seg_owner, cap, before)
-
-    coefficients, limit, slack_allowed = _row_arrays(problem.flow_rows, len(problem.demand))
-    slack_rows = np.flatnonzero(slack_allowed)
+    _, b_ub, entries, slack = _lower_rows(problem.flow_rows, problem.gen_bus[seg_owner],
+                                          problem.demand)
+    slack_rows = np.flatnonzero(slack[::2] >= 0)
     n_slacks = len(slack_rows)
     n_vars = n_segments + n_slacks
     costs = np.concatenate((price, np.full(n_slacks, problem.penalty_price)))
@@ -190,17 +201,13 @@ def build_lp(problem: DispatchProblem) -> tuple[LpProblem, _Layout]:
     b_eq = np.array([float(problem.demand.sum())])
 
     a_ub = None
-    b_ub = None
-    n_rows = len(limit)
-    if n_rows:
-        b_ub, row, col, value = _flow_entries(coefficients, limit,
-                                              problem.gen_bus[seg_owner], problem.demand)
-        slack_col = np.where(slack_allowed, n_segments + np.cumsum(slack_allowed) - 1, -1)
-        indptr, indices, data = csr_rows(2 * n_rows, row, col, value, np.repeat(slack_col, 2))
-        a_ub = sparse.csr_matrix((data, indices, indptr), shape=(2 * n_rows, n_vars))
+    if len(b_ub):
+        slack_col = np.where(slack >= 0, n_segments + slack, -1)
+        indptr, indices, data = csr_rows(len(b_ub), *entries, slack_col)
+        a_ub = sparse.csr_matrix((data, indices, indptr), shape=(len(b_ub), n_vars))
 
-    lp = LpProblem(costs, a_ub, b_ub, a_eq, b_eq, bounds)
-    return lp, _Layout(seg_owner, n_segments, slack_rows)
+    lp = LpProblem(costs, a_ub, b_ub if len(b_ub) else None, a_eq, b_eq, bounds)
+    return lp, _Layout(seg_owner, slack_rows)
 
 
 def _injections(problem: DispatchProblem, p_gen: np.ndarray) -> np.ndarray:
@@ -285,17 +292,13 @@ class DispatchModel:
                                _flow_rhs(self.coefficients, limit, problem.demand))
         seg_owner = self.segments[0]
         if len(held) < len(rows):
-            coefficients, limit, slack_allowed = _row_arrays(rows[len(held):],
-                                                             len(problem.demand))
-            b_ub, row, col, value = _flow_entries(coefficients, limit,
-                                                  problem.gen_bus[seg_owner], problem.demand)
-            slack = np.where(slack_allowed, np.cumsum(slack_allowed) - 1, -1)
-            self.lp.add_rows(b_ub, row, col, value, np.repeat(slack, 2), problem.penalty_price)
+            coefficients, b_ub, entries, slack = _lower_rows(
+                rows[len(held):], problem.gen_bus[seg_owner], problem.demand)
+            self.lp.add_rows(b_ub, *entries, slack, problem.penalty_price)
             self.coefficients = np.concatenate((self.coefficients, coefficients))
         self.rows = rows
         # slacks are appended in row order, so their columns follow the flow rows
-        slack_rows = np.flatnonzero([row.slack_allowed for row in rows])
-        return _Layout(seg_owner, len(seg_owner), slack_rows)
+        return _Layout(seg_owner, np.flatnonzero([row.slack_allowed for row in rows]))
 
 
 def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None,
@@ -312,16 +315,14 @@ def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None,
         return DispatchResult(problem.hour, solution.status, message=solution.message,
                               simplex_iterations=solution.simplex_iterations)
 
-    n_gen = len(problem.cost_curves)
-    p_gen = np.zeros(n_gen)
-    np.add.at(p_gen, layout.seg_owner, solution.x[: layout.n_segments])
+    n_segments = len(layout.seg_owner)
+    p_gen = np.zeros(len(problem.cost_curves))
+    np.add.at(p_gen, layout.seg_owner, solution.x[:n_segments])
 
-    n_rows = len(problem.flow_rows)
-    row_duals = np.zeros(n_rows)
-    if n_rows:  # shadow price of relaxing the limit
-        row_duals = -(solution.ineq_marginals[0::2] + solution.ineq_marginals[1::2])
-    slack_values = np.zeros(n_rows)
-    slack_values[layout.slack_rows] = solution.x[layout.n_segments:]
+    # shadow price of relaxing the limit
+    row_duals = -(solution.ineq_marginals[0::2] + solution.ineq_marginals[1::2])
+    slack_values = np.zeros(len(problem.flow_rows))
+    slack_values[layout.slack_rows] = solution.x[n_segments:]
 
     flows = None
     if ptdf is not None:

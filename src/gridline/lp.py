@@ -9,7 +9,9 @@ no output) and one thread. ``solve_lp`` passes one LP to a fresh solver.
 and right-hand sides in place, so that each solve starts from the basis the
 one before it ended on. A study keeps one ``LpModel`` per fixed chunk of
 hours, so a result is a function of its chunk's inputs alone, never of
-which chunk a worker solved before.
+which chunk a worker solved before. A solution holds the primal values,
+the objective and the row marginals; a model HiGHS refuses raises
+SolverError on both paths.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ INFEASIBLE = "infeasible"
 ERROR = "error"
 
 _STATUS = highs.HighsModelStatus
-_AT_LOWER = int(highs.HighsBasisStatus.kLower)
-_AT_UPPER = int(highs.HighsBasisStatus.kUpper)
 
 _OPTIONS = highs.HighsOptions()
 _OPTIONS.presolve = "on"
@@ -55,16 +55,15 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Primal/dual solution. Marginals follow the dObjective/dRHS sign
-    convention: binding upper-bound rows carry nonpositive marginals."""
+    """Primal solution and row marginals, set when optimal. Marginals follow
+    the dObjective/dRHS sign convention: binding upper-bound rows carry
+    nonpositive marginals."""
 
     status: str
     x: np.ndarray | None
     objective: float | None
     ineq_marginals: np.ndarray | None
     eq_marginals: np.ndarray | None
-    lower_marginals: np.ndarray | None
-    upper_marginals: np.ndarray | None
     message: str = ""  # the solver's own account of a non-optimal status
     simplex_iterations: int = 0
 
@@ -79,8 +78,6 @@ class HighsResult:
     x: np.ndarray | None = None
     objective: float | None = None
     row_dual: np.ndarray | None = None
-    col_dual: np.ndarray | None = None
-    col_status: np.ndarray | None = None  # HighsBasisStatus values
 
 
 def _new_solver() -> highs._Highs:
@@ -89,15 +86,19 @@ def _new_solver() -> highs._Highs:
     return solver
 
 
+def _check(status: highs.HighsStatus, call: str) -> None:
+    if status == highs.HighsStatus.kError:
+        raise SolverError(f"HiGHS refused {call}")
+
+
 def linprog(model: highs.HighsLp | None = None,
             solver: highs._Highs | None = None) -> HighsResult:
     """Run one LP: ``model`` in a fresh solver, or else ``solver`` as it
-    stands, from the basis it holds."""
+    stands, from the basis it holds. Raises SolverError if HiGHS refuses
+    ``model``."""
     if solver is None:
         solver = _new_solver()
-        if solver.passModel(model) == highs.HighsStatus.kError:
-            return HighsResult(_STATUS.kModelError,
-                               solver.modelStatusToString(_STATUS.kModelError), 0)
+        _check(solver.passModel(model), "passModel")
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
@@ -105,11 +106,9 @@ def linprog(model: highs.HighsLp | None = None,
     if status != _STATUS.kOptimal:
         return HighsResult(status, message, info.simplex_iteration_count)
     solution = solver.getSolution()
-    col_status = np.array(solver.getBasis().col_status, dtype=np.int8)  # enums to ints
     return HighsResult(status, message, info.simplex_iteration_count,
                        np.array(solution.col_value), info.objective_function_value,
-                       np.array(solution.row_dual), np.array(solution.col_dual),
-                       col_status)
+                       np.array(solution.row_dual))
 
 
 def _highs_model(problem: LpProblem) -> highs.HighsLp:
@@ -149,24 +148,19 @@ def _highs_model(problem: LpProblem) -> highs.HighsLp:
     return model
 
 
-def _solution(result: HighsResult, ineq: slice | None, eq: slice) -> LpSolution:
+def _solution(result: HighsResult, ineq: slice, eq: slice) -> LpSolution:
     """``result`` in the solver contract; ``ineq`` and ``eq`` pick the
     ``<=`` and the equality rows out of the solver's rows."""
     nit = result.nit
     if result.status == _STATUS.kOptimal:
-        return LpSolution(
-            OPTIMAL, result.x, float(result.objective),
-            None if ineq is None else result.row_dual[ineq], result.row_dual[eq],
-            np.where(result.col_status == _AT_LOWER, result.col_dual, 0.0),
-            np.where(result.col_status == _AT_UPPER, result.col_dual, 0.0),
-            simplex_iterations=nit)
-    if result.status in (_STATUS.kInfeasible, _STATUS.kModelError):
-        return LpSolution(INFEASIBLE, None, None, None, None, None, None,
-                          simplex_iterations=nit)
+        return LpSolution(OPTIMAL, result.x, float(result.objective), result.row_dual[ineq],
+                          result.row_dual[eq], simplex_iterations=nit)
+    if result.status == _STATUS.kInfeasible:
+        return LpSolution(INFEASIBLE, None, None, None, None, simplex_iterations=nit)
     if result.status == _STATUS.kUnbounded:
         # all dispatch variables are box-bounded, so this signals bad data
         raise SolverError("LP unbounded; input data is inconsistent")
-    return LpSolution(ERROR, None, None, None, None, None, None,
+    return LpSolution(ERROR, None, None, None, None,
                       f"HiGHS status {int(result.status)}: {result.message}",
                       simplex_iterations=nit)
 
@@ -186,8 +180,7 @@ def csr_rows(n_rows: int, row: np.ndarray, col: np.ndarray, value: np.ndarray,
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
-    return _solution(linprog(_highs_model(problem)),
-                     None if problem.a_ub is None else slice(0, n_ub), slice(n_ub, None))
+    return _solution(linprog(_highs_model(problem)), slice(0, n_ub), slice(n_ub, None))
 
 
 class LpModel:
@@ -207,12 +200,7 @@ class LpModel:
         self._solver = _new_solver()
         self._n_eq = problem.a_eq.shape[0]
         self._n_cols = len(problem.cost)
-        self._check(self._solver.passModel(_highs_model(problem)), "passModel")
-
-    @staticmethod
-    def _check(status, call: str) -> None:
-        if status == highs.HighsStatus.kError:
-            raise SolverError(f"HiGHS refused {call}")
+        _check(self._solver.passModel(_highs_model(problem)), "passModel")
 
     def add_rows(self, b_ub: np.ndarray, row: np.ndarray, col: np.ndarray,
                  value: np.ndarray, slack: np.ndarray, slack_cost: float) -> None:
@@ -225,13 +213,13 @@ class LpModel:
         n_slacks = int(slack.max(initial=-1)) + 1
         if n_slacks:
             no_entries = np.zeros(0, dtype=np.int32)
-            self._check(solver.addCols(n_slacks, np.full(n_slacks, float(slack_cost)),
-                                       np.zeros(n_slacks), np.full(n_slacks, np.inf),
-                                       0, no_entries, no_entries, np.zeros(0)), "addCols")
+            _check(solver.addCols(n_slacks, np.full(n_slacks, float(slack_cost)),
+                                  np.zeros(n_slacks), np.full(n_slacks, np.inf),
+                                  0, no_entries, no_entries, np.zeros(0)), "addCols")
         slack_col = np.where(slack >= 0, solver.getNumCol() - n_slacks + slack, -1)
         start, index, values = csr_rows(n_rows, row, col, value, slack_col)
-        self._check(solver.addRows(n_rows, np.full(n_rows, -np.inf), np.asarray(b_ub, float),
-                                   len(index), start[:-1], index, values), "addRows")
+        _check(solver.addRows(n_rows, np.full(n_rows, -np.inf), np.asarray(b_ub, float),
+                              len(index), start[:-1], index, values), "addRows")
 
     def set_bounds(self, lower: np.ndarray, upper: np.ndarray, b_eq: np.ndarray,
                    b_ub: np.ndarray) -> None:
@@ -241,13 +229,13 @@ class LpModel:
         if self._n_eq + len(b_ub) != solver.getNumRow():
             raise ValueError("one right-hand side per row required")
         n = self._n_cols
-        self._check(solver.changeColsBounds(n, np.arange(n, dtype=np.int32),
-                                            np.asarray(lower, float), np.asarray(upper, float)),
-                    "changeColsBounds")
+        _check(solver.changeColsBounds(n, np.arange(n, dtype=np.int32),
+                                       np.asarray(lower, float), np.asarray(upper, float)),
+               "changeColsBounds")
         row_lower = np.concatenate((b_eq, np.full(len(b_ub), -np.inf))).tolist()
         row_upper = np.concatenate((b_eq, b_ub)).tolist()
         for r, (lo, hi) in enumerate(zip(row_lower, row_upper)):
-            self._check(solver.changeRowBounds(r, lo, hi), "changeRowBounds")
+            _check(solver.changeRowBounds(r, lo, hi), "changeRowBounds")
 
     def solve(self) -> LpSolution:
         """Solve from the current basis. ``x`` holds ``problem``'s columns,

@@ -54,6 +54,11 @@ class Generator:
     p_max_static: float
     cost_curve: tuple[tuple[float, float], ...]  # (segment MW, marginal $/MWh), convex
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for segment in self.cost_curve for v in segment):
+            raise ValueError(f"generator {self.id} cost curve must be finite, "
+                             f"got {self.cost_curve}")
+
     def cost_of(self, output: float) -> float:
         """Total $/h at a given MW output (piecewise-linear, segments filled
         cheapest-first)."""

@@ -39,7 +39,7 @@ from .network import (FUELS, VARIABLE_FUELS, HourlySeries, Network, load_hourly_
 from .ratings import (AAR, DLR, RATED_REGIMES, SLR, RatingParams, RatingSeries,
                       build_rating_series)
 from .scopf import DEFAULT_MAX_ITERATIONS, solve_scdcopf
-from .util import format_hour, open_csv, write_csv
+from .util import check_span, format_hour, open_csv, write_csv
 from .weather import load_weather
 
 UNCONGESTED = "uncongested"
@@ -84,6 +84,8 @@ class RunConfig:
             raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.hours is not None:
+            check_span(*self.hours)
         if not (math.isfinite(self.penalty_price) and self.penalty_price > 0):
             raise ValueError(f"penalty_price must be finite and > 0, got {self.penalty_price}")
         if not self.regimes:
@@ -339,8 +341,8 @@ def run(config: RunConfig) -> RunSummary:
         if config.worker_count == 1:
             solved = (_solve_chunk(state, chunk) for chunk in chunks)
         else:
-            pool = stack.enter_context(Pool(config.worker_count, initializer=_init_worker,
-                                            initargs=(state,)))
+            pool = stack.enter_context(Pool(min(config.worker_count, len(chunks)),
+                                            initializer=_init_worker, initargs=(state,)))
             solved = pool.imap(_solve_chunk_global, chunks, chunksize=1)
         for (regime, _, _), (outcomes, texts) in zip(chunks, solved):
             by_regime[regime].extend(outcomes)

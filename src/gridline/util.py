@@ -35,10 +35,16 @@ def format_hour(stamp: datetime) -> str:
     return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def check_span(first: datetime, last: datetime) -> None:
+    """Refuse an inclusive hour span that ends before it starts."""
+    if last < first:
+        raise ValueError(f"hour span {format_hour(first)}..{format_hour(last)} "
+                         "ends before it starts")
+
+
 def hour_range(first: datetime, last: datetime) -> list[datetime]:
     """Inclusive contiguous hourly range."""
-    if last < first:
-        raise ValueError("hour range end precedes start")
+    check_span(first, last)
     n = int((last - first) / HOUR) + 1
     return [first + i * HOUR for i in range(n)]
 

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gridline.lp as lp_module
 from gridline.dispatch import (DispatchModel, DispatchProblem, FlowRow, HourData,
                                base_flow_rows, build_lp, build_problem, hour_data,
                                solve_copperplate, solve_penalized_dcopf, solve_problem)
@@ -157,19 +160,29 @@ def test_copperplate_equals_base_on_single_bus():
 
 
 def test_lp_duality_euler_identity():
-    # objective equals marginals dotted with every RHS and bound (strong
+    # the reduced costs the row marginals leave are dual feasible at the
+    # column bounds, and the dual objective equals the primal one (strong
     # duality for LP), on a congested problem with slack rows
     _, _, problem = penalized_two_bus(row_limit=90.0, dear=2500.0)
     lp, _ = build_lp(problem)
     solution = solve_lp(lp)
     assert solution.status == "optimal"
-    lower = np.array([b[0] for b in lp.bounds])
-    upper = np.array([1e9 if b[1] is None else b[1] for b in lp.bounds])
-    total = float(solution.eq_marginals @ lp.b_eq)
-    total += float(solution.ineq_marginals @ lp.b_ub)
-    total += float(solution.lower_marginals @ lower)
-    total += float(solution.upper_marginals @ upper)
-    assert total == pytest.approx(solution.objective, rel=1e-6)
+    tol = 1e-6
+    assert np.all(solution.ineq_marginals <= tol)  # binding <= rows price nonpositive
+    lower, upper = np.array([(lo, np.inf if hi is None else hi) for lo, hi in lp.bounds]).T
+    reduced = (lp.cost - lp.a_ub.T @ solution.ineq_marginals
+               - lp.a_eq.T @ solution.eq_marginals)
+    # a positive reduced cost needs a column held at its lower bound, a
+    # negative one a column held at a finite upper bound
+    at_lower, at_upper = reduced > tol, reduced < -tol
+    assert at_upper.any()  # the cheap unit runs at its capacity
+    np.testing.assert_allclose(solution.x[at_lower], lower[at_lower], atol=tol)
+    assert np.all(np.isfinite(upper[at_upper]))
+    np.testing.assert_allclose(solution.x[at_upper], upper[at_upper], atol=tol)
+    bound = np.where(at_lower, lower, np.where(at_upper, upper, 0.0))
+    dual = (solution.eq_marginals @ lp.b_eq + solution.ineq_marginals @ lp.b_ub
+            + reduced @ bound)
+    assert dual == pytest.approx(solution.objective, rel=1e-6)
 
 
 def test_result_feasibility_audited(networks, serieses, factors_map):
@@ -256,3 +269,24 @@ def test_model_refuses_rows_that_do_not_begin_with_its_held_rows(networks, serie
     again, reference = (solve_problem(problem, factors.ptdf, m) for m in (model, twin))
     assert again.objective == reference.objective == first.objective
     assert again.simplex_iterations == reference.simplex_iterations
+
+
+@pytest.mark.parametrize("field, position", [("demand", 1), ("gen_min", 0), ("gen_max", 0)])
+@pytest.mark.parametrize("model", [None, DispatchModel], ids=["fresh", "model"])
+def test_non_finite_dispatch_input_is_refused_before_any_lp(monkeypatch, field, position,
+                                                            model):
+    net, factors, data = two_bus_setup()
+    values = getattr(data, field).copy()
+    values[position] = np.nan
+    data = replace(data, **{field: values})
+    monkeypatch.setattr(lp_module, "linprog", lambda *args, **kwargs: pytest.fail("LP ran"))
+    with pytest.raises(ValueError, match=f"{field} must be finite, got nan at position {position}"):
+        solve_problem(build_problem(net, data, base_flow_rows(net, factors.ptdf, [100.0])),
+                      factors.ptdf, None if model is None else model())
+
+
+def test_non_finite_segment_price_is_refused_with_its_generator():
+    # no dispatch problem, on either path, can be built from such a unit
+    with pytest.raises(ValueError, match=r"generator 1 cost curve must be finite, "
+                                         r"got \(\(100.0, nan\),\)"):
+        two_bus_network(cheap=float("nan"))

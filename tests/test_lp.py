@@ -1,6 +1,8 @@
 """The HiGHS backend against scipy's public ``linprog`` on drawn box-bounded
 LPs and on the dispatch LPs of the bundled cases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,7 @@ def assert_matches_public_linprog(problem):
     scale = max(1.0, float(np.abs(reference.x).max()))
     np.testing.assert_allclose(solution.x, reference.x, rtol=1e-9, atol=1e-9 * scale)
     if oracles.unique_optimum(problem, reference):
-        pairs = [(solution.eq_marginals, reference.eqlin.marginals),
-                 (solution.lower_marginals, reference.lower.marginals),
-                 (solution.upper_marginals, reference.upper.marginals)]
+        pairs = [(solution.eq_marginals, reference.eqlin.marginals)]
         if problem.a_ub is not None:
             pairs.append((solution.ineq_marginals, reference.ineqlin.marginals))
         for mine, theirs in pairs:
@@ -90,7 +90,7 @@ def test_dispatch_lps_match_public_linprog(networks, serieses, factors_map, name
             lp, layout = build_lp(build_problem(net, data, rows))
             statuses.append(assert_matches_public_linprog(lp))
             if rows is penalized and statuses[-1] == OPTIMAL:
-                slack_hours += bool(np.any(solve_lp(lp).x[layout.n_segments:] > 1e-6))
+                slack_hours += bool(np.any(solve_lp(lp).x[len(layout.seg_owner):] > 1e-6))
     assert OPTIMAL in statuses
     assert slack_hours > 0
 
@@ -120,6 +120,14 @@ def test_unbounded_lp_raises():
                         [(0.0, None), (0.0, 5.0)])
     with pytest.raises(SolverError, match="unbounded"):
         solve_lp(problem)
+
+
+def test_a_model_highs_refuses_raises_on_both_paths(case30_lp):
+    refused = replace(case30_lp, b_eq=np.array([np.nan]))
+    with pytest.raises(SolverError, match="HiGHS refused passModel"):
+        solve_lp(refused)
+    with pytest.raises(SolverError, match="HiGHS refused passModel"):
+        backend.LpModel(replace(refused, a_ub=None, b_ub=None))
 
 
 def test_simplex_iterations_are_reported(case30_lp):

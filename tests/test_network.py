@@ -191,3 +191,33 @@ def test_non_finite_number_rejected(cases_dir, tmp_path, file, column, value):
     with pytest.raises(CaseError, match=f"non-finite value '{value}' for '{column}'") as err:
         load_hourly_series(case, load_network(case))
     assert err.value.file == file and err.value.row == 1
+
+
+def _without_first(lines, token):
+    """``lines`` less the first line that holds ``token``."""
+    index = next(i for i, line in enumerate(lines) if token in line)
+    return lines[:index] + lines[index + 1:]
+
+
+@pytest.mark.parametrize("case, file, transform, message, row", [
+    ("case3", "demand.csv", lambda lines: lines + [lines[1]],
+     "duplicate entry for bus_id 2 at 2016-07-01T00:00:00Z", 49),
+    ("case3", "demand.csv", lambda lines: lines[:1] + _without_first(lines[1:], "T13:00:00Z,2,"),
+     "bus 2 missing hour 2016-07-01T13:00:00Z", None),
+    ("case3", "demand.csv", lambda lines: lines[:1], "no demand rows", None),
+    ("case5", "availability.csv", lambda lines: lines + ["2016-07-02T00:00:00Z,2,50.0"],
+     "gen 2 availability at 2016-07-02T00:00:00Z outside the demand hour range", None),
+    ("case5", "availability.csv", lambda lines: lines[:1] + _without_first(lines[1:], "T05:"),
+     "gen 2 missing hour 2016-07-01T05:00:00Z", None),
+    ("case5", "availability.csv", lambda lines: lines + [lines[1]],
+     "duplicate entry for gen_id 2 at 2016-07-01T00:00:00Z", 25),
+])
+def test_series_input_errors_name_file_and_row(cases_dir, tmp_path, case, file, transform,
+                                               message, row):
+    target = copy_case(cases_dir, tmp_path, case)
+    edit_csv(target / file, transform)
+    with pytest.raises(CaseError) as err:
+        load_hourly_series(target, load_network(target))
+    where = f" [{file}" + ("" if row is None else f", row {row}") + "]"
+    assert str(err.value) == message + where
+    assert (err.value.file, err.value.row) == (file, row)

@@ -244,6 +244,10 @@ def test_config_validation(cases_dir, tmp_path):
         with pytest.raises(ValueError, match="emission factors must be finite and >= 0"):
             RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
                       emission_factors={"coal": 1.0, "natural_gas": factor})
+    with pytest.raises(ValueError, match="hour span 2016-07-01T10:00:00Z..2016-07-01T05:00:00Z "
+                                         "ends before it starts"):
+        RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
+                  hours=(parse_hour("2016-07-01T10"), parse_hour("2016-07-01T05")))
     with pytest.raises(ValueError, match=r"regimes must not repeat, got \['slr', 'dlr', 'slr'\]"):
         RunConfig(case_directory=cases_dir / "case3", output_directory=tmp_path,
                   regimes=("slr", "dlr", "slr"))
@@ -701,3 +705,16 @@ def test_held_base_rows_give_the_same_bytes_on_any_worker_count(mesh900_peak, tm
     assert first != later
     passes = [row for row in trace if row["hour"] == later]
     assert passes[0]["iteration"] == "0" and int(passes[0]["base_rows"]) > 0
+
+
+def test_no_more_pool_workers_than_chunks(cases_dir, tmp_path, monkeypatch):
+    # 24 hours under 4 regimes are 4 chunks
+    real_pool, started = pipeline.Pool, []
+
+    def recording_pool(processes, **kwargs):
+        started.append(processes)
+        return real_pool(processes, **kwargs)
+
+    monkeypatch.setattr(pipeline, "Pool", recording_pool)
+    assert run(case5_config(cases_dir, tmp_path / "out", worker_count=8)).all_ok
+    assert started == [4]

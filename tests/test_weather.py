@@ -147,3 +147,31 @@ def test_absent_hour_absent_for_every_location(cases_dir, tmp_path):
         series = build_rating_series(net, gappy, list(gappy.hours), regime, RatingParams())
         assert np.all(series.multiplier[missing] == 1.0)
         assert np.all(np.delete(series.multiplier, missing, axis=0) != 1.0)
+
+
+def _poison(column, value):
+    """The first data row with ``column`` set to ``value``."""
+    def transform(lines):
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        return [lines[0], ",".join(cells)] + lines[2:]
+    return transform
+
+
+@pytest.mark.parametrize("transform, message", [
+    (lambda lines: lines + [lines[1]],
+     "weather.csv row 97: duplicate cell (31.8, -100.1) at 2016-07-01T00:00:00Z"),
+    (_poison("wind_u_ms", "nan"), "weather.csv row 1: non-finite value"),
+    (_poison("temp_k", "warm"),
+     "weather.csv row 1: could not convert string to float: 'warm'"),
+    (lambda lines: lines[:1], "weather.csv: no weather rows"),
+    (lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+     "weather.csv: missing column(s) wind_v_ms"),
+    (_poison("time", "bogus"), "weather.csv row 1: unparseable timestamp 'bogus'"),
+])
+def test_weather_input_errors_name_the_row(cases_dir, tmp_path, transform, message):
+    lines = (cases_dir / "weather_case5.csv").read_text().splitlines()
+    (tmp_path / "weather.csv").write_text("\n".join(transform(lines)) + "\n")
+    with pytest.raises(WeatherError) as err:
+        load_weather(tmp_path / "weather.csv")
+    assert str(err.value) == message
