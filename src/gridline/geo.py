@@ -72,11 +72,15 @@ def to_utm(latitude, longitude, forced_zone=None) -> PlanarPoint:
     n2, n3 = n * n, n**3
     n4, n5, n6 = n**4, n**5, n**6
 
-    tau = np.tan(lat)
+    # numpy's SIMD float64 tan and arctan2 can be an ulp off the correctly
+    # rounded value, which is 0.7 nm of northing and ~1e-12 rad of bearing
+    # on a short line; taking both in extended precision and rounding back
+    # keeps tau and xi' correctly rounded.
+    tau = np.tan(lat.astype(np.longdouble)).astype(float)
     sigma = np.sinh(ecc * np.arctanh(ecc * tau / np.sqrt(1 + tau * tau)))
     tau_p = tau * np.sqrt(1 + sigma * sigma) - sigma * np.sqrt(1 + tau * tau)
 
-    xi_p = np.arctan2(tau_p, np.cos(lon))
+    xi_p = np.arctan2(tau_p.astype(np.longdouble), np.cos(lon)).astype(float)
     eta_p = np.arcsinh(np.sin(lon) / np.hypot(tau_p, np.cos(lon)))
 
     rect_radius = _A / (1 + n) * (1 + n2 / 4 + n4 / 64 + n6 / 256)
