@@ -8,7 +8,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -17,7 +17,8 @@ from .dispatch import DEFAULT_PENALTY
 from .errors import GridlineError
 from .factors import build_factors, dump_factors
 from .pipeline import DEFAULT_EMISSION_FACTORS, RunConfig, run, write_ratings
-from .ratings import RATED_REGIMES, RatingParams, build_rating_series, sweep_parameters
+from .ratings import (RATED_REGIMES, RatingParams, build_rating_series, sweep_grid,
+                      sweep_parameters)
 from .network import load_hourly_series, load_network
 from .scopf import DEFAULT_MAX_ITERATIONS
 from .util import check_span, parse_hour, render_floats, write_csv
@@ -139,8 +140,6 @@ def _floats(ctx, param, text):
         values = []
     if not values:
         raise ValueError(f"bad number list {text!r}")
-    if len(set(values)) < len(values):
-        raise ValueError(f"{param.opts[0]} values must not repeat, got {values}")
     return values
 
 
@@ -229,8 +228,7 @@ def ratings_command(case_dir, weather_file, regimes, hours, out_dir, params):
 
 
 def _sweep_values(tc_list, phi_list, params, **options):
-    for t_c, phi in itertools.product(tc_list, phi_list):  # refuse a bad grid point now
-        replace(params, t_conductor=t_c, phi_slr=math.radians(phi))
+    sweep_grid(params, tc_list, [math.radians(phi) for phi in phi_list])  # refuse a bad grid now
     return {**options, "tc_list": tc_list, "phi_list": phi_list, "params": params}
 
 

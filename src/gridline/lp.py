@@ -43,7 +43,7 @@ class LpProblem:
     """min cost @ x  s.t.  a_ub @ x <= b_ub,  a_eq @ x = b_eq,  bounds.
 
     Matrices are CSR without duplicate entries; a ``None`` bound is
-    infinite."""
+    infinite and a NaN bound is refused."""
 
     cost: np.ndarray
     a_ub: sparse.csr_matrix | None
@@ -124,7 +124,12 @@ def _highs_model(problem: LpProblem) -> highs.HighsLp:
         value = np.concatenate((a_ub.data, a_eq.data))
         lower_rows = np.concatenate((np.full(a_ub.shape[0], -np.inf), b_eq))
         upper_rows = np.concatenate((problem.b_ub, b_eq))
-    lower, upper = np.array(problem.bounds, dtype=float).reshape(-1, 2).T  # None reads nan
+    bounds = np.array(problem.bounds, dtype=float).reshape(-1, 2).T  # None reads nan
+    unset = np.equal(np.array(problem.bounds, dtype=object).reshape(-1, 2).T, None)
+    refused = np.flatnonzero((np.isnan(bounds) & ~unset).any(axis=0))
+    if refused.size:
+        raise ValueError(f"column {refused[0]} has a NaN bound")
+    lower, upper = np.where(unset, [[-np.inf], [np.inf]], bounds)
     n_cols, n_rows = len(problem.cost), len(upper_rows)
 
     # The bindings copy every field but the cost element by element. A
@@ -134,8 +139,8 @@ def _highs_model(problem: LpProblem) -> highs.HighsLp:
     model.num_col_ = n_cols
     model.num_row_ = n_rows
     model.col_cost_ = np.asarray(problem.cost, dtype=float)
-    model.col_lower_ = memoryview(np.where(np.isnan(lower), -np.inf, lower))
-    model.col_upper_ = memoryview(np.where(np.isnan(upper), np.inf, upper))
+    model.col_lower_ = memoryview(lower)
+    model.col_upper_ = memoryview(upper)
     model.row_lower_ = memoryview(lower_rows)
     model.row_upper_ = memoryview(upper_rows)
     matrix = model.a_matrix_

@@ -8,17 +8,21 @@ networks and series can be shared read-only across parallel workers.
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CaseError, GridlineError
 from .geo import great_circle_km
-from .util import HOUR, format_hour, parse_hour, read_rows, render_floats, write_csv
+from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each, parse_hour,
+                   read_rows, read_table, render_floats, write_csv)
 
 FUELS = ("solar", "wind", "natural_gas", "coal", "nuclear", "hydro", "other")
 VARIABLE_FUELS = ("solar", "wind")
@@ -156,20 +160,27 @@ def _parse_float(row, key, file, number, *, minimum=None, strict_min=False, opti
     return value
 
 
+def _cell(row, key, file, number):
+    """``row[key]``; a cell that a short row lacks is a missing value."""
+    if row.get(key) is None:
+        raise CaseError(f"missing value for '{key}'", file=file, row=number)
+    return row[key]
+
+
 def _parse_int(row, key, file, number):
-    raw = (row.get(key) or "").strip()
+    raw = _cell(row, key, file, number).strip()
     try:
         return int(raw)
     except ValueError:
         raise CaseError(f"bad integer {raw!r} for '{key}'", file=file, row=number) from None
 
 
-def _rows(directory: Path, name: str, required):
+def _rows(directory: Path, name: str, required, read=read_rows):
     path = directory / name
     if not path.exists():
         raise CaseError(f"missing case file {name}", file=name)
     try:
-        yield from read_rows(path, required)
+        yield from read(path, required)
     except ValueError as exc:
         raise CaseError(str(exc), file=name) from None
 
@@ -278,26 +289,70 @@ def load_network(case_directory: str | Path) -> Network:
     return Network(buses, branches, generators)
 
 
-def _load_timed_table(directory, name, id_column, known_ids):
-    """Read a (time, id, mw) long table -> (sorted hours, {id: {hour: mw}})."""
-    values: dict[int, dict[datetime, float]] = {}
-    hours: set[datetime] = set()
-    for number, row in _rows(directory, name, ["time", id_column, "mw"]):
-        try:
-            hour = parse_hour(row["time"])
-        except ValueError as exc:
-            raise CaseError(str(exc), file=name, row=number) from None
-        ident = _parse_int(row, id_column, name, number)
-        if ident not in known_ids:
-            raise CaseError(f"unknown {id_column} {ident}", file=name, row=number)
-        mw = _parse_float(row, "mw", name, number, minimum=0.0)
-        slot = values.setdefault(ident, {})
-        if hour in slot:
-            raise CaseError(f"duplicate entry for {id_column} {ident} at {row['time']}",
-                            file=name, row=number)
-        slot[hour] = mw
-        hours.add(hour)
-    return sorted(hours), values
+def _timed_row(row, name, number, id_column, index):
+    """Raise the first fault of one (time, id, mw) row, in reporting order."""
+    try:
+        parse_hour(_cell(row, "time", name, number))
+    except ValueError as exc:
+        raise CaseError(str(exc), file=name, row=number) from None
+    ident = _parse_int(row, id_column, name, number)
+    if ident not in index:
+        raise CaseError(f"unknown {id_column} {ident}", file=name, row=number)
+    _parse_float(row, "mw", name, number, minimum=0.0)
+    raise AssertionError(f"{name} row {number} passes the checks it failed")
+
+
+def _load_timed_table(directory, name, id_column, index):
+    """Read a (time, id, mw) long table in one pass -> (hour number,
+    position in ``index``, mw) arrays, one entry per row in file order.
+
+    Each distinct time and id text is parsed once and the rows are checked
+    as arrays; the first faulty row is read again to name its fault.
+    """
+    required = ["time", id_column, "mw"]
+    table = _rows(directory, name, required, read_table)
+    header, rows = next(table)  # the file stays open while ``table`` is held
+    t, i, m = map({column: k for k, column in enumerate(header)}.get, required)
+    stamps, idents = {}, {}  # text -> code, in order of first appearance
+    codes, values = array("l"), array("d")
+    stopped = False
+    try:
+        for cells in rows:
+            value = float(cells[m])
+            codes.extend((stamps.setdefault(cells[t], len(stamps)),
+                          idents.setdefault(cells[i], len(idents))))
+            values.append(value)
+    except (IndexError, ValueError, csv.Error):  # the re-read below names the fault
+        stopped = True
+    table.close()
+    code = np.asarray(codes).reshape(-1, 2)
+    hour, hour_ok = parse_each(stamps, hour_number)
+    column, column_ok = parse_each(idents, lambda text: index.get(int(text)))
+    hour, column, mw = hour[code[:, 0]], column[code[:, 1]], np.asarray(values)
+    valid = hour_ok[code[:, 0]] & column_ok[code[:, 1]] & (mw >= 0.0) & (mw < np.inf)
+    n = len(mw) if valid.all() else int(np.argmin(valid))
+    repeat = first_repeat(hour[:n], column[:n])
+    if repeat is not None:
+        stamp, ident = list(stamps)[code[repeat, 0]], list(idents)[code[repeat, 1]]
+        raise CaseError(f"duplicate entry for {id_column} {int(ident)} at {stamp}",
+                        file=name, row=repeat + 1)
+    if n < len(mw) or stopped:
+        row = next(islice(_rows(directory, name, required), n, None))[1]
+        _timed_row(row, name, n + 1, id_column, index)
+    return hour, column, mw
+
+
+def _first_appearance(column):
+    """The distinct values of ``column`` in the order they first appear."""
+    values, first = np.unique(column, return_index=True)
+    return values[np.argsort(first)]
+
+
+def _missing_hour(pos, column, wanted, n_hours):
+    """The first of ``n_hours`` positions with no row of ``wanted``, or None."""
+    present = np.zeros(n_hours, dtype=bool)
+    present[pos[column == wanted]] = True
+    return None if present.all() else int(np.argmin(present))
 
 
 def load_hourly_series(case_directory: str | Path, network: Network,
@@ -309,59 +364,55 @@ def load_hourly_series(case_directory: str | Path, network: Network,
     availability above p_max_static is an error; otherwise it is clamped.
     """
     directory = Path(case_directory)
-    hours, demand_rows = _load_timed_table(directory, "demand.csv", "bus_id",
-                                           set(network.bus_index))
-    if not hours:
+    hour, bus, mw = _load_timed_table(directory, "demand.csv", "bus_id", network.bus_index)
+    if not hour.size:
         raise CaseError("no demand rows", file="demand.csv")
-    expected = hours[0]
-    for hour in hours:
-        if hour != expected:
-            raise CaseError(
-                f"demand hours not contiguous: expected {format_hour(expected)}, "
-                f"found {format_hour(hour)}", file="demand.csv")
-        expected += HOUR
-    for bus_id, per_hour in demand_rows.items():
-        if len(per_hour) != len(hours):
-            missing = next(h for h in hours if h not in per_hour)
-            raise CaseError(f"bus {bus_id} missing hour {format_hour(missing)}",
-                            file="demand.csv")
+    numbers = np.unique(hour)
+    gap = np.flatnonzero(np.diff(numbers) != 1)
+    if gap.size:
+        raise CaseError(
+            f"demand hours not contiguous: expected {format_hour(hour_at(numbers[gap[0]] + 1))}, "
+            f"found {format_hour(hour_at(numbers[gap[0] + 1]))}", file="demand.csv")
+    first, n_hours = numbers[0], len(numbers)
+    order = _first_appearance(bus)
+    short = order[np.bincount(bus, minlength=network.n_buses)[order] != n_hours]
+    if short.size:
+        missing = _missing_hour(hour - first, bus, short[0], n_hours)
+        raise CaseError(f"bus {network.buses[short[0]].id} missing hour "
+                        f"{format_hour(hour_at(first + missing))}", file="demand.csv")
+    demand = np.zeros((n_hours, network.n_buses))
+    demand[hour - first, bus] = mw
 
-    demand = np.zeros((len(hours), network.n_buses))
-    for bus_id, per_hour in demand_rows.items():
-        column = network.bus_index[bus_id]
-        for h, hour in enumerate(hours):
-            demand[h, column] = per_hour[hour]
-
-    availability = np.tile(
-        np.array([g.p_max_static for g in network.generators]), (len(hours), 1))
+    p_max = np.array([g.p_max_static for g in network.generators])
+    availability = np.tile(p_max, (n_hours, 1))
     if (directory / "availability.csv").exists():
-        _, avail_rows = _load_timed_table(directory, "availability.csv", "gen_id",
-                                          set(network.gen_index))
-        hour_set = set(hours)
-        for gen_id, per_hour in avail_rows.items():
-            gen = network.generators[network.gen_index[gen_id]]
-            outside = [h for h in per_hour if h not in hour_set]
-            if outside:
-                raise CaseError(
-                    f"gen {gen_id} availability at {format_hour(outside[0])} "
-                    "outside the demand hour range", file="availability.csv")
-            if len(per_hour) != len(hours):
-                missing = next(h for h in hours if h not in per_hour)
-                raise CaseError(f"gen {gen_id} missing hour {format_hour(missing)}",
+        hour, gen, mw = _load_timed_table(directory, "availability.csv", "gen_id",
+                                          network.gen_index)
+        pos = hour - first
+        outside, over = (pos < 0) | (pos >= n_hours), mw > p_max[gen]
+        order = _first_appearance(gen)
+        n_outside, n_rows, n_over = (np.bincount(gen, weights, network.n_generators)[order]
+                                     for weights in (outside, None, over & strict))
+        faulty = order[(n_outside > 0) | (n_rows != n_hours) | (n_over > 0)]
+        if faulty.size:  # the first faulty generator's first fault, in reporting order
+            gen_id, rows = network.generators[faulty[0]].id, gen == faulty[0]
+            if (rows & outside).any():
+                stamp = format_hour(hour_at(hour[np.argmax(rows & outside)]))
+                raise CaseError(f"gen {gen_id} availability at {stamp} outside the demand "
+                                "hour range", file="availability.csv")
+            missing = _missing_hour(pos, gen, faulty[0], n_hours)
+            if missing is not None:
+                raise CaseError(f"gen {gen_id} missing hour "
+                                f"{format_hour(hour_at(first + missing))}",
                                 file="availability.csv")
-            column = network.gen_index[gen_id]
-            for h, hour in enumerate(hours):
-                mw = per_hour[hour]
-                if mw > gen.p_max_static:
-                    if strict:
-                        raise CaseError(
-                            f"availability {mw} exceeds p_max {gen.p_max_static} "
-                            f"for gen {gen_id} at {format_hour(hour)}",
+            worst = min(np.flatnonzero(rows & over), key=hour.__getitem__)
+            raise CaseError(f"availability {mw[worst]} exceeds p_max {p_max[faulty[0]]} "
+                            f"for gen {gen_id} at {format_hour(hour_at(hour[worst]))}",
                             file="availability.csv")
-                    mw = gen.p_max_static
-                availability[h, column] = mw
+        availability[pos, gen] = np.where(over, p_max[gen], mw)
 
-    return HourlySeries(tuple(hours), demand, availability)
+    return HourlySeries(tuple(map(hour_at, range(first, first + n_hours))), demand,
+                        availability)
 
 
 def write_network(network: Network, out_directory: str | Path) -> None:

@@ -253,6 +253,20 @@ def build_rating_series(network: Network, weather: WeatherGrid | None,
                         multiplier, normal, params.contingency_ratio * normal)
 
 
+def sweep_grid(base: RatingParams, t_conductor_values: list[float],
+               phi_slr_values: list[float]) -> list[RatingParams]:
+    """``base`` at each (conductor temperature, assumed SLR attack angle)
+    pair, T_C outermost. A value repeated on either axis is refused."""
+    for name, values in (("t_conductor", t_conductor_values), ("phi_slr", phi_slr_values)):
+        first = {}
+        for k, value in enumerate(values):
+            if first.setdefault(value, k) != k:
+                raise ValueError(f"{name} values must not repeat: value {k + 1} repeats "
+                                 f"value {first[value] + 1}")
+    return [replace(base, t_conductor=t_c, phi_slr=phi)
+            for t_c in t_conductor_values for phi in phi_slr_values]
+
+
 def sweep_parameters(network: Network, weather: WeatherGrid, hours: list[datetime],
                      t_conductor_values: list[float], phi_slr_values: list[float],
                      base: RatingParams = RatingParams()) -> list[tuple[float, float, float]]:
@@ -265,6 +279,7 @@ def sweep_parameters(network: Network, weather: WeatherGrid, hours: list[datetim
     """
     if not hours or not t_conductor_values or not phi_slr_values:
         raise ValueError("parameter sweep needs at least one hour and one value per axis")
+    grid = sweep_grid(base, t_conductor_values, phi_slr_values)
     index, rate = _line_rater(network, weather, DLR, base)
     present = [pos for pos in map(weather.hour_pos, hours) if weather.present[pos]]
     if not present:
@@ -276,10 +291,8 @@ def sweep_parameters(network: Network, weather: WeatherGrid, hours: list[datetim
                             "the sweep has nothing to average")
     block = np.empty((len(present), len(index)))
     rows = []
-    for t_c in t_conductor_values:
-        for phi in phi_slr_values:
-            params = replace(base, t_conductor=t_c, phi_slr=phi)
-            for row, pos in enumerate(present):
-                block[row] = rate(pos, params)
-            rows.append((t_c, phi, float(block.mean())))
+    for params in grid:
+        for row, pos in enumerate(present):
+            block[row] = rate(pos, params)
+        rows.append((params.t_conductor, params.phi_slr, float(block.mean())))
     return rows

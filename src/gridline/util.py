@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 from datetime import datetime, timedelta, timezone
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 HOUR = timedelta(hours=1)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def parse_hour(text: str) -> datetime:
@@ -31,6 +33,38 @@ def parse_hour(text: str) -> datetime:
     return stamp
 
 
+def hour_number(text: str) -> int:
+    """Hours from 1970-01-01T00:00:00Z to the hour key ``text``."""
+    return (parse_hour(text) - EPOCH) // HOUR
+
+
+def hour_at(number) -> datetime:
+    """The hour ``number`` hours after 1970-01-01T00:00:00Z."""
+    return EPOCH + int(number) * HOUR
+
+
+def parse_each(texts, parse) -> tuple[np.ndarray, np.ndarray]:
+    """``parse`` of each text as int64, 0 where it raised ValueError or
+    OverflowError or gave None, and a mask of the texts that parsed."""
+    values = []
+    for text in texts:
+        try:
+            values.append(parse(text))
+        except (ValueError, OverflowError):
+            values.append(None)
+    parsed = np.array([v is not None for v in values], dtype=bool)
+    return np.array([v or 0 for v in values], dtype=np.int64), parsed
+
+
+def first_repeat(*keys: np.ndarray) -> int | None:
+    """Index of the first entry whose keys all equal (``==``) those of an
+    earlier entry, or None."""
+    order = np.lexsort(keys)  # stable, so each run of equal entries is in index order
+    later, earlier = order[1:], order[:-1]
+    same = np.logical_and.reduce([key[later] == key[earlier] for key in keys])
+    return int(later[same].min()) if same.any() else None
+
+
 def format_hour(stamp: datetime) -> str:
     return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -42,27 +76,31 @@ def check_span(first: datetime, last: datetime) -> None:
                          "ends before it starts")
 
 
-def hour_range(first: datetime, last: datetime) -> list[datetime]:
-    """Inclusive contiguous hourly range."""
-    check_span(first, last)
-    n = int((last - first) / HOUR) + 1
-    return [first + i * HOUR for i in range(n)]
+
+def read_table(path: Path, required: list[str]):
+    """Yield, once, the header of a headered CSV that has every ``required``
+    column and an iterator over its data rows as lists of cells. Blank
+    lines are skipped. The file stays open until the generator resumes.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
+        yield header, filter(None, reader)
 
 
 def read_rows(path: Path, required: list[str]):
-    """Yield (row_number, dict) from a headered CSV.
+    """Yield (row_number, dict) from a headered CSV; the cells a short row
+    lacks read None.
 
     Row numbers are 1-based counting data rows only, matching the error
     reporting convention used by the loaders.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValueError(f"missing column(s) {', '.join(missing)}")
-        for number, row in enumerate(reader, start=1):
-            yield number, row
+    for header, rows in read_table(path, required):
+        for number, cells in enumerate(rows, start=1):
+            yield number, dict(zip_longest(header, cells))
 
 
 def render_floats(values):

@@ -7,16 +7,21 @@ Values are never fabricated for missing hours.
 
 from __future__ import annotations
 
+import csv
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import WeatherError
 from .geo import great_circle_km
-from .util import format_hour, hour_range, parse_hour, read_rows
+from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each,
+                   parse_hour, read_rows, read_table)
 
+COLUMNS = ("time", "lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms")
 MIN_PLAUSIBLE_TEMP_K = 150.0
 CELL_BLOCK = 512  # cells per (points x cells) distance block in nearest_cell
 
@@ -58,65 +63,94 @@ class WeatherGrid:
                 f"{format_hour(self.hours[0])}..{format_hour(self.hours[-1])}") from None
 
 
+def _rows(path, read=read_rows):
+    """``read`` of a weather file; a missing column or bad text is a WeatherError."""
+    try:
+        yield from read(path, list(COLUMNS))
+    except ValueError as exc:
+        raise WeatherError(f"{path.name}: {exc}") from None
+
+
+def _weather_row(row, name, number):
+    """Raise the first fault of one weather row, in reporting order."""
+    def cell(column):
+        if row[column] is None:
+            raise ValueError(f"missing value for {column!r}")
+        return row[column]
+    try:
+        parse_hour(cell("time"))
+        values = [float(cell(column)) for column in COLUMNS[1:]]
+    except ValueError as exc:
+        raise WeatherError(f"{name} row {number}: {exc}") from None
+    if not np.isfinite(values).all():
+        raise WeatherError(f"{name} row {number}: non-finite value")
+    if values[2] <= MIN_PLAUSIBLE_TEMP_K:
+        raise WeatherError(f"{name} row {number}: temperature {values[2]} K implausible")
+    raise AssertionError(f"{name} row {number} passes the checks it failed")
+
+
 def load_weather(file: str | Path) -> WeatherGrid:
     """Assemble a WeatherGrid from a time,lat,lon,temp_k,wind_u_ms,wind_v_ms CSV.
 
     Every hour that appears must carry the complete cell set (the set seen
     on the first hour); hours of the covered range that never appear are
-    flagged absent.
+    flagged absent. The file is read in one pass, each distinct time text
+    parsed once and the rows checked as arrays; the first faulty row is
+    read again to name its fault.
     """
     path = Path(file)
     if not path.exists():
         raise WeatherError(f"weather file {path} not found")
-    per_hour: dict[datetime, dict[tuple[float, float], tuple[float, float, float]]] = {}
+    name = path.name
+    table = _rows(path, read_table)
+    header, rows = next(table)  # the file stays open while ``table`` is held
+    t, lat, lon, temp, u, v = map({c: i for i, c in enumerate(header)}.get, COLUMNS)
+    stamps = {}  # time text -> code, in order of first appearance
+    codes, values = array("l"), array("d")
+    stopped = False
     try:
-        row_iter = read_rows(path, ["time", "lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms"])
-        for number, row in row_iter:
-            try:
-                hour = parse_hour(row["time"])
-                cell = (float(row["lat"]), float(row["lon"]))
-                temp = float(row["temp_k"])
-                u = float(row["wind_u_ms"])
-                v = float(row["wind_v_ms"])
-            except ValueError as exc:
-                raise WeatherError(f"{path.name} row {number}: {exc}") from None
-            if not np.isfinite([cell[0], cell[1], temp, u, v]).all():
-                raise WeatherError(f"{path.name} row {number}: non-finite value")
-            if temp <= MIN_PLAUSIBLE_TEMP_K:
-                raise WeatherError(
-                    f"{path.name} row {number}: temperature {temp} K implausible")
-            slot = per_hour.setdefault(hour, {})
-            if cell in slot:
-                raise WeatherError(
-                    f"{path.name} row {number}: duplicate cell {cell} at {row['time']}")
-            slot[cell] = (temp, u, v)
-    except ValueError as exc:
-        raise WeatherError(f"{path.name}: {exc}") from None
-    if not per_hour:
-        raise WeatherError(f"{path.name}: no weather rows")
+        for cells in rows:
+            code = stamps.setdefault(cells[t], len(stamps))
+            values.extend((float(cells[lat]), float(cells[lon]), float(cells[temp]),
+                           float(cells[u]), float(cells[v])))
+            codes.append(code)
+    except (IndexError, ValueError, csv.Error):  # the re-read below names the fault
+        stopped = True
+    table.close()
+    code = np.asarray(codes)
+    hour, hour_ok = parse_each(stamps, hour_number)
+    hour, fields = hour[code], np.asarray(values).reshape(-1, 5)
+    valid = hour_ok[code] & np.isfinite(fields).all(axis=1)
+    valid &= fields[:, 2] > MIN_PLAUSIBLE_TEMP_K
+    n = len(code) if valid.all() else int(np.argmin(valid))
+    repeat = first_repeat(hour[:n], fields[:n, 0], fields[:n, 1])
+    if repeat is not None:
+        raise WeatherError(f"{name} row {repeat + 1}: duplicate cell "
+                           f"{tuple(fields[repeat, :2].tolist())} at {list(stamps)[code[repeat]]}")
+    if n < len(code) or stopped:
+        _weather_row(next(islice(_rows(path), n, None))[1], name, n + 1)
+    if not len(code):
+        raise WeatherError(f"{name}: no weather rows")
 
-    file_hours = sorted(per_hour)
-    cells = sorted(per_hour[file_hours[0]])
-    cell_set = set(cells)
-    for hour in file_hours:
-        if set(per_hour[hour]) != cell_set:
-            raise WeatherError(
-                f"{path.name}: inconsistent cell set at {format_hour(hour)} "
-                f"({len(per_hour[hour])} cells, expected {len(cells)})")
+    pos = hour - hour.min()
+    per_hour = np.bincount(pos)
+    key = np.empty(len(code), dtype=complex)  # (lat, lon); sorts and compares as a pair
+    key.real, key.imag = fields[:, 0], fields[:, 1]
+    distinct, cell = np.unique(key, return_inverse=True)
+    seen = np.zeros((len(per_hour), len(distinct)), dtype=bool)
+    seen[pos, cell] = True
+    wrong = np.flatnonzero((per_hour > 0) & (seen != seen[0]).any(axis=1))
+    if wrong.size:
+        raise WeatherError(
+            f"{name}: inconsistent cell set at {format_hour(hour_at(hour.min() + wrong[0]))} "
+            f"({per_hour[wrong[0]]} cells, expected {per_hour[0]})")
 
-    hours = hour_range(file_hours[0], file_hours[-1])
-    present = np.array([h in per_hour for h in hours])
-    shape = (len(hours), len(cells))
-    temperature = np.full(shape, np.nan)
-    wind_u = np.full(shape, np.nan)
-    wind_v = np.full(shape, np.nan)
-    for h, hour in enumerate(hours):
-        if not present[h]:
-            continue
-        slot = per_hour[hour]
-        for c, cell in enumerate(cells):
-            temperature[h, c], wind_u[h, c], wind_v[h, c] = slot[cell]
-    return WeatherGrid(cells, hours, present, temperature, wind_u, wind_v)
+    hours = [hour_at(h) for h in range(hour.min(), hour.max() + 1)]
+    cells = np.empty((len(distinct), 2))
+    cells[cell[pos == 0]] = fields[pos == 0, :2]  # the first hour's spelling of each cell
+    grid = np.full((3, len(hours), len(cells)), np.nan)
+    grid[:, pos, cell] = fields[:, 2:].T
+    return WeatherGrid(cells, hours, per_hour > 0, *grid)
 
 
 def nearest_cell(grid: WeatherGrid, latitude, longitude):

@@ -8,17 +8,25 @@ series instead of the Krueger expansion (and the Krueger series one point
 at a time with ``math`` instead of on arrays), distances use the spherical
 law of cosines instead of the haversine, the SC-DCOPF oracle enumerates
 every contingency row up front instead of screening, LPs go through
-scipy's public ``linprog`` instead of the direct HiGHS calls, and CSV
+scipy's public ``linprog`` instead of the direct HiGHS calls, CSV
 cells are formatted one value at a time through ``csv.writer`` instead of
-as rendered columns and reused line tails.
+as rendered columns and reused line tails, and the hourly inputs are read
+one ``csv.DictReader`` row at a time into dicts instead of in one pass
+into arrays checked by column.
 """
 
 import csv
 import io
 import math
 from datetime import timezone
+from pathlib import Path
 
 import numpy as np
+
+from gridline.errors import CaseError, WeatherError
+from gridline.network import HourlySeries
+from gridline.util import HOUR, format_hour, parse_hour
+from gridline.weather import MIN_PLAUSIBLE_TEMP_K, WeatherGrid
 
 EARTH_RADIUS_KM = 6378.137  # same sphere convention as the package
 
@@ -320,3 +328,180 @@ def per_value_render_ratings(rating, start, stop):
             (stamp, branch_id, rating.regime, m, n, c) for branch_id, m, n, c in zip(
                 rating.branch_ids, rating.multiplier[pos], rating.normal_limit[pos],
                 rating.contingency_limit[pos]))
+
+
+def _dict_rows(path, required):
+    """(row_number, dict) of each data row of a headered CSV."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        missing = [c for c in required if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
+        yield from enumerate(reader, start=1)
+
+
+def _case_rows(directory, name, required):
+    path = directory / name
+    if not path.exists():
+        raise CaseError(f"missing case file {name}", file=name)
+    try:
+        yield from _dict_rows(path, required)
+    except ValueError as exc:
+        raise CaseError(str(exc), file=name) from None
+
+
+def _present(row, key, file, number):
+    if row.get(key) is None:  # a cell that a short row lacks
+        raise CaseError(f"missing value for '{key}'", file=file, row=number)
+    return row[key]
+
+
+def _row_mw(row, file, number):
+    raw = (row.get("mw") or "").strip()
+    if raw == "":
+        raise CaseError("missing value for 'mw'", file=file, row=number)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise CaseError(f"bad number {raw!r} for 'mw'", file=file, row=number) from None
+    if not math.isfinite(value):
+        raise CaseError(f"non-finite value {raw!r} for 'mw'", file=file, row=number)
+    if not value >= 0.0:
+        raise CaseError(f"'mw' must be >= 0.0, got {value}", file=file, row=number)
+    return value
+
+
+def _row_timed_table(directory, name, id_column, known_ids):
+    """A (time, id, mw) long table row by row -> (sorted hours, {id: {hour: mw}})."""
+    values, hours = {}, set()
+    for number, row in _case_rows(directory, name, ["time", id_column, "mw"]):
+        try:
+            hour = parse_hour(_present(row, "time", name, number))
+        except ValueError as exc:
+            raise CaseError(str(exc), file=name, row=number) from None
+        raw = _present(row, id_column, name, number).strip()
+        try:
+            ident = int(raw)
+        except ValueError:
+            raise CaseError(f"bad integer {raw!r} for '{id_column}'",
+                            file=name, row=number) from None
+        if ident not in known_ids:
+            raise CaseError(f"unknown {id_column} {ident}", file=name, row=number)
+        mw = _row_mw(row, name, number)
+        slot = values.setdefault(ident, {})
+        if hour in slot:
+            raise CaseError(f"duplicate entry for {id_column} {ident} at {row['time']}",
+                            file=name, row=number)
+        slot[hour] = mw
+        hours.add(hour)
+    return sorted(hours), values
+
+
+def row_by_row_hourly_series(case_directory, network, strict=True):
+    """``network.load_hourly_series`` one dict row at a time, every hour of
+    every bus and generator filled in a Python loop."""
+    directory = Path(case_directory)
+    hours, demand_rows = _row_timed_table(directory, "demand.csv", "bus_id",
+                                          set(network.bus_index))
+    if not hours:
+        raise CaseError("no demand rows", file="demand.csv")
+    expected = hours[0]
+    for hour in hours:
+        if hour != expected:
+            raise CaseError(
+                f"demand hours not contiguous: expected {format_hour(expected)}, "
+                f"found {format_hour(hour)}", file="demand.csv")
+        expected += HOUR
+    for bus_id, per_hour in demand_rows.items():
+        if len(per_hour) != len(hours):
+            missing = next(h for h in hours if h not in per_hour)
+            raise CaseError(f"bus {bus_id} missing hour {format_hour(missing)}",
+                            file="demand.csv")
+    demand = np.zeros((len(hours), network.n_buses))
+    for bus_id, per_hour in demand_rows.items():
+        for h, hour in enumerate(hours):
+            demand[h, network.bus_index[bus_id]] = per_hour[hour]
+
+    availability = np.tile(
+        np.array([g.p_max_static for g in network.generators]), (len(hours), 1))
+    if (directory / "availability.csv").exists():
+        _, avail_rows = _row_timed_table(directory, "availability.csv", "gen_id",
+                                         set(network.gen_index))
+        hour_set = set(hours)
+        for gen_id, per_hour in avail_rows.items():
+            gen = network.generators[network.gen_index[gen_id]]
+            outside = [h for h in per_hour if h not in hour_set]
+            if outside:
+                raise CaseError(
+                    f"gen {gen_id} availability at {format_hour(outside[0])} "
+                    "outside the demand hour range", file="availability.csv")
+            if len(per_hour) != len(hours):
+                missing = next(h for h in hours if h not in per_hour)
+                raise CaseError(f"gen {gen_id} missing hour {format_hour(missing)}",
+                                file="availability.csv")
+            for h, hour in enumerate(hours):
+                mw = per_hour[hour]
+                if mw > gen.p_max_static:
+                    if strict:
+                        raise CaseError(
+                            f"availability {mw} exceeds p_max {gen.p_max_static} "
+                            f"for gen {gen_id} at {format_hour(hour)}",
+                            file="availability.csv")
+                    mw = gen.p_max_static
+                availability[h, network.gen_index[gen_id]] = mw
+    return HourlySeries(tuple(hours), demand, availability)
+
+
+def _weather_cell(row, column):
+    if row[column] is None:  # a cell that a short row lacks
+        raise ValueError(f"missing value for {column!r}")
+    return parse_hour(row[column]) if column == "time" else float(row[column])
+
+
+def row_by_row_weather(file):
+    """``weather.load_weather`` one dict row at a time into per-hour dicts
+    of cells, the grid filled in a Python loop over (hour, cell)."""
+    path = Path(file)
+    if not path.exists():
+        raise WeatherError(f"weather file {path} not found")
+    columns = ["time", "lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms"]
+    per_hour = {}
+    try:
+        for number, row in _dict_rows(path, columns):
+            try:
+                hour, *cell, temp, u, v = (_weather_cell(row, column) for column in columns)
+            except ValueError as exc:
+                raise WeatherError(f"{path.name} row {number}: {exc}") from None
+            cell = tuple(cell)
+            if not all(math.isfinite(x) for x in (*cell, temp, u, v)):
+                raise WeatherError(f"{path.name} row {number}: non-finite value")
+            if temp <= MIN_PLAUSIBLE_TEMP_K:
+                raise WeatherError(
+                    f"{path.name} row {number}: temperature {temp} K implausible")
+            slot = per_hour.setdefault(hour, {})
+            if cell in slot:
+                raise WeatherError(
+                    f"{path.name} row {number}: duplicate cell {cell} at {row['time']}")
+            slot[cell] = (temp, u, v)
+    except ValueError as exc:
+        raise WeatherError(f"{path.name}: {exc}") from None
+    if not per_hour:
+        raise WeatherError(f"{path.name}: no weather rows")
+
+    file_hours = sorted(per_hour)
+    cells = sorted(per_hour[file_hours[0]])
+    for hour in file_hours:
+        if set(per_hour[hour]) != set(cells):
+            raise WeatherError(
+                f"{path.name}: inconsistent cell set at {format_hour(hour)} "
+                f"({len(per_hour[hour])} cells, expected {len(cells)})")
+    hours = [file_hours[0] + i * HOUR
+             for i in range((file_hours[-1] - file_hours[0]) // HOUR + 1)]
+    shape = (len(hours), len(cells))
+    temperature, wind_u, wind_v = (np.full(shape, np.nan) for _ in range(3))
+    for h, hour in enumerate(hours):
+        for c, cell in enumerate(cells):
+            if hour in per_hour:
+                temperature[h, c], wind_u[h, c], wind_v[h, c] = per_hour[hour][cell]
+    return WeatherGrid(cells, hours, [h in per_hour for h in hours], temperature, wind_u,
+                       wind_v)

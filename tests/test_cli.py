@@ -253,8 +253,8 @@ def test_option_inventory():
        "hour span 2016-07-01T10:00:00Z..2016-07-01T05:00:00Z ends before it starts")
       for command in ("run", "ratings", "sweep")],
     ("sweep", ["--tc", "78,78", "--phi-slr", "0,0"], 2,
-     "--tc values must not repeat, got [78.0, 78.0]"),
-    ("sweep", ["--phi-slr", "0,45,0"], 2, "--phi-slr values must not repeat, got [0.0, 45.0, 0.0]"),
+     "t_conductor values must not repeat: value 2 repeats value 1"),
+    ("sweep", ["--phi-slr", "0,45,0"], 2, "phi_slr values must not repeat: value 3 repeats value 1"),
 ])
 def test_bad_inputs_end_with_a_message(runner, cases_dir, tmp_path, command, args, code,
                                        message):

@@ -1,0 +1,192 @@
+"""The one-pass hourly-input loaders against the row-by-row loaders in
+``oracles.py``. Shuffled rows, other spellings of the same hour, id and
+cell, blank lines, free column order, missing buses, generators and
+weather hours must give the same bits; an injected fault, or two at
+different rows, must give the same error type, message, file and row."""
+
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from gridline.errors import GridlineError
+from gridline.network import load_hourly_series
+from gridline.weather import load_weather
+from helpers import make_network
+
+START = datetime(2016, 7, 1, tzinfo=timezone.utc)
+P_MAX = 50.0
+NETWORK = make_network(
+    [(b, 30.0, -99.0 + 0.1 * b, 115.0) for b in range(1, 5)],
+    [(1, 1, 2, 0.1, 100.0), (2, 2, 3, 0.1, 100.0), (3, 3, 4, 0.1, 100.0)],
+    [(g, g, "wind", 0.0, P_MAX, [(P_MAX, 10.0)]) for g in range(1, 4)])
+LATS, LONS = (0.0, 30.5), (-99.0, -98.5, -98.0)
+ID_SPELLINGS = ("{}", " {}", "0{}", "{} ")
+SERIES_FAULTS = ("time", "id", "mw", "short", "repeat", "drop", "extra", "over")
+WEATHER_FAULTS = ("time", "number", "temp", "short", "repeat", "drop", "stray")
+
+
+def _stamp(hour, style):
+    """Hour ``hour`` after START in one of four spellings of the same instant."""
+    stamp = START + timedelta(hours=hour)
+    return (stamp.strftime("%Y-%m-%dT%H:%M:%SZ"), stamp.isoformat(),
+            stamp.astimezone(timezone(timedelta(hours=2))).isoformat(timespec="minutes"),
+            stamp.strftime("%Y-%m-%d %H:%M:%S"))[style]
+
+
+def _respelled(row):
+    """``row`` with its time in another spelling of the same hour."""
+    time = row["time"]
+    return {**row, "time": time[:-1] + "+00:00" if time.endswith("Z") else time}
+
+
+def _number(draw, low, high):
+    edges = st.sampled_from([-0.0 if low == 0.0 else low, high])
+    return repr(draw(st.one_of(edges, st.floats(low, high))))
+
+
+def _write(draw, path, columns, rows):
+    """``rows`` (dicts of cell text; "cut" keeps that many cells) under a
+    drawn column order, an unread extra column, and blank lines."""
+    header = draw(st.permutations(columns + draw(st.sampled_from([[], ["note"]]))))
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [row.get(column, "x") for column in header]
+        lines.append(",".join(cells[:row.get("cut", len(cells))]))
+        lines += [""] * draw(st.integers(0, 1))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _inject(draw, rows, kind, k, make_row):
+    """Fault ``kind`` at row ``k`` of ``rows``; ``make_row(hour)`` is a
+    valid row at ``hour`` that the file lacks."""
+    if kind == "time":
+        rows[k]["time"] = draw(st.sampled_from(["bogus", "2016-07-01T00:30:00Z", ""]))
+    elif kind == "short":
+        rows[k]["cut"] = draw(st.integers(1, len(rows[k]) - 1))
+    elif kind == "repeat":
+        others = [i for i in range(len(rows)) if i != k] or [k]
+        rows[k] = _respelled(rows[draw(st.sampled_from(others))])
+    elif kind == "drop":
+        del rows[k]
+    elif kind in ("extra", "stray"):
+        rows.insert(k, make_row(draw(st.sampled_from([-2, 0, 9]))))
+    else:
+        column, texts = {
+            "id": ("id", ["x", "99", "", "1.5"]),
+            "mw": ("mw", ["", "abc", "inf", "-inf", "nan", "-1.0", "1e999"]),
+            "over": ("mw", [repr(P_MAX + 1.0)]),
+            "number": (draw(st.sampled_from(["lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms"])),
+                       ["", "x", "nan", "inf"]),
+            "temp": ("temp_k", ["100.0", "150.0"]),
+        }[kind]
+        rows[k][next(c for c in rows[k] if c.endswith(column))] = draw(st.sampled_from(texts))
+
+
+def _faults(draw, rows, kinds, make_row):
+    """Each of ``kinds`` at its own drawn row, the last row first; a file
+    with fewer rows than ``kinds`` takes the first ones."""
+    kinds = kinds[:len(rows)]
+    places = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), min_size=len(kinds),
+                           max_size=len(kinds), unique=True))
+    for k, kind in sorted(zip(places, kinds), reverse=True):
+        _inject(draw, rows, kind, k, make_row)
+
+
+def _outcome(load, *args, **kwargs):
+    """What ``load`` returns, or the type, message, file and row of its error."""
+    try:
+        return load(*args, **kwargs)
+    except GridlineError as exc:
+        return type(exc), str(exc), getattr(exc, "file", None), getattr(exc, "row", None)
+
+
+def _assert_same(new, old, fields):
+    if isinstance(old, tuple) or isinstance(new, tuple):
+        assert new == old
+        return
+    assert new.hours == old.hours
+    for field in fields:
+        assert getattr(new, field).tobytes() == getattr(old, field).tobytes(), field
+        assert getattr(new, field).shape == getattr(old, field).shape, field
+
+
+def _series_case(draw, directory, kinds):
+    n_hours = draw(st.integers(1, 4))
+    buses = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True))
+    gens = draw(st.lists(st.integers(1, 3), min_size=int("over" in kinds), max_size=3, unique=True))
+    strict = "over" in kinds or draw(st.booleans())
+    target = "availability.csv" if "over" in kinds else draw(
+        st.sampled_from(["demand.csv", "availability.csv"]))
+    files = {"demand.csv": ("bus_id", buses, 100.0), "availability.csv": ("gen_id", gens, P_MAX)}
+    if not gens and target != "availability.csv" and draw(st.booleans()):
+        del files["availability.csv"]
+    for name, (id_column, ids, top) in files.items():
+        top = top if strict else 2 * top  # availability over p_max is clamped
+
+        def row(hour, ident=None):
+            ident = draw(st.sampled_from(ids or [1])) if ident is None else ident
+            return {"time": _stamp(hour, draw(st.integers(0, 3))),
+                    id_column: draw(st.sampled_from(ID_SPELLINGS)).format(ident),
+                    "mw": _number(draw, 0.0, top)}
+
+        rows = draw(st.permutations([row(h, i) for h in range(n_hours) for i in ids]))
+        if name == target:
+            _faults(draw, rows, kinds, row)
+        _write(draw, directory / name, ["time", id_column, "mw"], rows)
+    return strict
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("kinds", [(), *[(kind,) for kind in SERIES_FAULTS], "two"])
+@given(data=st.data())
+def test_series_loader_matches_row_by_row_oracle(kinds, data):
+    if kinds == "two":
+        kinds = data.draw(st.lists(st.sampled_from(SERIES_FAULTS), min_size=2, max_size=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        strict = _series_case(data.draw, Path(tmp), kinds)
+        new = _outcome(load_hourly_series, tmp, NETWORK, strict=strict)
+        old = _outcome(oracles.row_by_row_hourly_series, tmp, NETWORK, strict=strict)
+    if not kinds:
+        assert not isinstance(new, tuple), new
+    _assert_same(new, old, ("demand", "availability"))
+
+
+def _weather_case(draw, path, kinds):
+    n_hours = draw(st.integers(1, 5))
+    present = [0, n_hours - 1] + draw(st.lists(st.integers(0, n_hours - 1), max_size=4))
+    lats = draw(st.lists(st.sampled_from(LATS), min_size=1, max_size=2, unique=True))
+    lons = draw(st.lists(st.sampled_from(LONS), min_size=1, max_size=3, unique=True))
+
+    def row(hour, cell=None):
+        lat, lon = cell or (draw(st.sampled_from([*LATS, 31.0])), draw(st.sampled_from(LONS)))
+        lat_text = draw(st.sampled_from(["-0.0", "0", "0.0"])) if lat == 0.0 else repr(lat)
+        return {"time": _stamp(hour, draw(st.integers(0, 3))), "lat": lat_text,
+                "lon": draw(st.sampled_from([repr(lon), f" {lon}0"])),
+                "temp_k": _number(draw, 151.0, 320.0), "wind_u_ms": _number(draw, -10.0, 10.0),
+                "wind_v_ms": _number(draw, -10.0, 10.0)}
+
+    rows = draw(st.permutations([row(h, (lat, lon)) for h in sorted(set(present))
+                                 for lat in lats for lon in lons]))
+    _faults(draw, rows, kinds, row)
+    _write(draw, path, ["time", "lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms"], rows)
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("kinds", [(), *[(kind,) for kind in WEATHER_FAULTS], "two"])
+@given(data=st.data())
+def test_weather_loader_matches_row_by_row_oracle(kinds, data):
+    if kinds == "two":
+        kinds = data.draw(st.lists(st.sampled_from(WEATHER_FAULTS), min_size=2, max_size=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weather.csv"
+        _weather_case(data.draw, path, kinds)
+        new = _outcome(load_weather, path)
+        old = _outcome(oracles.row_by_row_weather, path)
+    if not kinds:
+        assert not isinstance(new, tuple), new
+    _assert_same(new, old, ("cells", "present", "temperature", "wind_u", "wind_v"))

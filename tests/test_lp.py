@@ -122,6 +122,17 @@ def test_unbounded_lp_raises():
         solve_lp(problem)
 
 
+@pytest.mark.parametrize("bounds, column", [([(0.0, np.nan)], 0),
+                                             ([(0.0, None), (np.nan, 1.0)], 1)])
+def test_a_nan_column_bound_is_refused_on_both_paths(bounds, column):
+    problem = LpProblem(-np.ones(len(bounds)), None, None, sparse.csr_matrix((0, len(bounds))),
+                        np.zeros(0), bounds)
+    with pytest.raises(ValueError, match=f"^column {column} has a NaN bound$"):
+        solve_lp(problem)
+    with pytest.raises(ValueError, match=f"^column {column} has a NaN bound$"):
+        backend.LpModel(problem)
+
+
 def test_a_model_highs_refuses_raises_on_both_paths(case30_lp):
     refused = replace(case30_lp, b_eq=np.array([np.nan]))
     with pytest.raises(SolverError, match="HiGHS refused passModel"):

@@ -211,6 +211,8 @@ def _without_first(lines, token):
      "gen 2 missing hour 2016-07-01T05:00:00Z", None),
     ("case5", "availability.csv", lambda lines: lines + [lines[1]],
      "duplicate entry for gen_id 2 at 2016-07-01T00:00:00Z", 25),
+    ("case3", "demand.csv", lambda lines: lines + ["2016-07-01T00:00:00Z"],
+     "missing value for 'bus_id'", 49),
 ])
 def test_series_input_errors_name_file_and_row(cases_dir, tmp_path, case, file, transform,
                                                message, row):

@@ -453,3 +453,14 @@ def test_sweep_without_eligible_line_fails(networks, weathers, serieses):
     with pytest.raises(GridlineError, match="no line shorter than 0.001 km"):
         sweep_parameters(networks["case3"], weathers["case3"], list(serieses["case3"].hours),
                          [100.0], [0.0], short)
+
+
+@pytest.mark.parametrize("tc_values, phi_values, message", [
+    ([78.0, 78.0], [0.0], "t_conductor values must not repeat: value 2 repeats value 1"),
+    ([78.0, 100.0], [0.0, 0.5, 0.0], "phi_slr values must not repeat: value 3 repeats value 1"),
+])
+def test_sweep_refuses_repeated_values(networks, weathers, serieses, tc_values, phi_values,
+                                       message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sweep_parameters(networks["case5"], weathers["case5"], list(serieses["case5"].hours),
+                         tc_values, phi_values)

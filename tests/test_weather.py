@@ -168,6 +168,8 @@ def _poison(column, value):
     (lambda lines: [line.rsplit(",", 1)[0] for line in lines],
      "weather.csv: missing column(s) wind_v_ms"),
     (_poison("time", "bogus"), "weather.csv row 1: unparseable timestamp 'bogus'"),
+    (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]] + lines[2:],
+     "weather.csv row 1: missing value for 'wind_v_ms'"),
 ])
 def test_weather_input_errors_name_the_row(cases_dir, tmp_path, transform, message):
     lines = (cases_dir / "weather_case5.csv").read_text().splitlines()
