@@ -15,7 +15,6 @@ import click
 
 from .dispatch import DEFAULT_PENALTY
 from .errors import GridlineError
-from .factors import build_factors, dump_factors
 from .pipeline import DEFAULT_EMISSION_FACTORS, RunConfig, run, write_ratings
 from .ratings import (RATED_REGIMES, RatingParams, build_rating_series, sweep_grid,
                       sweep_parameters)
@@ -167,11 +166,10 @@ def main():
     """Weather-driven line ratings and N-1 security-constrained dispatch."""
 
 
-def _run_values(case_dir, out_dir, penalty, workers, clamp_availability, dump_factors_flag,
-                **options):
+def _run_values(case_dir, out_dir, penalty, workers, clamp_availability, **options):
     config = RunConfig(case_directory=case_dir, output_directory=out_dir, penalty_price=penalty,
                        worker_count=workers, strict_availability=not clamp_availability, **options)
-    return {"config": config, "dump_factors_flag": dump_factors_flag}
+    return {"config": config}
 
 
 @main.command("run", parse=_run_values, rating_flags=True)
@@ -189,15 +187,11 @@ def _run_values(case_dir, out_dir, penalty, workers, clamp_availability, dump_fa
               help="Clamp availability above p_max instead of erroring.")
 @click.option("--slack-base-rows", is_flag=True,
               help="Extend penalized slacks to base-case flow rows.")
-@click.option("--dump-factors", "dump_factors_flag", is_flag=True,
-              help="Also write ptdf.csv and lodf.csv (debug).")
+@click.option("--dump-factors", is_flag=True, help="Also write ptdf.csv and lodf.csv (debug).")
 @out_option(required=True)
-def run_command(config, dump_factors_flag):
+def run_command(config):
     """Solve every hour under each regime and write reports to --out."""
     summary = run(config)
-    if dump_factors_flag:
-        network = load_network(config.case_directory)
-        dump_factors(build_factors(network, config.slack_bus), network, config.output_directory)
     for name, regime in summary.regimes.items():
         click.echo(f"{name}: {regime.solved_hours} hours solved, "
                    f"total cost ${regime.total_cost:,.2f}"
@@ -210,6 +204,13 @@ def run_command(config, dump_factors_flag):
         sys.exit(1)
 
 
+def _study_hours(case_dir, hours):
+    """The case network and the hours of its demand.csv in the span ``hours``
+    (all when None). Ratings need no availability, so that file is not read."""
+    network = load_network(case_dir)
+    return network, load_hourly_series(case_dir, network, read_availability=False).select(hours)
+
+
 @main.command("ratings", rating_flags=True)
 @case_option
 @weather_option()
@@ -218,8 +219,7 @@ def run_command(config, dump_factors_flag):
 @out_option(required=True)
 def ratings_command(case_dir, weather_file, regimes, hours, out_dir, params):
     """Compute rating series only and write ratings.csv."""
-    network = load_network(case_dir)
-    selected = load_hourly_series(case_dir, network).select(hours)
+    network, selected = _study_hours(case_dir, hours)
     weather = load_weather(weather_file) if weather_file else None
     ratings = [build_rating_series(network, weather, selected, r, params) for r in regimes]
     write_ratings(out_dir / "ratings.csv", ratings)
@@ -243,8 +243,7 @@ def _sweep_values(tc_list, phi_list, params, **options):
 @out_option()
 def sweep_command(case_dir, weather_file, tc_list, phi_list, hours, out_dir, params):
     """Mean DLR multiplier for each (conductor temp, SLR angle) pair."""
-    network = load_network(case_dir)
-    selected = load_hourly_series(case_dir, network).select(hours)
+    network, selected = _study_hours(case_dir, hours)
     table = sweep_parameters(network, load_weather(weather_file), selected, tc_list,
                              [math.radians(d) for d in phi_list], params)
     # (T_C, phi_SLR in degrees, mean multiplier) in sweep order, T_C outermost

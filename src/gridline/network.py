@@ -356,12 +356,14 @@ def _missing_hour(pos, column, wanted, n_hours):
 
 
 def load_hourly_series(case_directory: str | Path, network: Network,
-                       strict: bool = True) -> HourlySeries:
+                       strict: bool = True, read_availability: bool = True) -> HourlySeries:
     """Load demand.csv plus optional availability.csv, aligned to the network.
 
     Buses without demand rows get zero demand; generators without
     availability rows keep their static p_max. With ``strict`` (default),
     availability above p_max_static is an error; otherwise it is clamped.
+    Without ``read_availability`` the file is not read at all, for callers
+    that need only the study hours.
     """
     directory = Path(case_directory)
     hour, bus, mw = _load_timed_table(directory, "demand.csv", "bus_id", network.bus_index)
@@ -385,7 +387,7 @@ def load_hourly_series(case_directory: str | Path, network: Network,
 
     p_max = np.array([g.p_max_static for g in network.generators])
     availability = np.tile(p_max, (n_hours, 1))
-    if (directory / "availability.csv").exists():
+    if read_availability and (directory / "availability.csv").exists():
         hour, gen, mw = _load_timed_table(directory, "availability.csv", "gen_id",
                                           network.gen_index)
         pos = hour - first

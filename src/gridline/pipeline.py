@@ -32,7 +32,7 @@ import numpy as np
 
 from .dispatch import DEFAULT_PENALTY, DispatchModel, hour_data, solve_copperplate
 from .errors import GridlineError
-from .factors import build_factors
+from .factors import build_factors, dump_factors
 from .lp import ERROR, OPTIMAL
 from .network import (FUELS, VARIABLE_FUELS, HourlySeries, Network, load_hourly_series,
                       load_network)
@@ -78,6 +78,7 @@ class RunConfig:
     strict_availability: bool = True
     slack_bus: int | None = None
     slack_base_rows: bool = False
+    dump_factors: bool = False  # also write ptdf.csv and lodf.csv (debug)
 
     def __post_init__(self):
         if self.worker_count < 1:
@@ -356,6 +357,8 @@ def run(config: RunConfig) -> RunSummary:
               if all(by_regime[r][pos].ok for r in config.regimes)]
     summary = _aggregate(config, network, series, by_regime, common)
     _write_outputs(config, series, by_regime, summary)
+    if config.dump_factors:
+        dump_factors(factors, network, config.output_directory)
     return summary
 
 

@@ -13,8 +13,10 @@ applies eta_T * max{1, eta_v} so wind never rates a line below its AAR.
 Multipliers apply only to lines shorter than the eligibility length;
 transformers and long lines keep their static ratings.
 
-The formulas take scalars or numpy arrays: series and sweeps evaluate them
-per hour over all eligible branches, ``branch_multiplier`` per branch-hour.
+The formulas take scalars or numpy arrays. Series and sweeps find the
+weather-only terms once, then rate every eligible branch over every present
+hour in one array pass per parameter set; ``branch_multiplier`` rates one
+branch-hour.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ DLR = "dlr"
 RATED_REGIMES = (SLR, AAR, DLR)
 
 KELVIN_OFFSET = 273.15
+HOUR_BLOCK = 16  # hours per block of the array passes, so temporaries stay small
 
 
 def k_angle(phi):
@@ -125,24 +128,18 @@ def eta_wind(speed, phi, diameter, params: RatingParams):
         raise ValueError("wind speed must be nonnegative")
     if np.any(np.less_equal(diameter, 0)):
         raise ValueError("conductor diameter must be positive")
-    angle_term = np.sqrt(k_angle(fold_attack_angle(phi)) / params.k_angle_slr)
+    calm = np.less(speed, params.calm_wind_threshold)
+    return np.where(calm, 1.0, _wind_term(speed, phi, diameter, params)
+                    / np.sqrt(params.k_angle_slr))[()]
+
+
+def _wind_term(speed, phi, diameter, params: RatingParams):
+    """eta_v times sqrt(K_angle_SLR): the part of the wind factor that does
+    not depend on phi_SLR, with no calm-wind rule."""
     speed_term = (speed / params.v_slr) ** 0.26
     reynolds = (params.air_density / params.air_viscosity) * diameter * speed
     reynolds_term = np.maximum(1.0, 0.566 * reynolds**0.04)
-    calm = np.less(speed, params.calm_wind_threshold)
-    return np.where(calm, 1.0, angle_term * speed_term * reynolds_term)[()]
-
-
-def _multiplier(regime: str, params: RatingParams, ambient_k, wind_u, wind_v,
-                diameter, axis_angle):
-    """AAR or DLR multiplier from ambient temperature and wind components;
-    DLR also needs the conductor diameter and bearing."""
-    eta_t = eta_temperature(ambient_k, params)
-    if regime == AAR:
-        return eta_t
-    attack = np.arctan2(wind_v, wind_u) - axis_angle
-    eta_v = eta_wind(np.hypot(wind_u, wind_v), attack, diameter, params)
-    return eta_t * np.maximum(1.0, eta_v)
+    return np.sqrt(k_angle(fold_attack_angle(phi))) * speed_term * reynolds_term
 
 
 def estimate_diameter(branch: Branch, network: Network,
@@ -180,8 +177,12 @@ def branch_multiplier(weather_sample: WeatherSample | None, branch: Branch,
     calm = math.hypot(s.wind_u, s.wind_v) < params.calm_wind_threshold
     if regime == DLR and axis_angle is None and not calm:
         raise ValueError("axis_angle required for DLR with non-calm wind")
-    return float(_multiplier(regime, params, s.ambient_temp, s.wind_u, s.wind_v,
-                             diameter, 0.0 if axis_angle is None else axis_angle))
+    eta_t = eta_temperature(s.ambient_temp, params)
+    if regime == AAR:
+        return float(eta_t)
+    attack = np.arctan2(s.wind_v, s.wind_u) - (0.0 if axis_angle is None else axis_angle)
+    return float(eta_t * np.maximum(1.0, eta_wind(np.hypot(s.wind_u, s.wind_v), attack,
+                                                  diameter, params)))
 
 
 @dataclass(frozen=True)
@@ -196,18 +197,20 @@ class RatingSeries:
     contingency_limit: np.ndarray  # (H, L), MVA
 
 
-def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: RatingParams):
-    """Positions of the eligible branches, and a function of (weather hour
-    position, params) that rates them. The hour-invariant data (nearest
-    cell of each midpoint, diameter, DLR bearing) is built here, once."""
+def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: RatingParams,
+                positions: np.ndarray):
+    """Positions of the eligible branches, and ``rate(params)``: their
+    multipliers over the weather hour ``positions``, (hours, lines), written
+    into one array that the next call overwrites. The weather-only terms
+    (ambient temperature, DLR wind term) are found here, once; ``rate``'s
+    params may differ from these only in T_C, T_A_SLR and phi_SLR."""
     index = np.array([l for l, b in enumerate(network.branches)
                       if branch_eligible(b, params)], dtype=int)
     lat, lon = np.array([(b.latitude, b.longitude) for b in network.buses]).T
     a, b = network.branch_from[index], network.branch_to[index]
     cell = nearest_cell(weather, (lat[a] + lat[b]) / 2.0, (lon[a] + lon[b]) / 2.0)
-    diameter = np.array([estimate_diameter(network.branches[l], network, params)
-                         for l in index])
-    axis = None
+    ambient = weather.temperature[np.ix_(positions, cell)]
+    wind = None
     if regime == DLR:  # bearings in each from-bus zone, so both endpoints share a plane
         start = to_utm(lat[a], lon[a])
         end = to_utm(lat[b], lon[b], forced_zone=start.zone)
@@ -216,17 +219,46 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
             raise GridlineError(f"branch {network.branches[index[np.argmax(flat)]].id}: DLR "
                                 "needs a conductor bearing, but the line has zero length")
         axis = conductor_angle(start, end)
+        diameter = np.array([estimate_diameter(network.branches[l], network, params)
+                             for l in index])
+        if np.any(diameter <= 0):
+            raise ValueError("conductor diameter must be positive")
+        wind = np.empty_like(ambient)
+        for rows in _blocks(len(positions)):
+            u, v = (w[np.ix_(positions[rows], cell)] for w in (weather.wind_u, weather.wind_v))
+            speed = np.hypot(u, v)
+            term = _wind_term(speed, np.arctan2(v, u) - axis, diameter, params)
+            wind[rows] = np.where(speed < params.calm_wind_threshold, 0.0, term)
+    out = np.empty_like(ambient)
 
-    def rate(pos: int, params: RatingParams) -> np.ndarray:
-        ambient = weather.temperature[pos, cell]
-        try:
-            return _multiplier(regime, params, ambient, weather.wind_u[pos, cell],
-                               weather.wind_v[pos, cell], diameter, axis)
-        except RatingCollapseError as exc:
-            hottest = network.branches[index[np.argmax(ambient)]]
-            raise RatingCollapseError(
-                f"branch {hottest.id} at {format_hour(weather.hours[pos])}: {exc}") from None
+    def collapse(rows: slice, params: RatingParams):
+        """Raise the collapse of the first hour in ``rows`` that has one,
+        naming its hottest line and the hour."""
+        for k in range(*rows.indices(len(positions))):
+            try:
+                eta_temperature(ambient[k], params)
+            except RatingCollapseError as exc:
+                hottest = network.branches[index[np.argmax(ambient[k])]]
+                hour = format_hour(weather.hours[positions[k]])
+                raise RatingCollapseError(f"branch {hottest.id} at {hour}: {exc}") from None
+
+    def rate(params: RatingParams) -> np.ndarray:
+        root_slr = np.sqrt(params.k_angle_slr)
+        for rows in _blocks(len(positions)):
+            try:
+                eta_t = eta_temperature(ambient[rows], params)
+            except RatingCollapseError:
+                collapse(rows, params)
+            if wind is None:
+                out[rows] = eta_t
+            else:
+                np.multiply(eta_t, np.maximum(1.0, wind[rows] / root_slr), out=out[rows])
+        return out
     return index, rate
+
+
+def _blocks(n: int):
+    return (slice(start, start + HOUR_BLOCK) for start in range(0, n, HOUR_BLOCK))
 
 
 def build_rating_series(network: Network, weather: WeatherGrid | None,
@@ -243,11 +275,10 @@ def build_rating_series(network: Network, weather: WeatherGrid | None,
         raise GridlineError(f"regime {regime} requires weather data")
     multiplier = np.ones((len(hours), network.n_branches))
     if regime != SLR:
-        index, rate = _line_rater(network, weather, regime, params)
-        for h, hour in enumerate(hours):
-            pos = weather.hour_pos(hour)  # raises if outside range
-            if weather.present[pos]:  # absent hours keep the static rating
-                multiplier[h, index] = rate(pos, params)
+        pos = np.array([weather.hour_pos(hour) for hour in hours], dtype=int)  # raises if outside
+        rows = np.flatnonzero(weather.present[pos])  # absent hours keep the static rating
+        index, rate = _line_rater(network, weather, regime, params, pos[rows])
+        multiplier[np.ix_(rows, index)] = rate(params)
     normal = network.static_rating[None, :] * multiplier
     return RatingSeries(regime, tuple(hours), tuple(b.id for b in network.branches),
                         multiplier, normal, params.contingency_ratio * normal)
@@ -273,15 +304,15 @@ def sweep_parameters(network: Network, weather: WeatherGrid, hours: list[datetim
     """Mean DLR multiplier over eligible branches and present hours for each
     (conductor temperature, assumed SLR attack angle) pair.
 
-    Branch data and present hours are found once; each pair re-evaluates
-    only the formulas. Returns (t_conductor, phi_slr, mean multiplier) rows
-    in sweep order.
+    Branch data, present hours and the weather-only terms are found once;
+    each pair is one array pass of ``build_rating_series``'s rater over
+    them. Returns (t_conductor, phi_slr, mean multiplier) rows in sweep order.
     """
     if not hours or not t_conductor_values or not phi_slr_values:
         raise ValueError("parameter sweep needs at least one hour and one value per axis")
     grid = sweep_grid(base, t_conductor_values, phi_slr_values)
-    index, rate = _line_rater(network, weather, DLR, base)
     present = [pos for pos in map(weather.hour_pos, hours) if weather.present[pos]]
+    index, rate = _line_rater(network, weather, DLR, base, np.array(present, dtype=int))
     if not present:
         raise GridlineError(f"no weather for any hour of {format_hour(hours[0])}.."
                             f"{format_hour(hours[-1])}; the sweep has nothing to average")
@@ -289,10 +320,5 @@ def sweep_parameters(network: Network, weather: WeatherGrid, hours: list[datetim
         raise GridlineError("no line shorter than "
                             f"{base.eligibility_length_km} km is rated by weather; "
                             "the sweep has nothing to average")
-    block = np.empty((len(present), len(index)))
-    rows = []
-    for params in grid:
-        for row, pos in enumerate(present):
-            block[row] = rate(pos, params)
-        rows.append((params.t_conductor, params.phi_slr, float(block.mean())))
-    return rows
+    return [(params.t_conductor, params.phi_slr, float(rate(params).mean()))
+            for params in grid]

@@ -82,7 +82,7 @@ def read_table(path: Path, required: list[str]):
     column and an iterator over its data rows as lists of cells. Blank
     lines are skipped. The file stays open until the generator resumes.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         missing = [c for c in required if c not in header]

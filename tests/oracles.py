@@ -10,9 +10,11 @@ law of cosines instead of the haversine, the SC-DCOPF oracle enumerates
 every contingency row up front instead of screening, LPs go through
 scipy's public ``linprog`` instead of the direct HiGHS calls, CSV
 cells are formatted one value at a time through ``csv.writer`` instead of
-as rendered columns and reused line tails, and the hourly inputs are read
+as rendered columns and reused line tails, the hourly inputs are read
 one ``csv.DictReader`` row at a time into dicts instead of in one pass
-into arrays checked by column.
+into arrays checked by column, and rating series and sweeps evaluate the
+heat-balance formulas one hour at a time from the raw weather instead of
+from weather-only terms computed once for every hour.
 """
 
 import csv
@@ -23,10 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from gridline.errors import CaseError, WeatherError
+from gridline.errors import CaseError, RatingCollapseError, WeatherError
+from gridline.geo import conductor_angle, to_utm
 from gridline.network import HourlySeries
+from gridline.ratings import (AAR, DLR, branch_eligible, estimate_diameter, eta_temperature,
+                              fold_attack_angle, k_angle, sweep_grid)
 from gridline.util import HOUR, format_hour, parse_hour
-from gridline.weather import MIN_PLAUSIBLE_TEMP_K, WeatherGrid
+from gridline.weather import MIN_PLAUSIBLE_TEMP_K, WeatherGrid, nearest_cell
 
 EARTH_RADIUS_KM = 6378.137  # same sphere convention as the package
 
@@ -236,6 +241,68 @@ def eta_wind_reference(speed, phi, diameter, v_slr, phi_slr, rho, mu):
     base = math.pow(k_ratio, 0.5) * math.pow(speed / v_slr, 0.26)
     reynolds_factor = 0.566 * math.pow(rho * diameter * speed / mu, 0.04)
     return base * (reynolds_factor if reynolds_factor > 1.0 else 1.0)
+
+
+def _per_hour_rater(network, weather, regime, params):
+    """Eligible branch positions, and a function of (weather hour position,
+    params) that rates them from that hour's raw weather."""
+    index = np.array([l for l, b in enumerate(network.branches)
+                      if branch_eligible(b, params)], dtype=int)
+    lat, lon = np.array([(b.latitude, b.longitude) for b in network.buses]).T
+    a, b = network.branch_from[index], network.branch_to[index]
+    cell = nearest_cell(weather, (lat[a] + lat[b]) / 2.0, (lon[a] + lon[b]) / 2.0)
+    diameter = np.array([estimate_diameter(network.branches[l], network, params)
+                         for l in index])
+    start = to_utm(lat[a], lon[a])
+    axis = conductor_angle(start, to_utm(lat[b], lon[b], forced_zone=start.zone))
+
+    def rate(pos, params):
+        ambient = weather.temperature[pos, cell]
+        try:
+            eta_t = eta_temperature(ambient, params)
+        except RatingCollapseError as exc:
+            hottest = network.branches[index[np.argmax(ambient)]]
+            raise RatingCollapseError(
+                f"branch {hottest.id} at {format_hour(weather.hours[pos])}: {exc}") from None
+        if regime == AAR:
+            return eta_t
+        u, v = weather.wind_u[pos, cell], weather.wind_v[pos, cell]
+        speed = np.hypot(u, v)
+        angle_term = np.sqrt(k_angle(fold_attack_angle(np.arctan2(v, u) - axis))
+                             / params.k_angle_slr)
+        speed_term = (speed / params.v_slr) ** 0.26
+        reynolds = (params.air_density / params.air_viscosity) * diameter * speed
+        reynolds_term = np.maximum(1.0, 0.566 * reynolds**0.04)
+        eta_v = np.where(speed < params.calm_wind_threshold, 1.0,
+                         angle_term * speed_term * reynolds_term)
+        return eta_t * np.maximum(1.0, eta_v)
+    return index, rate
+
+
+def per_hour_multipliers(network, weather, hours, regime, params):
+    """AAR or DLR multipliers (hours, branches), rated one hour at a time;
+    absent hours and ineligible branches stay at 1."""
+    multiplier = np.ones((len(hours), network.n_branches))
+    index, rate = _per_hour_rater(network, weather, regime, params)
+    for h, hour in enumerate(hours):
+        pos = weather.hour_pos(hour)
+        if weather.present[pos]:
+            multiplier[h, index] = rate(pos, params)
+    return multiplier
+
+
+def per_hour_sweep(network, weather, hours, t_conductor_values, phi_slr_values, base):
+    """(t_conductor, phi_slr, mean DLR multiplier over eligible branches and
+    present hours) rows of the sweep grid, each rated one hour at a time."""
+    index, rate = _per_hour_rater(network, weather, DLR, base)
+    present = [pos for pos in map(weather.hour_pos, hours) if weather.present[pos]]
+    block = np.empty((len(present), len(index)))
+    rows = []
+    for params in sweep_grid(base, t_conductor_values, phi_slr_values):
+        for row, pos in enumerate(present):
+            block[row] = rate(pos, params)
+        rows.append((params.t_conductor, params.phi_slr, float(block.mean())))
+    return rows
 
 
 def full_enumeration_scdcopf(network, factors, data, normal_limits,

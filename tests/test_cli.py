@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import sys
 from dataclasses import fields
 
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from gridline.cli import load_params_file, main
 from gridline.errors import GridlineError
+from gridline.factors import build_factors, dump_factors
 from gridline.network import load_hourly_series, load_network
 from gridline.pipeline import RunConfig, write_ratings
 from gridline.ratings import DLR, RatingParams, build_rating_series
@@ -190,6 +192,31 @@ def test_dump_factors_flag(runner, cases_dir, tmp_path):
     assert (out / "lodf.csv").exists()
 
 
+def test_dump_factors_writes_the_factors_of_the_run(runner, cases_dir, tmp_path, monkeypatch):
+    reference = tmp_path / "reference"
+    network = load_network(cases_dir / "case3")
+    dump_factors(build_factors(network), network, reference)
+    calls = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("gridline")]:
+        if hasattr(module, "build_factors"):
+            monkeypatch.setattr(module, "build_factors", counted(module.build_factors))
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "run", "--case", str(cases_dir / "case3"), "--regimes", "slr,uncongested",
+        "--dump-factors", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+    for name in ("ptdf.csv", "lodf.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["ratings", "sweep", "run"])
 def test_hours_outside_series_rejected(runner, cases_dir, tmp_path, command):
     out = tmp_path / "out"
@@ -200,6 +227,31 @@ def test_hours_outside_series_rejected(runner, cases_dir, tmp_path, command):
     assert result.exit_code == 1
     assert "2017-01-01T00:00:00Z..2017-01-01T05:00:00Z not covered" in result.output
     assert not out.exists()
+
+
+def test_ratings_and_sweep_do_not_read_availability(runner, cases_dir, tmp_path):
+    case = tmp_path / "case5"
+    shutil.copytree(cases_dir / "case5", case)
+    lines = (case / "availability.csv").read_text().splitlines()
+    (case / "availability.csv").write_text(
+        "\n".join([lines[0], lines[1].rsplit(",", 1)[0] + ",999.0", *lines[2:]]) + "\n")
+    weather = str(cases_dir / "weather_case5.csv")
+    outputs = []
+    for k, directory in enumerate((cases_dir / "case5", case)):
+        out = tmp_path / f"out{k}"
+        ratings = runner.invoke(main, ["ratings", "--case", str(directory), "--weather", weather,
+                                       "--out", str(out)])
+        sweep = runner.invoke(main, ["sweep", "--case", str(directory), "--weather", weather,
+                                     "--tc", "100", "--phi-slr", "0", "--out", str(out)])
+        assert (ratings.exit_code, sweep.exit_code) == (0, 0), ratings.output + sweep.output
+        printed = (ratings.output + sweep.output).replace(str(out), "OUT")
+        outputs.append((printed, (out / "ratings.csv").read_bytes(),
+                        (out / "sweep.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    result = runner.invoke(main, ["run", "--case", str(case), "--weather", weather,
+                                  "--out", str(tmp_path / "run")])
+    assert result.exit_code == 1
+    assert "availability 999.0 exceeds p_max 110.0" in result.output
 
 
 def test_sweep_without_weather_in_span_fails(runner, cases_dir, tmp_path):

@@ -223,3 +223,38 @@ def test_series_input_errors_name_file_and_row(cases_dir, tmp_path, case, file, 
     where = f" [{file}" + ("" if row is None else f", row {row}") + "]"
     assert str(err.value) == message + where
     assert (err.value.file, err.value.row) == (file, row)
+
+
+def _add_byte_order_mark(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+@pytest.mark.parametrize("file", ["bus.csv", "demand.csv"])
+def test_byte_order_mark_reads_as_without_it(cases_dir, tmp_path, file):
+    case = copy_case(cases_dir, tmp_path)
+    _add_byte_order_mark(case / file)
+    plain = cases_dir / "case3"
+    net, expected = load_network(case), load_network(plain)
+    assert (net.buses, net.branches, net.generators) == (
+        expected.buses, expected.branches, expected.generators)
+    series, reference = load_hourly_series(case, net), load_hourly_series(plain, expected)
+    assert series.hours == reference.hours
+    assert np.array_equal(series.demand, reference.demand)
+    assert np.array_equal(series.availability, reference.availability)
+
+
+@pytest.mark.parametrize("row, value, message", [
+    (1, "2016-07-01T00:00:00Z,2,x", "bad number 'x' for 'mw' [demand.csv, row 1]"),
+    (5, "2016-07-01T00:00:00Z,42,5.0", "unknown bus_id 42 [demand.csv, row 5]"),
+])
+def test_byte_order_mark_keeps_fault_messages(cases_dir, tmp_path, row, value, message):
+    messages = []
+    for marked in (False, True):
+        case = copy_case(cases_dir, tmp_path / str(marked))
+        edit_csv(case / "demand.csv", lambda lines: lines[:row] + [value] + lines[row + 1:])
+        if marked:
+            _add_byte_order_mark(case / "demand.csv")
+        with pytest.raises(CaseError) as err:
+            load_hourly_series(case, load_network(case))
+        messages.append(str(err.value))
+    assert messages == [message, message]

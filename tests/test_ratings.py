@@ -1,15 +1,15 @@
 import math
 from dataclasses import fields, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridline.errors import GridlineError, RatingCollapseError
-from gridline.ratings import (AAR, DLR, SLR, RatingParams, branch_eligible,
+from gridline.ratings import (AAR, DLR, HOUR_BLOCK, SLR, RatingParams, branch_eligible,
                               branch_multiplier, build_rating_series,
                               estimate_diameter, eta_temperature, eta_wind,
                               fold_attack_angle, k_angle, sweep_parameters)
@@ -407,11 +407,109 @@ class TestArrayPathAgainstOracle:
         present = [grid.present[grid.hour_pos(h)] for h in hours]
         eligible = [branch_eligible(b, PARAMS) for b in net.branches]
         assert not all(present) and not all(eligible)
+        # more present hours than one block, and an absent hour inside the first
+        assert sum(present) > HOUR_BLOCK and 0 < present.index(False) < HOUR_BLOCK - 1
         table = sweep_parameters(net, grid, hours, [78.0, 110.0], [0.0, math.radians(60)])
         for t_c, phi, mean in table:
             series = build_rating_series(net, grid, hours, DLR,
                                          replace(PARAMS, t_conductor=t_c, phi_slr=phi))
             assert mean == series.multiplier[np.ix_(present, eligible)].mean()
+        reference = oracles.per_hour_sweep(net, grid, hours, [78.0, 110.0],
+                                           [0.0, math.radians(60)], PARAMS)
+        np.testing.assert_allclose(np.array(table), np.array(reference), rtol=2e-15, atol=0)
+
+
+def drawn_grid(data, cells, params, n_hours):
+    """``n_hours`` hours of drawn weather on ``cells``: some hours absent,
+    calm and near-calm winds, every ambient below the conductor limit."""
+    shape = (n_hours, len(cells))
+    hottest = params.t_conductor + 273.15 - 0.5
+    calm = params.calm_wind_threshold
+    wind = st.one_of(st.just(0.0), st.just(calm), st.floats(-1.5 * calm, 1.5 * calm),
+                     st.floats(-25.0, 25.0))
+    start = datetime(2016, 7, 1, tzinfo=timezone.utc)
+    return WeatherGrid(
+        cells, tuple(start + timedelta(hours=h) for h in range(n_hours)),
+        data.draw(arrays(bool, n_hours)),
+        data.draw(arrays(float, shape, elements=st.floats(230.0, hottest))),
+        data.draw(arrays(float, shape, elements=wind)),
+        data.draw(arrays(float, shape, elements=wind)))
+
+
+def drawn_params(data):
+    return RatingParams(t_conductor=data.draw(st.floats(60.0, 150.0)),
+                        t_ambient_slr=data.draw(st.floats(0.0, 50.0)),
+                        v_slr=data.draw(st.floats(0.2, 3.0)),
+                        phi_slr=data.draw(st.floats(0.0, math.pi)),
+                        calm_wind_threshold=data.draw(st.floats(0.001, 0.5)))
+
+
+# hour counts on both sides of one, two and three blocks, and any other
+BLOCK_STRADDLING = st.sampled_from([k * HOUR_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)])
+
+
+class TestRaterAgainstPerHourOracle:
+    """The array rater against the per-hour evaluation in tests/oracles.py:
+    AAR bit for bit, DLR to a few ulps (its wind term divides by
+    sqrt(K_angle_SLR) after the product instead of inside the root)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_series(self, networks, weathers, data):
+        name = data.draw(st.sampled_from(["case3", "case5", "case30"]))
+        params = drawn_params(data)
+        n_hours = data.draw(BLOCK_STRADDLING | st.integers(1, 3 * HOUR_BLOCK + 2))
+        net, grid = networks[name], drawn_grid(data, weathers[name].cells, params, n_hours)
+        hours = data.draw(st.permutations(grid.hours))
+        aar = build_rating_series(net, grid, hours, AAR, params).multiplier
+        assert np.array_equal(aar, oracles.per_hour_multipliers(net, grid, hours, AAR, params))
+        dlr = build_rating_series(net, grid, hours, DLR, params).multiplier
+        np.testing.assert_allclose(dlr, oracles.per_hour_multipliers(net, grid, hours, DLR,
+                                                                     params),
+                                   rtol=2e-15, atol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_sweep(self, networks, weathers, data):
+        base = drawn_params(data)
+        n_hours = data.draw(BLOCK_STRADDLING)
+        net, grid = networks["case30"], drawn_grid(data, weathers["case30"].cells, base, n_hours)
+        hours = list(grid.hours)
+        present = [grid.present[grid.hour_pos(h)] for h in hours]
+        assume(any(present))
+        eligible = [branch_eligible(b, base) for b in net.branches]
+        # the grid's T_C stay above the hottest drawn ambient
+        t_values = [base.t_conductor, base.t_conductor + data.draw(st.floats(0.5, 60.0))]
+        phi_values = [base.phi_slr, data.draw(st.floats(0.0, math.pi).filter(
+            lambda phi: phi != base.phi_slr))]
+        table = sweep_parameters(net, grid, hours, t_values, phi_values, base)
+        reference = oracles.per_hour_sweep(net, grid, hours, t_values, phi_values, base)
+        np.testing.assert_allclose(np.array(table), np.array(reference), rtol=2e-15, atol=0)
+        for t_c, phi, mean in table:
+            series = build_rating_series(net, grid, hours, DLR,
+                                         replace(base, t_conductor=t_c, phi_slr=phi))
+            assert mean == series.multiplier[np.ix_(present, eligible)].mean()
+
+    @pytest.mark.parametrize("regime", [AAR, DLR])
+    def test_collapse_in_a_later_block_names_the_per_hour_branch_and_hour(self, networks,
+                                                                         weathers, regime):
+        net, cells = networks["case30"], weathers["case30"].cells
+        n_hours, limit = 3 * HOUR_BLOCK, PARAMS.t_conductor + 273.15
+        start = datetime(2016, 7, 1, tzinfo=timezone.utc)
+        temperature = np.full((n_hours, len(cells)), 300.0)
+        first = HOUR_BLOCK + 5  # the second block's first collapse
+        temperature[first] = limit + np.random.RandomState(3).uniform(0.0, 5.0, len(cells))
+        temperature[first + 4] = temperature[2 * HOUR_BLOCK + 1] = limit + 10.0  # later ones
+        grid = WeatherGrid(cells, tuple(start + timedelta(hours=h) for h in range(n_hours)),
+                           np.ones(n_hours, dtype=bool), temperature,
+                           np.full_like(temperature, 3.0), np.full_like(temperature, -1.0))
+        hours = list(grid.hours)
+        with pytest.raises(RatingCollapseError) as expected:
+            oracles.per_hour_multipliers(net, grid, hours, regime, PARAMS)
+        assert "at 2016-07-01T21:00:00Z" in str(expected.value)
+        with pytest.raises(RatingCollapseError) as err:
+            build_rating_series(net, grid, hours, regime, PARAMS)
+        assert str(err.value) == str(expected.value)
 
 
 def test_params_validation():

@@ -177,3 +177,24 @@ def test_weather_input_errors_name_the_row(cases_dir, tmp_path, transform, messa
     with pytest.raises(WeatherError) as err:
         load_weather(tmp_path / "weather.csv")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("transform", [lambda lines: lines, _poison("temp_k", "warm"),
+                                       _poison("time", "bogus")],
+                         ids=["valid", "bad-temperature", "bad-time"])
+def test_byte_order_mark_reads_as_without_it(cases_dir, tmp_path, transform):
+    lines = transform((cases_dir / "weather_case5.csv").read_text().splitlines())
+    results = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        path = tmp_path / name / "weather.csv"  # one file name, so the messages can match
+        path.parent.mkdir()
+        path.write_bytes(mark + ("\n".join(lines) + "\n").encode())
+        try:
+            grid = load_weather(path)
+        except WeatherError as exc:
+            results.append(str(exc))
+        else:
+            results.append([np.asarray(a).tobytes() for a in (
+                grid.cells, grid.present, grid.temperature, grid.wind_u, grid.wind_v)]
+                + [grid.hours])
+    assert results[0] == results[1]
