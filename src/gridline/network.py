@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import CaseError, GridlineError
 from .geo import great_circle_km
-from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each, parse_hour,
-                   read_rows, read_table, render_floats, write_csv)
+from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each,
+                   parse_hour, read_columns, read_rows, read_table, render_floats, write_csv)
 
 FUELS = ("solar", "wind", "natural_gas", "coal", "nuclear", "hydro", "other")
 VARIABLE_FUELS = ("solar", "wind")
@@ -306,34 +306,44 @@ def _load_timed_table(directory, name, id_column, index):
     """Read a (time, id, mw) long table in one pass -> (hour number,
     position in ``index``, mw) arrays, one entry per row in file order.
 
-    Each distinct time and id text is parsed once and the rows are checked
-    as arrays; the first faulty row is read again to name its fault.
+    numpy's C reader (``read_columns``) reads the file; where it refuses
+    one, a Python loop reads it row by row, stopping at the first row that
+    fails to parse. Either way each distinct time and id is parsed once and
+    the rows are checked as arrays; the first faulty row is read again to
+    name its fault.
     """
     required = ["time", id_column, "mw"]
     table = _rows(directory, name, required, read_table)
     header, rows = next(table)  # the file stays open while ``table`` is held
-    t, i, m = map({column: k for k, column in enumerate(header)}.get, required)
-    stamps, idents = {}, {}  # text -> code, in order of first appearance
-    codes, values = array("l"), array("d")
+    found = read_columns(directory / name, header, {id_column: np.int64, "mw": float})
     stopped = False
-    try:
-        for cells in rows:
-            value = float(cells[m])
-            codes.extend((stamps.setdefault(cells[t], len(stamps)),
-                          idents.setdefault(cells[i], len(idents))))
-            values.append(value)
-    except (IndexError, ValueError, csv.Error):  # the re-read below names the fault
-        stopped = True
+    if found is None:
+        t, i, m = map({column: k for k, column in enumerate(header)}.get, required)
+        stamps, idents = {}, {}  # text -> code, in order of first appearance
+        codes, values = array("l"), array("d")
+        try:
+            for cells in rows:
+                value = float(cells[m])
+                codes.extend((stamps.setdefault(cells[t], len(stamps)),
+                              idents.setdefault(cells[i], len(idents))))
+                values.append(value)
+        except (IndexError, ValueError, csv.Error):  # the re-read below names the fault
+            stopped = True
+        stamps, idents, mw = list(stamps), list(idents), np.asarray(values)
+        stamp_code, ident_code = np.asarray(codes).reshape(-1, 2).T
+    else:
+        stamps, columns = found
+        idents, ident_code = np.unique(columns[id_column], return_inverse=True)
+        stamp_code, mw = columns["time"], columns["mw"]
     table.close()
-    code = np.asarray(codes).reshape(-1, 2)
     hour, hour_ok = parse_each(stamps, hour_number)
-    column, column_ok = parse_each(idents, lambda text: index.get(int(text)))
-    hour, column, mw = hour[code[:, 0]], column[code[:, 1]], np.asarray(values)
-    valid = hour_ok[code[:, 0]] & column_ok[code[:, 1]] & (mw >= 0.0) & (mw < np.inf)
+    column, column_ok = parse_each(idents, lambda ident: index.get(int(ident)))
+    valid = hour_ok[stamp_code] & column_ok[ident_code] & (mw >= 0.0) & (mw < np.inf)
+    hour, column = hour[stamp_code], column[ident_code]
     n = len(mw) if valid.all() else int(np.argmin(valid))
     repeat = first_repeat(hour[:n], column[:n])
     if repeat is not None:
-        stamp, ident = list(stamps)[code[repeat, 0]], list(idents)[code[repeat, 1]]
+        stamp, ident = stamps[stamp_code[repeat]], idents[ident_code[repeat]]
         raise CaseError(f"duplicate entry for {id_column} {int(ident)} at {stamp}",
                         file=name, row=repeat + 1)
     if n < len(mw) or stopped:

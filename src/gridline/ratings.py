@@ -222,7 +222,11 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
         diameter = np.array([estimate_diameter(network.branches[l], network, params)
                              for l in index])
         if np.any(diameter <= 0):
-            raise ValueError("conductor diameter must be positive")
+            thin = np.argmax(diameter <= 0)
+            raise GridlineError(
+                f"branch {network.branches[index[thin]].id}: fitted conductor diameter "
+                f"{diameter[thin]} m is not positive (diameter_fit_a {params.diameter_fit_a}, "
+                f"diameter_fit_b {params.diameter_fit_b})")
         wind = np.empty_like(ambient)
         for rows in _blocks(len(positions)):
             u, v = (w[np.ix_(positions[rows], cell)] for w in (weather.wind_u, weather.wind_v))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from datetime import datetime, timedelta, timezone
 from itertools import zip_longest
 from pathlib import Path
@@ -76,7 +77,6 @@ def check_span(first: datetime, last: datetime) -> None:
                          "ends before it starts")
 
 
-
 def read_table(path: Path, required: list[str]):
     """Yield, once, the header of a headered CSV that has every ``required``
     column and an iterator over its data rows as lists of cells. Blank
@@ -89,6 +89,51 @@ def read_table(path: Path, required: list[str]):
         if missing:
             raise ValueError(f"missing column(s) {', '.join(missing)}")
         yield header, filter(None, reader)
+
+
+class _Codes(dict):
+    """Text -> position in order of first appearance; a text not yet seen
+    is given the next position. Looking up a seen text runs no Python."""
+
+    def __missing__(self, text):
+        code = self[text] = len(self)
+        return code
+
+
+def read_columns(path: Path, header: list[str], dtypes: dict):
+    """The ``time`` column and the ``dtypes`` columns (name -> dtype) of
+    the headered CSV ``path``, whose header ``read_table`` gave as
+    ``header``, read in one pass by numpy's C reader: the distinct ``time``
+    texts in order of first appearance, and a structured array holding for
+    each row the position of its ``time`` text among them and its
+    ``dtypes`` values. None where numpy refuses the file (or warns), for
+    the caller to read it row by row.
+
+    numpy splits rows as ``read_table`` does (``"`` quoting with doubled
+    quotes, LF, CR or CRLF line ends, blank lines skipped, extra cells
+    ignored), passes text cells on as they are, and reads a subset of the
+    numbers that ``float()`` and ``int()`` read, to the same values: it
+    refuses ``1_000``, non-ASCII digits, ints beyond int64 and ``7.0`` for
+    an int.
+    """
+    if any("\n" in cell or "\r" in cell for cell in header):
+        return None  # ``skiprows`` counts lines, not rows
+    position = {column: k for k, column in enumerate(header)}
+    texts = _Codes()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                handle, dtype=[("time", np.int64), *dtypes.items()], delimiter=",", skiprows=1,
+                quotechar='"', comments=None, ndmin=1,
+                usecols=[position[column] for column in ("time", *dtypes)],
+                # numpy < 2 defaults to encoding="bytes", which hands converters
+                # latin1 bytes instead of the text cells
+                encoding=None, converters={position["time"]: texts.__getitem__})
+    except (ValueError, Warning):
+        return None
+    return list(texts), table
 
 
 def read_rows(path: Path, required: list[str]):

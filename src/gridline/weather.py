@@ -19,7 +19,7 @@ import numpy as np
 from .errors import WeatherError
 from .geo import great_circle_km
 from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each,
-                   parse_hour, read_rows, read_table)
+                   parse_hour, read_columns, read_rows, read_table)
 
 COLUMNS = ("time", "lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms")
 MIN_PLAUSIBLE_TEMP_K = 150.0
@@ -94,9 +94,11 @@ def load_weather(file: str | Path) -> WeatherGrid:
 
     Every hour that appears must carry the complete cell set (the set seen
     on the first hour); hours of the covered range that never appear are
-    flagged absent. The file is read in one pass, each distinct time text
-    parsed once and the rows checked as arrays; the first faulty row is
-    read again to name its fault.
+    flagged absent. numpy's C reader (``read_columns``) reads the file;
+    where it refuses one, a Python loop reads it row by row, stopping at
+    the first row that fails to parse. Either way each distinct time text
+    is parsed once and the rows are checked as arrays; the first faulty row
+    is read again to name its fault.
     """
     path = Path(file)
     if not path.exists():
@@ -104,29 +106,35 @@ def load_weather(file: str | Path) -> WeatherGrid:
     name = path.name
     table = _rows(path, read_table)
     header, rows = next(table)  # the file stays open while ``table`` is held
-    t, lat, lon, temp, u, v = map({c: i for i, c in enumerate(header)}.get, COLUMNS)
-    stamps = {}  # time text -> code, in order of first appearance
-    codes, values = array("l"), array("d")
+    found = read_columns(path, header, dict.fromkeys(COLUMNS[1:], float))
     stopped = False
-    try:
-        for cells in rows:
-            code = stamps.setdefault(cells[t], len(stamps))
-            values.extend((float(cells[lat]), float(cells[lon]), float(cells[temp]),
-                           float(cells[u]), float(cells[v])))
-            codes.append(code)
-    except (IndexError, ValueError, csv.Error):  # the re-read below names the fault
-        stopped = True
+    if found is None:
+        t, lat, lon, temp, u, v = map({c: i for i, c in enumerate(header)}.get, COLUMNS)
+        stamps = {}  # time text -> code, in order of first appearance
+        codes, values = array("l"), array("d")
+        try:
+            for cells in rows:
+                code = stamps.setdefault(cells[t], len(stamps))
+                values.extend((float(cells[lat]), float(cells[lon]), float(cells[temp]),
+                               float(cells[u]), float(cells[v])))
+                codes.append(code)
+        except (IndexError, ValueError, csv.Error):  # the re-read below names the fault
+            stopped = True
+        stamps, code, fields = list(stamps), np.asarray(codes), np.asarray(values).reshape(-1, 5)
+    else:
+        stamps, columns = found
+        code = columns["time"]
+        fields = np.column_stack([columns[column] for column in COLUMNS[1:]])
     table.close()
-    code = np.asarray(codes)
     hour, hour_ok = parse_each(stamps, hour_number)
-    hour, fields = hour[code], np.asarray(values).reshape(-1, 5)
+    hour = hour[code]
     valid = hour_ok[code] & np.isfinite(fields).all(axis=1)
     valid &= fields[:, 2] > MIN_PLAUSIBLE_TEMP_K
     n = len(code) if valid.all() else int(np.argmin(valid))
     repeat = first_repeat(hour[:n], fields[:n, 0], fields[:n, 1])
     if repeat is not None:
         raise WeatherError(f"{name} row {repeat + 1}: duplicate cell "
-                           f"{tuple(fields[repeat, :2].tolist())} at {list(stamps)[code[repeat]]}")
+                           f"{tuple(fields[repeat, :2].tolist())} at {stamps[code[repeat]]}")
     if n < len(code) or stopped:
         _weather_row(next(islice(_rows(path), n, None))[1], name, n + 1)
     if not len(code):

@@ -324,6 +324,22 @@ def test_bad_inputs_end_with_a_message(runner, cases_dir, tmp_path, command, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ratings", "run"])
+def test_fit_with_a_nonpositive_diameter_ends_with_a_message(runner, cases_dir, tmp_path,
+                                                             command):
+    params = tmp_path / "thin.txt"
+    params.write_text("diameter_fit_a = 0\ndiameter_fit_b = -0.01\n")
+    result = runner.invoke(main, [
+        command, "--case", str(cases_dir / "case3"),
+        "--weather", str(cases_dir / "weather_case3.csv"), "--regimes", "dlr",
+        "--params", str(params), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert ("branch 1: fitted conductor diameter -0.01 m is not positive "
+            "(diameter_fit_a 0.0, diameter_fit_b -0.01)\n") in result.output
+    assert len(result.output.splitlines()) == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+
+
 @pytest.mark.parametrize("command, work", [
     ("run", "run"), ("ratings", "build_rating_series"), ("sweep", "sweep_parameters")])
 def test_value_error_in_the_work_keeps_its_traceback(runner, cases_dir, tmp_path,

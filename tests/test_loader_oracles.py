@@ -1,13 +1,17 @@
 """The one-pass hourly-input loaders against the row-by-row loaders in
 ``oracles.py``. Shuffled rows, other spellings of the same hour, id and
-cell, blank lines, free column order, missing buses, generators and
-weather hours must give the same bits; an injected fault, or two at
-different rows, must give the same error type, message, file and row."""
+cell (numbers only ``float()`` and ``int()`` read among them), blank
+lines, CRLF line ends, quoted cells, extra trailing cells, free column
+order, missing buses, generators and weather hours must give the same
+bits through numpy's reader and through the row loop it falls back to;
+an injected fault, or two at different rows, must give the same error
+type, message, file and row."""
 
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +19,8 @@ from hypothesis import strategies as st
 import oracles
 from gridline.errors import GridlineError
 from gridline.network import load_hourly_series
-from gridline.weather import load_weather
+from gridline.util import read_columns, read_table
+from gridline.weather import COLUMNS, load_weather
 from helpers import make_network
 
 START = datetime(2016, 7, 1, tzinfo=timezone.utc)
@@ -25,17 +30,21 @@ NETWORK = make_network(
     [(1, 1, 2, 0.1, 100.0), (2, 2, 3, 0.1, 100.0), (3, 3, 4, 0.1, 100.0)],
     [(g, g, "wind", 0.0, P_MAX, [(P_MAX, 10.0)]) for g in range(1, 4)])
 LATS, LONS = (0.0, 30.5), (-99.0, -98.5, -98.0)
-ID_SPELLINGS = ("{}", " {}", "0{}", "{} ")
-SERIES_FAULTS = ("time", "id", "mw", "short", "repeat", "drop", "extra", "over")
-WEATHER_FAULTS = ("time", "number", "temp", "short", "repeat", "drop", "stray")
+ID_SPELLINGS = ("{}", " {}", "0{}", "{} ", "{:020}")
+SERIES_FAULTS = ("time", "id", "mw", "short", "repeat", "drop", "extra", "over", "space")
+WEATHER_FAULTS = ("time", "number", "temp", "short", "repeat", "drop", "stray", "space")
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# unread cells: plain, and quoted with a comma, doubled quotes or line ends
+NOTES = ("x", "", "a,b", 'say ""hi""', "two\nlines", "two\r\nlines", '"')
 
 
 def _stamp(hour, style):
-    """Hour ``hour`` after START in one of four spellings of the same instant."""
+    """Hour ``hour`` after START in one of five spellings of the same
+    instant, the last one ending in a line break (so written quoted)."""
     stamp = START + timedelta(hours=hour)
     return (stamp.strftime("%Y-%m-%dT%H:%M:%SZ"), stamp.isoformat(),
             stamp.astimezone(timezone(timedelta(hours=2))).isoformat(timespec="minutes"),
-            stamp.strftime("%Y-%m-%d %H:%M:%S"))[style]
+            stamp.strftime("%Y-%m-%d %H:%M:%S"), stamp.isoformat() + "\r\n")[style]
 
 
 def _respelled(row):
@@ -49,35 +58,72 @@ def _number(draw, low, high):
     return repr(draw(st.one_of(edges, st.floats(low, high))))
 
 
+def _python_only(draw, text):
+    """``text``, or a spelling of its number that ``float()`` and ``int()``
+    read and numpy does not: an underscore between two digits, or
+    Arabic-Indic digits."""
+    pairs = [k for k in range(1, len(text)) if text[k - 1:k + 1].isdigit()]
+    style = draw(st.sampled_from(["as is", "underscore" if pairs else "as is", "arabic"]))
+    if style == "underscore":
+        k = draw(st.sampled_from(pairs))
+        return text[:k] + "_" + text[k:]
+    return text.translate(ARABIC_INDIC) if style == "arabic" else text
+
+
+def _cell_text(draw, text):
+    """``text`` as a CSV cell: quoted (doubling its quotes) when it must
+    be, and sometimes when it need not."""
+    if any(c in text for c in ',"\r\n') or draw(st.integers(0, 3)) == 0:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write(draw, path, columns, rows):
-    """``rows`` (dicts of cell text; "cut" keeps that many cells) under a
-    drawn column order, an unread extra column, and blank lines."""
+    """``rows`` (dicts of cell text; "cut" keeps that many cells, "line"
+    is a raw line) under a drawn column order, an unread extra column,
+    extra trailing cells, blank lines and LF or CRLF line ends. In some
+    files, numbers are spelled as only Python reads them."""
     header = draw(st.permutations(columns + draw(st.sampled_from([[], ["note"]]))))
+    numbers = [column for column in header if column not in ("time", "note")]
+    python_only = draw(st.booleans())
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [",".join(header)]
     for row in rows:
-        cells = [row.get(column, "x") for column in header]
-        lines.append(",".join(cells[:row.get("cut", len(cells))]))
+        if "line" in row:
+            lines.append(row["line"])
+            continue
+        cells = dict(row)
+        for column in numbers if python_only else ():
+            if column in cells:
+                cells[column] = _python_only(draw, cells[column])
+        texts = [cells.get(column, draw(st.sampled_from(NOTES))) for column in header]
+        texts = texts[:row["cut"]] if "cut" in row else texts + draw(
+            st.lists(st.sampled_from(NOTES), max_size=2))
+        lines.append(",".join(_cell_text(draw, text) for text in texts))
         lines += [""] * draw(st.integers(0, 1))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(end.join(lines + [""]).encode())
 
 
 def _inject(draw, rows, kind, k, make_row):
     """Fault ``kind`` at row ``k`` of ``rows``; ``make_row(hour)`` is a
     valid row at ``hour`` that the file lacks."""
     if kind == "time":
-        rows[k]["time"] = draw(st.sampled_from(["bogus", "2016-07-01T00:30:00Z", ""]))
+        rows[k]["time"] = draw(st.sampled_from(
+            ["bogus", "2016-07-01T00:30:00Z", "", 'a "quoted", time']))
     elif kind == "short":
         rows[k]["cut"] = draw(st.integers(1, len(rows[k]) - 1))
     elif kind == "repeat":
-        others = [i for i in range(len(rows)) if i != k] or [k]
+        others = [i for i in range(len(rows)) if i != k and "line" not in rows[i]] or [k]
         rows[k] = _respelled(rows[draw(st.sampled_from(others))])
     elif kind == "drop":
         del rows[k]
     elif kind in ("extra", "stray"):
         rows.insert(k, make_row(draw(st.sampled_from([-2, 0, 9]))))
+    elif kind == "space":
+        rows.insert(k, {"line": draw(st.sampled_from([" ", "\t", " \t "]))})
     else:
         column, texts = {
-            "id": ("id", ["x", "99", "", "1.5"]),
+            "id": ("id", ["x", "99", "", "1.5", "7.0", "12345678901234567890"]),
             "mw": ("mw", ["", "abc", "inf", "-inf", "nan", "-1.0", "1e999"]),
             "over": ("mw", [repr(P_MAX + 1.0)]),
             "number": (draw(st.sampled_from(["lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms"])),
@@ -130,7 +176,7 @@ def _series_case(draw, directory, kinds):
 
         def row(hour, ident=None):
             ident = draw(st.sampled_from(ids or [1])) if ident is None else ident
-            return {"time": _stamp(hour, draw(st.integers(0, 3))),
+            return {"time": _stamp(hour, draw(st.integers(0, 4))),
                     id_column: draw(st.sampled_from(ID_SPELLINGS)).format(ident),
                     "mw": _number(draw, 0.0, top)}
 
@@ -165,7 +211,7 @@ def _weather_case(draw, path, kinds):
     def row(hour, cell=None):
         lat, lon = cell or (draw(st.sampled_from([*LATS, 31.0])), draw(st.sampled_from(LONS)))
         lat_text = draw(st.sampled_from(["-0.0", "0", "0.0"])) if lat == 0.0 else repr(lat)
-        return {"time": _stamp(hour, draw(st.integers(0, 3))), "lat": lat_text,
+        return {"time": _stamp(hour, draw(st.integers(0, 4))), "lat": lat_text,
                 "lon": draw(st.sampled_from([repr(lon), f" {lon}0"])),
                 "temp_k": _number(draw, 151.0, 320.0), "wind_u_ms": _number(draw, -10.0, 10.0),
                 "wind_v_ms": _number(draw, -10.0, 10.0)}
@@ -190,3 +236,57 @@ def test_weather_loader_matches_row_by_row_oracle(kinds, data):
     if not kinds:
         assert not isinstance(new, tuple), new
     _assert_same(new, old, ("cells", "present", "temperature", "wind_u", "wind_v"))
+
+
+CASES = Path(__file__).parent / "cases"
+HOURLY_FILES = sorted([*CASES.glob("*/demand.csv"), *CASES.glob("*/availability.csv"),
+                       *CASES.glob("weather_*.csv")])
+
+
+def _dtypes(path):
+    if path.name.startswith("weather"):
+        return dict.fromkeys(COLUMNS[1:], float)
+    return {"bus_id" if path.name == "demand.csv" else "gen_id": np.int64, "mw": float}
+
+
+@pytest.mark.parametrize("path", HOURLY_FILES, ids=lambda path: path.relative_to(CASES).as_posix())
+def test_numpy_reads_every_bundled_hourly_file(path):
+    table = read_table(path, [])
+    header, rows = next(table)  # the file stays open while ``table`` is held
+    found = read_columns(path, header, _dtypes(path))
+    assert found is not None
+    stamps, columns = found
+    times = [cells[header.index("time")] for cells in rows]
+    assert [stamps[code] for code in columns["time"]] == times
+    assert list(columns.dtype.names) == ["time", *_dtypes(path)]
+
+
+def test_time_texts_stay_text_under_the_numpy_1_loadtxt_default(monkeypatch):
+    # numpy < 2 defaults loadtxt to encoding="bytes", which hands converters
+    # bytes; a bytes stamp would fail later in parse_hour with a TypeError
+    loadtxt = np.loadtxt
+
+    def numpy_1_loadtxt(*args, encoding="bytes", **kwargs):
+        return loadtxt(*args, encoding=encoding, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
+    path = CASES / "case3" / "demand.csv"
+    header, _ = next(read_table(path, []))
+    stamps, _ = read_columns(path, header, _dtypes(path))
+    assert stamps and all(type(stamp) is str for stamp in stamps)
+
+
+@pytest.mark.parametrize("text", [
+    "time,bus_id,mw\n2016-07-01T00:00:00Z,1,1_000\n",
+    # numpy skips header lines, not rows: its first row would be the header's
+    # second line, and its fourth cell would run on to the end of the file
+    'time,bus_id,mw,"x\n2016-07-01T00:00:00Z,1,5,"\n2016-07-01T00:00:00Z,1,1000\n'],
+    ids=["underscore", "header-over-two-lines"])
+def test_numpy_refuses_what_it_would_read_otherwise(tmp_path, text):
+    path = tmp_path / "demand.csv"
+    path.write_bytes(text.encode())
+    table = read_table(path, [])
+    header, _ = next(table)
+    assert read_columns(path, header, _dtypes(path)) is None
+    series = load_hourly_series(tmp_path, NETWORK, read_availability=False)
+    assert series.demand.tolist() == [[1000.0, 0.0, 0.0, 0.0]]
