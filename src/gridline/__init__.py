@@ -1,7 +1,7 @@
 """Weather-driven transmission line ratings and N-1 secure DC dispatch."""
 
-from .network import (Branch, Bus, Generator, HourlySeries, Network,
-                      load_hourly_series, load_network, write_network)
+from .network import (Branch, Bus, Generator, HourlySeries, Network, load_hourly_series,
+                      load_network)
 from .weather import WeatherGrid, WeatherSample, load_weather, nearest_cell
 from .ratings import (AAR, DLR, SLR, RatingParams, RatingSeries, branch_multiplier,
                       build_rating_series, estimate_diameter, eta_temperature,

@@ -8,9 +8,7 @@ networks and series can be shared read-only across parallel workers.
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -22,7 +20,7 @@ import numpy as np
 from .errors import CaseError, GridlineError
 from .geo import great_circle_km
 from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each,
-                   parse_hour, read_columns, read_rows, read_table, render_floats, write_csv)
+                   parse_hour, read_columns, read_rows)
 
 FUELS = ("solar", "wind", "natural_gas", "coal", "nuclear", "hydro", "other")
 VARIABLE_FUELS = ("solar", "wind")
@@ -62,19 +60,6 @@ class Generator:
         if not all(math.isfinite(v) for segment in self.cost_curve for v in segment):
             raise ValueError(f"generator {self.id} cost curve must be finite, "
                              f"got {self.cost_curve}")
-
-    def cost_of(self, output: float) -> float:
-        """Total $/h at a given MW output (piecewise-linear, segments filled
-        cheapest-first)."""
-        total = 0.0
-        remaining = output
-        for cap, price in self.cost_curve:
-            take = min(cap, remaining)
-            if take <= 0:
-                break
-            total += take * price
-            remaining -= take
-        return total
 
 
 class Network:
@@ -175,14 +160,17 @@ def _parse_int(row, key, file, number):
         raise CaseError(f"bad integer {raw!r} for '{key}'", file=file, row=number) from None
 
 
-def _rows(directory: Path, name: str, required, read=read_rows):
-    path = directory / name
-    if not path.exists():
+def _case_file(directory: Path, name: str) -> Path:
+    if not (directory / name).exists():
         raise CaseError(f"missing case file {name}", file=name)
+    return directory / name
+
+
+def _rows(directory: Path, name: str, required):
     try:
-        yield from read(path, required)
+        yield from read_rows(_case_file(directory, name), required)
     except ValueError as exc:
-        raise CaseError(str(exc), file=name) from None
+        raise CaseError(str(exc), file=name, row=getattr(exc, "row", None)) from None
 
 
 def load_network(case_directory: str | Path) -> Network:
@@ -306,36 +294,16 @@ def _load_timed_table(directory, name, id_column, index):
     """Read a (time, id, mw) long table in one pass -> (hour number,
     position in ``index``, mw) arrays, one entry per row in file order.
 
-    numpy's C reader (``read_columns``) reads the file; where it refuses
-    one, a Python loop reads it row by row, stopping at the first row that
-    fails to parse. Either way each distinct time and id is parsed once and
-    the rows are checked as arrays; the first faulty row is read again to
-    name its fault.
+    ``read_columns`` reads the file, up to the first row that does not
+    parse; each distinct time and id text is parsed once and the rows are
+    checked as arrays. The first faulty row is read again to name its fault.
     """
-    required = ["time", id_column, "mw"]
-    table = _rows(directory, name, required, read_table)
-    header, rows = next(table)  # the file stays open while ``table`` is held
-    found = read_columns(directory / name, header, {id_column: np.int64, "mw": float})
-    stopped = False
-    if found is None:
-        t, i, m = map({column: k for k, column in enumerate(header)}.get, required)
-        stamps, idents = {}, {}  # text -> code, in order of first appearance
-        codes, values = array("l"), array("d")
-        try:
-            for cells in rows:
-                value = float(cells[m])
-                codes.extend((stamps.setdefault(cells[t], len(stamps)),
-                              idents.setdefault(cells[i], len(idents))))
-                values.append(value)
-        except (IndexError, ValueError, csv.Error):  # the re-read below names the fault
-            stopped = True
-        stamps, idents, mw = list(stamps), list(idents), np.asarray(values)
-        stamp_code, ident_code = np.asarray(codes).reshape(-1, 2).T
-    else:
-        stamps, columns = found
-        idents, ident_code = np.unique(columns[id_column], return_inverse=True)
-        stamp_code, mw = columns["time"], columns["mw"]
-    table.close()
+    try:
+        (stamps, idents), (stamp_code, ident_code), values, complete = read_columns(
+            _case_file(directory, name), ["time", id_column], ["mw"])
+    except ValueError as exc:  # such as a missing column
+        raise CaseError(str(exc), file=name) from None
+    mw = values[:, 0]
     hour, hour_ok = parse_each(stamps, hour_number)
     column, column_ok = parse_each(idents, lambda ident: index.get(int(ident)))
     valid = hour_ok[stamp_code] & column_ok[ident_code] & (mw >= 0.0) & (mw < np.inf)
@@ -346,8 +314,8 @@ def _load_timed_table(directory, name, id_column, index):
         stamp, ident = stamps[stamp_code[repeat]], idents[ident_code[repeat]]
         raise CaseError(f"duplicate entry for {id_column} {int(ident)} at {stamp}",
                         file=name, row=repeat + 1)
-    if n < len(mw) or stopped:
-        row = next(islice(_rows(directory, name, required), n, None))[1]
+    if n < len(mw) or not complete:
+        row = next(islice(_rows(directory, name, ["time", id_column, "mw"]), n, None))[1]
         _timed_row(row, name, n + 1, id_column, index)
     return hour, column, mw
 
@@ -426,30 +394,3 @@ def load_hourly_series(case_directory: str | Path, network: Network,
     return HourlySeries(tuple(map(hour_at, range(first, first + n_hours))), demand,
                         availability)
 
-
-def write_network(network: Network, out_directory: str | Path) -> None:
-    """Write bus/branch/gen tables back out (round-trip counterpart of
-    load_network; derived branch lengths are materialized)."""
-    out = Path(out_directory)
-    write_csv(out / "bus.csv", ["id", "lat", "lon", "base_kv"],
-              [(b.id, *render_floats((b.latitude, b.longitude, b.base_voltage)))
-               for b in network.buses])
-    write_csv(out / "branch.csv",
-              ["id", "from_bus", "to_bus", "reactance_pu", "rating_mva", "kind",
-               "length_km", "diameter_m"],
-              [(b.id, b.from_bus, b.to_bus, *render_floats((b.reactance, b.static_rating)),
-                b.kind, repr(float(b.length_km)),
-                "" if b.diameter_m is None else repr(float(b.diameter_m)))
-               for b in network.branches])
-    max_segments = max(len(g.cost_curve) for g in network.generators)
-    header = ["id", "bus", "fuel", "p_min_mw", "p_max_mw"]
-    for s in range(1, max_segments + 1):
-        header += [f"seg{s}_mw", f"seg{s}_cost"]
-    rows = []
-    for g in network.generators:
-        row = [g.id, g.bus, g.fuel, *render_floats((g.p_min, g.p_max_static))]
-        for segment in g.cost_curve:
-            row += render_floats(segment)
-        row += [""] * (len(header) - len(row))
-        rows.append(row)
-    write_csv(out / "gen.csv", header, rows)

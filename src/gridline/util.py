@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from array import array
 from datetime import datetime, timedelta, timezone
 from itertools import zip_longest
 from pathlib import Path
@@ -77,18 +78,22 @@ def check_span(first: datetime, last: datetime) -> None:
                          "ends before it starts")
 
 
-def read_table(path: Path, required: list[str]):
-    """Yield, once, the header of a headered CSV that has every ``required``
-    column and an iterator over its data rows as lists of cells. Blank
-    lines are skipped. The file stays open until the generator resumes.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValueError(f"missing column(s) {', '.join(missing)}")
-        yield header, filter(None, reader)
+def _header(reader, required: list[str]) -> list[str]:
+    """The first row of ``reader``, which must name every ``required`` column."""
+    header = next(reader, [])
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ValueError(f"missing column(s) {', '.join(missing)}")
+    return header
+
+
+class RowError(ValueError):
+    """A data row that the ``csv`` module cannot split, such as one holding
+    a cell over its field size limit; ``row`` is its 1-based number."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 class _Codes(dict):
@@ -100,52 +105,72 @@ class _Codes(dict):
         return code
 
 
-def read_columns(path: Path, header: list[str], dtypes: dict):
-    """The ``time`` column and the ``dtypes`` columns (name -> dtype) of
-    the headered CSV ``path``, whose header ``read_table`` gave as
-    ``header``, read in one pass by numpy's C reader: the distinct ``time``
-    texts in order of first appearance, and a structured array holding for
-    each row the position of its ``time`` text among them and its
-    ``dtypes`` values. None where numpy refuses the file (or warns), for
-    the caller to read it row by row.
+def read_columns(path: Path, coded: list[str], floats: list[str]):
+    """The ``coded`` text columns and the ``floats`` columns of the headered
+    CSV ``path``, read in one pass up to the first row that does not parse:
+    for each ``coded`` column its distinct texts in order of first
+    appearance and an array of each row's position among them, an (rows,
+    ``len(floats)``) float64 array, and whether every row was read. The
+    caller reads the first unread row again (``read_rows``) to name its
+    fault. A missing column is a ValueError.
 
-    numpy splits rows as ``read_table`` does (``"`` quoting with doubled
-    quotes, LF, CR or CRLF line ends, blank lines skipped, extra cells
-    ignored), passes text cells on as they are, and reads a subset of the
-    numbers that ``float()`` and ``int()`` read, to the same values: it
-    refuses ``1_000``, non-ASCII digits, ints beyond int64 and ``7.0`` for
-    an int.
+    numpy's C reader reads the file when it can. It splits rows as
+    ``read_rows`` does (``"`` quoting with doubled quotes, LF, CR or CRLF
+    line ends, blank lines skipped, extra cells ignored), passes text cells
+    on as they are, and reads a subset of the numbers that ``float()``
+    reads, to the same values. Where it refuses the file (or warns), such
+    as on ``1_000``, non-ASCII digits or a short row, a ``csv.reader`` loop
+    reads it again row by row.
     """
-    if any("\n" in cell or "\r" in cell for cell in header):
-        return None  # ``skiprows`` counts lines, not rows
-    position = {column: k for k, column in enumerate(header)}
-    texts = _Codes()
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle, \
-                warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                handle, dtype=[("time", np.int64), *dtypes.items()], delimiter=",", skiprows=1,
-                quotechar='"', comments=None, ndmin=1,
-                usecols=[position[column] for column in ("time", *dtypes)],
-                # numpy < 2 defaults to encoding="bytes", which hands converters
-                # latin1 bytes instead of the text cells
-                encoding=None, converters={position["time"]: texts.__getitem__})
-    except (ValueError, Warning):
-        return None
-    return list(texts), table
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        position = {column: k for k, column in enumerate(_header(reader, [*coded, *floats]))}
+        columns = [position[column] for column in (*coded, *floats)]
+        books = [_Codes() for _ in coded]
+        complete = True
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(  # from the handle, so it goes on after the header row
+                    handle, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                    usecols=columns,
+                    # numpy < 2 defaults to encoding="bytes", which hands converters
+                    # latin1 bytes instead of the text cells
+                    encoding=None,
+                    converters={k: book.__getitem__ for k, book in zip(columns, books)})
+        except (ValueError, Warning):
+            handle.seek(0)
+            next(reader)  # the header, again
+            books = [_Codes() for _ in coded]
+            parsers = [book.__getitem__ for book in books] + [float] * len(floats)
+            values = array("d")
+            try:
+                for cells in filter(None, reader):
+                    values.extend([parse(cells[k]) for parse, k in zip(parsers, columns)])
+            except (IndexError, ValueError, csv.Error):
+                complete = False
+            table = np.asarray(values).reshape(-1, len(columns))
+    codes = [table[:, k].astype(np.intp) for k in range(len(coded))]
+    return [list(book) for book in books], codes, table[:, len(coded):], complete
 
 
 def read_rows(path: Path, required: list[str]):
-    """Yield (row_number, dict) from a headered CSV; the cells a short row
-    lacks read None.
+    """Yield (row_number, dict) from a headered CSV that has every
+    ``required`` column; the cells a short row lacks read None. Blank
+    lines are skipped.
 
     Row numbers are 1-based counting data rows only, matching the error
     reporting convention used by the loaders.
     """
-    for header, rows in read_table(path, required):
-        for number, cells in enumerate(rows, start=1):
-            yield number, dict(zip_longest(header, cells))
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = _header(reader, required)
+        number = 0
+        try:
+            for number, cells in enumerate(filter(None, reader), start=1):
+                yield number, dict(zip_longest(header, cells))
+        except csv.Error as exc:
+            raise RowError(number + 1, str(exc)) from None
 
 
 def render_floats(values):

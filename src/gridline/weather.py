@@ -7,8 +7,6 @@ Values are never fabricated for missing hours.
 
 from __future__ import annotations
 
-import csv
-from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import islice
@@ -19,7 +17,7 @@ import numpy as np
 from .errors import WeatherError
 from .geo import great_circle_km
 from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each,
-                   parse_hour, read_columns, read_rows, read_table)
+                   parse_hour, read_columns, read_rows)
 
 COLUMNS = ("time", "lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms")
 MIN_PLAUSIBLE_TEMP_K = 150.0
@@ -63,12 +61,13 @@ class WeatherGrid:
                 f"{format_hour(self.hours[0])}..{format_hour(self.hours[-1])}") from None
 
 
-def _rows(path, read=read_rows):
-    """``read`` of a weather file; a missing column or bad text is a WeatherError."""
+def _rows(path):
+    """``read_rows`` of a weather file; a missing column or bad text is a WeatherError."""
     try:
-        yield from read(path, list(COLUMNS))
+        yield from read_rows(path, list(COLUMNS))
     except ValueError as exc:
-        raise WeatherError(f"{path.name}: {exc}") from None
+        row = getattr(exc, "row", None)
+        raise WeatherError(f"{path.name}{'' if row is None else f' row {row}'}: {exc}") from None
 
 
 def _weather_row(row, name, number):
@@ -94,38 +93,19 @@ def load_weather(file: str | Path) -> WeatherGrid:
 
     Every hour that appears must carry the complete cell set (the set seen
     on the first hour); hours of the covered range that never appear are
-    flagged absent. numpy's C reader (``read_columns``) reads the file;
-    where it refuses one, a Python loop reads it row by row, stopping at
-    the first row that fails to parse. Either way each distinct time text
-    is parsed once and the rows are checked as arrays; the first faulty row
-    is read again to name its fault.
+    flagged absent. ``read_columns`` reads the file, up to the first row
+    that does not parse; each distinct time text is parsed once and the
+    rows are checked as arrays. The first faulty row is read again to name
+    its fault.
     """
     path = Path(file)
     if not path.exists():
         raise WeatherError(f"weather file {path} not found")
     name = path.name
-    table = _rows(path, read_table)
-    header, rows = next(table)  # the file stays open while ``table`` is held
-    found = read_columns(path, header, dict.fromkeys(COLUMNS[1:], float))
-    stopped = False
-    if found is None:
-        t, lat, lon, temp, u, v = map({c: i for i, c in enumerate(header)}.get, COLUMNS)
-        stamps = {}  # time text -> code, in order of first appearance
-        codes, values = array("l"), array("d")
-        try:
-            for cells in rows:
-                code = stamps.setdefault(cells[t], len(stamps))
-                values.extend((float(cells[lat]), float(cells[lon]), float(cells[temp]),
-                               float(cells[u]), float(cells[v])))
-                codes.append(code)
-        except (IndexError, ValueError, csv.Error):  # the re-read below names the fault
-            stopped = True
-        stamps, code, fields = list(stamps), np.asarray(codes), np.asarray(values).reshape(-1, 5)
-    else:
-        stamps, columns = found
-        code = columns["time"]
-        fields = np.column_stack([columns[column] for column in COLUMNS[1:]])
-    table.close()
+    try:
+        (stamps,), (code,), fields, complete = read_columns(path, ["time"], COLUMNS[1:])
+    except ValueError as exc:  # such as a missing column
+        raise WeatherError(f"{name}: {exc}") from None
     hour, hour_ok = parse_each(stamps, hour_number)
     hour = hour[code]
     valid = hour_ok[code] & np.isfinite(fields).all(axis=1)
@@ -135,7 +115,7 @@ def load_weather(file: str | Path) -> WeatherGrid:
     if repeat is not None:
         raise WeatherError(f"{name} row {repeat + 1}: duplicate cell "
                            f"{tuple(fields[repeat, :2].tolist())} at {stamps[code[repeat]]}")
-    if n < len(code) or stopped:
+    if n < len(code) or not complete:
         _weather_row(next(islice(_rows(path), n, None))[1], name, n + 1)
     if not len(code):
         raise WeatherError(f"{name}: no weather rows")

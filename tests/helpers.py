@@ -57,6 +57,22 @@ def two_bus_network(line_limit=100.0, cheap=10.0, dear=30.0):
     )
 
 
+def record_numpy_reads(monkeypatch):
+    """A list that gets, for each ``np.loadtxt`` call, whether numpy read
+    the file: False where it refused it, so the row loop read it."""
+    reads = []
+    loadtxt = np.loadtxt
+
+    def recording(*args, **kwargs):
+        reads.append(False)
+        table = loadtxt(*args, **kwargs)
+        reads[-1] = True
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return reads
+
+
 @st.composite
 def meshed_hours(draw):
     """A ring of 4-8 buses with chords, one parallel circuit and a radial

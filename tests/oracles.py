@@ -14,7 +14,8 @@ as rendered columns and reused line tails, the hourly inputs are read
 one ``csv.DictReader`` row at a time into dicts instead of in one pass
 into arrays checked by column, and rating series and sweeps evaluate the
 heat-balance formulas one hour at a time from the raw weather instead of
-from weather-only terms computed once for every hour.
+from weather-only terms computed once for every hour. The generator cost
+curve and the case writer that only tests use live here too.
 """
 
 import csv
@@ -30,7 +31,7 @@ from gridline.geo import conductor_angle, to_utm
 from gridline.network import HourlySeries
 from gridline.ratings import (AAR, DLR, branch_eligible, estimate_diameter, eta_temperature,
                               fold_attack_angle, k_angle, sweep_grid)
-from gridline.util import HOUR, format_hour, parse_hour
+from gridline.util import HOUR, format_hour, parse_hour, render_floats, write_csv
 from gridline.weather import MIN_PLAUSIBLE_TEMP_K, WeatherGrid, nearest_cell
 
 EARTH_RADIUS_KM = 6378.137  # same sphere convention as the package
@@ -572,3 +573,45 @@ def row_by_row_weather(file):
                 temperature[h, c], wind_u[h, c], wind_v[h, c] = per_hour[hour][cell]
     return WeatherGrid(cells, hours, [h in per_hour for h in hours], temperature, wind_u,
                        wind_v)
+
+
+def cost_of(generator, output):
+    """Total $/h of ``generator`` at ``output`` MW: its piecewise-linear
+    cost curve, segments filled cheapest-first."""
+    total = 0.0
+    remaining = output
+    for cap, price in generator.cost_curve:
+        take = min(cap, remaining)
+        if take <= 0:
+            break
+        total += take * price
+        remaining -= take
+    return total
+
+
+def write_network(network, out_directory):
+    """Write bus/branch/gen tables back out (round-trip counterpart of
+    ``network.load_network``; derived branch lengths are materialized)."""
+    out = Path(out_directory)
+    write_csv(out / "bus.csv", ["id", "lat", "lon", "base_kv"],
+              [(b.id, *render_floats((b.latitude, b.longitude, b.base_voltage)))
+               for b in network.buses])
+    write_csv(out / "branch.csv",
+              ["id", "from_bus", "to_bus", "reactance_pu", "rating_mva", "kind",
+               "length_km", "diameter_m"],
+              [(b.id, b.from_bus, b.to_bus, *render_floats((b.reactance, b.static_rating)),
+                b.kind, repr(float(b.length_km)),
+                "" if b.diameter_m is None else repr(float(b.diameter_m)))
+               for b in network.branches])
+    max_segments = max(len(g.cost_curve) for g in network.generators)
+    header = ["id", "bus", "fuel", "p_min_mw", "p_max_mw"]
+    for s in range(1, max_segments + 1):
+        header += [f"seg{s}_mw", f"seg{s}_cost"]
+    rows = []
+    for g in network.generators:
+        row = [g.id, g.bus, g.fuel, *render_floats((g.p_min, g.p_max_static))]
+        for segment in g.cost_curve:
+            row += render_floats(segment)
+        row += [""] * (len(header) - len(row))
+        rows.append(row)
+    write_csv(out / "gen.csv", header, rows)

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import oracles
 from gridline.errors import GridlineError
 from gridline.network import load_hourly_series
-from gridline.util import read_columns, read_table
+from gridline.util import read_columns, read_rows
 from gridline.weather import COLUMNS, load_weather
-from helpers import make_network
+from helpers import make_network, record_numpy_reads
 
 START = datetime(2016, 7, 1, tzinfo=timezone.utc)
 P_MAX = 50.0
@@ -243,27 +243,29 @@ HOURLY_FILES = sorted([*CASES.glob("*/demand.csv"), *CASES.glob("*/availability.
                        *CASES.glob("weather_*.csv")])
 
 
-def _dtypes(path):
+def _columns(path):
+    """The coded and the float columns of a bundled hourly file."""
     if path.name.startswith("weather"):
-        return dict.fromkeys(COLUMNS[1:], float)
-    return {"bus_id" if path.name == "demand.csv" else "gen_id": np.int64, "mw": float}
+        return ["time"], list(COLUMNS[1:])
+    return ["time", "bus_id" if path.name == "demand.csv" else "gen_id"], ["mw"]
 
 
 @pytest.mark.parametrize("path", HOURLY_FILES, ids=lambda path: path.relative_to(CASES).as_posix())
-def test_numpy_reads_every_bundled_hourly_file(path):
-    table = read_table(path, [])
-    header, rows = next(table)  # the file stays open while ``table`` is held
-    found = read_columns(path, header, _dtypes(path))
-    assert found is not None
-    stamps, columns = found
-    times = [cells[header.index("time")] for cells in rows]
-    assert [stamps[code] for code in columns["time"]] == times
-    assert list(columns.dtype.names) == ["time", *_dtypes(path)]
+def test_numpy_reads_every_bundled_hourly_file(path, monkeypatch):
+    reads = record_numpy_reads(monkeypatch)
+    coded, floats = _columns(path)
+    texts, codes, values, complete = read_columns(path, coded, floats)
+    assert reads == [True] and complete  # the row loop did not run
+    rows = [row for _, row in read_rows(path, [])]
+    for column, distinct, code in zip(coded, texts, codes):
+        assert [distinct[k] for k in code] == [row[column] for row in rows]
+    assert values.tolist() == [[float(row[column]) for column in floats] for row in rows]
 
 
 def test_time_texts_stay_text_under_the_numpy_1_loadtxt_default(monkeypatch):
     # numpy < 2 defaults loadtxt to encoding="bytes", which hands converters
     # bytes; a bytes stamp would fail later in parse_hour with a TypeError
+    reads = record_numpy_reads(monkeypatch)
     loadtxt = np.loadtxt
 
     def numpy_1_loadtxt(*args, encoding="bytes", **kwargs):
@@ -271,22 +273,22 @@ def test_time_texts_stay_text_under_the_numpy_1_loadtxt_default(monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
     path = CASES / "case3" / "demand.csv"
-    header, _ = next(read_table(path, []))
-    stamps, _ = read_columns(path, header, _dtypes(path))
-    assert stamps and all(type(stamp) is str for stamp in stamps)
+    (stamps, idents), *_ = read_columns(path, *_columns(path))
+    assert reads == [True]
+    assert stamps and all(type(text) is str for text in stamps + idents)
 
 
-@pytest.mark.parametrize("text", [
-    "time,bus_id,mw\n2016-07-01T00:00:00Z,1,1_000\n",
-    # numpy skips header lines, not rows: its first row would be the header's
-    # second line, and its fourth cell would run on to the end of the file
-    'time,bus_id,mw,"x\n2016-07-01T00:00:00Z,1,5,"\n2016-07-01T00:00:00Z,1,1000\n'],
+@pytest.mark.parametrize("text, numpy_reads", [
+    ("time,bus_id,mw\n2016-07-01T00:00:00Z,1,1_000\n", False),
+    # numpy goes on from the handle after the header row; skipping header
+    # lines instead, its first row would be the header's second line
+    ('time,bus_id,mw,"x\n2016-07-01T00:00:00Z,1,5,"\n2016-07-01T00:00:00Z,1,1000\n', True)],
     ids=["underscore", "header-over-two-lines"])
-def test_numpy_refuses_what_it_would_read_otherwise(tmp_path, text):
+def test_python_only_numbers_and_a_two_line_header_load_right(tmp_path, monkeypatch, text,
+                                                              numpy_reads):
     path = tmp_path / "demand.csv"
     path.write_bytes(text.encode())
-    table = read_table(path, [])
-    header, _ = next(table)
-    assert read_columns(path, header, _dtypes(path)) is None
+    reads = record_numpy_reads(monkeypatch)
     series = load_hourly_series(tmp_path, NETWORK, read_availability=False)
+    assert reads == [numpy_reads]
     assert series.demand.tolist() == [[1000.0, 0.0, 0.0, 0.0]]

@@ -3,8 +3,14 @@ import shutil
 import numpy as np
 import pytest
 
+import oracles
 from gridline.errors import CaseError
-from gridline.network import load_hourly_series, load_network, write_network
+from gridline.network import load_hourly_series, load_network
+from helpers import record_numpy_reads
+
+WIDE = 2**64  # added to every bus and generator id of a widened case
+ID_COLUMNS = {"bus.csv": ("id",), "branch.csv": ("from_bus", "to_bus"), "gen.csv": ("id", "bus"),
+              "demand.csv": ("bus_id",), "availability.csv": ("gen_id",)}
 
 
 def copy_case(cases_dir, tmp_path, name="case3"):
@@ -16,6 +22,18 @@ def copy_case(cases_dir, tmp_path, name="case3"):
 def edit_csv(path, transform):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(transform(lines)) + "\n")
+
+
+def widen_ids(case):
+    """Add WIDE to every bus and generator id of ``case``: ids beyond int64."""
+    for name, columns in ID_COLUMNS.items():
+        def widen(lines):
+            header = lines[0].split(",")
+            at = [header.index(column) for column in columns]
+            return lines[:1] + [",".join(str(WIDE + int(cell)) if k in at else cell
+                                         for k, cell in enumerate(line.split(",")))
+                                for line in lines[1:]]
+        edit_csv(case / name, widen)
 
 
 def test_fixture_round_trip_counts(networks):
@@ -104,14 +122,14 @@ def test_cost_function_convex_by_sampling(networks):
     for net in networks.values():
         for gen in net.generators:
             outputs = np.linspace(0.0, gen.p_max_static, 21)
-            costs = [gen.cost_of(p) for p in outputs]
+            costs = [oracles.cost_of(gen, p) for p in outputs]
             second_difference = np.diff(costs, 2)
             assert np.all(second_difference >= -1e-9)
 
 
 def test_round_trip_semantically_identical(networks, tmp_path):
     original = networks["case5"]
-    write_network(original, tmp_path)
+    oracles.write_network(original, tmp_path)
     reloaded = load_network(tmp_path)
     assert reloaded.buses == original.buses
     assert reloaded.branches == original.branches
@@ -213,16 +231,41 @@ def _without_first(lines, token):
      "duplicate entry for gen_id 2 at 2016-07-01T00:00:00Z", 25),
     ("case3", "demand.csv", lambda lines: lines + ["2016-07-01T00:00:00Z"],
      "missing value for 'bus_id'", 49),
+    ("case5-wide", "demand.csv", lambda lines: lines + [f"2016-07-01T00:00:00Z,{WIDE + 42},5.0"],
+     f"unknown bus_id {WIDE + 42}", 73),
 ])
 def test_series_input_errors_name_file_and_row(cases_dir, tmp_path, case, file, transform,
                                                message, row):
-    target = copy_case(cases_dir, tmp_path, case)
+    target = copy_case(cases_dir, tmp_path, case.removesuffix("-wide"))
+    if case.endswith("-wide"):
+        widen_ids(target)
     edit_csv(target / file, transform)
     with pytest.raises(CaseError) as err:
         load_hourly_series(target, load_network(target))
     where = f" [{file}" + ("" if row is None else f", row {row}") + "]"
     assert str(err.value) == message + where
     assert (err.value.file, err.value.row) == (file, row)
+
+
+@pytest.mark.parametrize("reader", ["numpy", "row loop"])
+def test_ids_beyond_int64_load_through_both_readers(cases_dir, tmp_path, monkeypatch, reader):
+    case = copy_case(cases_dir, tmp_path, "case5")
+    widen_ids(case)
+    if reader == "row loop":  # numpy refuses an underscore between digits
+        for name in ("demand.csv", "availability.csv"):
+            edit_csv(case / name, lambda lines: [lines[0], lines[1][:-1] + "_" + lines[1][-1],
+                                                 *lines[2:]])
+    reads = record_numpy_reads(monkeypatch)
+    net = load_network(case)
+    series = load_hourly_series(case, net)
+    assert reads == [reader == "numpy"] * 2
+    plain = load_network(cases_dir / "case5")
+    assert [b.id for b in net.buses] == [WIDE + b.id for b in plain.buses]
+    assert [g.id for g in net.generators] == [WIDE + g.id for g in plain.generators]
+    expected = load_hourly_series(cases_dir / "case5", plain)
+    assert series.hours == expected.hours
+    assert series.demand.tobytes() == expected.demand.tobytes()
+    assert series.availability.tobytes() == expected.availability.tobytes()
 
 
 def _add_byte_order_mark(path):
