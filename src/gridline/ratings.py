@@ -14,9 +14,12 @@ Multipliers apply only to lines shorter than the eligibility length;
 transformers and long lines keep their static ratings.
 
 The formulas take scalars or numpy arrays. Series and sweeps find the
-weather-only terms once, then rate every eligible branch over every present
-hour in one array pass per parameter set; ``branch_multiplier`` rates one
-branch-hour.
+weather-only terms once per (hour, weather cell), on the cells nearest the
+eligible lines, and gather them to the lines that share each cell; K_angle
+comes from the wind's unit direction and each line's bearing cosine and
+sine, without trigonometry per branch-hour. They then rate every eligible
+branch over every present hour in one array pass per parameter set;
+``branch_multiplier`` rates one branch-hour.
 """
 
 from __future__ import annotations
@@ -129,17 +132,26 @@ def eta_wind(speed, phi, diameter, params: RatingParams):
     if np.any(np.less_equal(diameter, 0)):
         raise ValueError("conductor diameter must be positive")
     calm = np.less(speed, params.calm_wind_threshold)
-    return np.where(calm, 1.0, _wind_term(speed, phi, diameter, params)
-                    / np.sqrt(params.k_angle_slr))[()]
-
-
-def _wind_term(speed, phi, diameter, params: RatingParams):
-    """eta_v times sqrt(K_angle_SLR): the part of the wind factor that does
-    not depend on phi_SLR, with no calm-wind rule."""
     speed_term = (speed / params.v_slr) ** 0.26
     reynolds = (params.air_density / params.air_viscosity) * diameter * speed
     reynolds_term = np.maximum(1.0, 0.566 * reynolds**0.04)
-    return np.sqrt(k_angle(fold_attack_angle(phi))) * speed_term * reynolds_term
+    term = np.sqrt(k_angle(fold_attack_angle(phi))) * speed_term * reynolds_term
+    return np.where(calm, 1.0, term / np.sqrt(params.k_angle_slr))[()]
+
+
+def k_angle_of_wind(unit_u, unit_v, cos_axis, sin_axis):
+    """k_angle of the folded attack angle between a wind of unit direction
+    (unit_u, unit_v) and a conductor whose bearing has cosine ``cos_axis``
+    and sine ``sin_axis``, found without trigonometry.
+
+    The folded angle's cosine and sine are c = |cos phi| and s = |sin phi|
+    of the raw angle phi, whose own cosine and sine are a dot and a cross
+    product of the two directions, so
+    K = 1.194 - c + 0.194 * (2 c^2 - 1) + 0.736 * s * c.
+    """
+    c = np.abs(unit_u * cos_axis + unit_v * sin_axis)
+    s = np.abs(unit_v * cos_axis - unit_u * sin_axis)
+    return 1.194 - c + 0.194 * (2 * c * c - 1) + 0.736 * s * c
 
 
 def estimate_diameter(branch: Branch, network: Network,
@@ -201,15 +213,26 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
                 positions: np.ndarray):
     """Positions of the eligible branches, and ``rate(params)``: their
     multipliers over the weather hour ``positions``, (hours, lines), written
-    into one array that the next call overwrites. The weather-only terms
-    (ambient temperature, DLR wind term) are found here, once; ``rate``'s
-    params may differ from these only in T_C, T_A_SLR and phi_SLR."""
+    into one array that the next call overwrites.
+
+    The weather-only terms are found per (hour, cell) on the distinct cells
+    nearest the lines, then gathered to the lines, which may share a cell:
+    the ambient temperature, kept for every hour, and for DLR the wind
+    speed, calm flag, speed term and unit wind direction, one block of
+    hours at a time. The DLR wind term is found here once for every hour
+    and line. Its K_angle comes from the wind direction and the cosine and
+    sine of each line's bearing (``k_angle_of_wind``). ``rate`` finds eta_T
+    per (hour, cell). Its params may differ from these only in T_C, T_A_SLR
+    and phi_SLR."""
     index = np.array([l for l, b in enumerate(network.branches)
                       if branch_eligible(b, params)], dtype=int)
     lat, lon = np.array([(b.latitude, b.longitude) for b in network.buses]).T
     a, b = network.branch_from[index], network.branch_to[index]
-    cell = nearest_cell(weather, (lat[a] + lat[b]) / 2.0, (lon[a] + lon[b]) / 2.0)
-    ambient = weather.temperature[np.ix_(positions, cell)]
+    cells, line_cell = np.unique(
+        nearest_cell(weather, (lat[a] + lat[b]) / 2.0, (lon[a] + lon[b]) / 2.0),
+        return_inverse=True)
+    ambient = weather.temperature[np.ix_(positions, cells)]  # (hours, cells)
+    shape = (len(positions), len(index))
     wind = None
     if regime == DLR:  # bearings in each from-bus zone, so both endpoints share a plane
         start = to_utm(lat[a], lon[a])
@@ -219,6 +242,7 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
             raise GridlineError(f"branch {network.branches[index[np.argmax(flat)]].id}: DLR "
                                 "needs a conductor bearing, but the line has zero length")
         axis = conductor_angle(start, end)
+        cos_axis, sin_axis = np.cos(axis), np.sin(axis)
         diameter = np.array([estimate_diameter(network.branches[l], network, params)
                              for l in index])
         if np.any(diameter <= 0):
@@ -227,13 +251,24 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
                 f"branch {network.branches[index[thin]].id}: fitted conductor diameter "
                 f"{diameter[thin]} m is not positive (diameter_fit_a {params.diameter_fit_a}, "
                 f"diameter_fit_b {params.diameter_fit_b})")
-        wind = np.empty_like(ambient)
+        reynolds_per_speed = (params.air_density / params.air_viscosity) * diameter
+        wind = np.empty(shape)
         for rows in _blocks(len(positions)):
-            u, v = (w[np.ix_(positions[rows], cell)] for w in (weather.wind_u, weather.wind_v))
+            u, v = (w[np.ix_(positions[rows], cells)] for w in (weather.wind_u, weather.wind_v))
             speed = np.hypot(u, v)
-            term = _wind_term(speed, np.arctan2(v, u) - axis, diameter, params)
-            wind[rows] = np.where(speed < params.calm_wind_threshold, 0.0, term)
-    out = np.empty_like(ambient)
+            # a calm cell's speed term is 0, which zeroes its wind term, as
+            # does zero wind under a non-positive calm threshold; zero wind
+            # is divided by 1, so its direction (0, 0) gives a finite K_angle
+            speed_term = np.where(speed < params.calm_wind_threshold, 0.0,
+                                  (speed / params.v_slr) ** 0.26)
+            divisor = np.where(speed > 0, speed, 1.0)
+            unit_u, unit_v = u / divisor, v / divisor
+            term = np.sqrt(k_angle_of_wind(unit_u[:, line_cell], unit_v[:, line_cell],
+                                           cos_axis, sin_axis), out=wind[rows])
+            term *= speed_term[:, line_cell]
+            reynolds = reynolds_per_speed * speed[:, line_cell]
+            term *= np.maximum(1.0, 0.566 * reynolds**0.04)
+    out = np.empty(shape)
 
     def collapse(rows: slice, params: RatingParams):
         """Raise the collapse of the first hour in ``rows`` that has one,
@@ -242,7 +277,7 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
             try:
                 eta_temperature(ambient[k], params)
             except RatingCollapseError as exc:
-                hottest = network.branches[index[np.argmax(ambient[k])]]
+                hottest = network.branches[index[np.argmax(ambient[k, line_cell])]]
                 hour = format_hour(weather.hours[positions[k]])
                 raise RatingCollapseError(f"branch {hottest.id} at {hour}: {exc}") from None
 
@@ -250,13 +285,14 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
         root_slr = np.sqrt(params.k_angle_slr)
         for rows in _blocks(len(positions)):
             try:
-                eta_t = eta_temperature(ambient[rows], params)
+                eta_t = eta_temperature(ambient[rows], params)[:, line_cell]
             except RatingCollapseError:
                 collapse(rows, params)
             if wind is None:
                 out[rows] = eta_t
             else:
-                np.multiply(eta_t, np.maximum(1.0, wind[rows] / root_slr), out=out[rows])
+                block = np.divide(wind[rows], root_slr, out=out[rows])
+                np.multiply(eta_t, np.maximum(1.0, block, out=block), out=block)
         return out
     return index, rate
 

@@ -79,8 +79,12 @@ def check_span(first: datetime, last: datetime) -> None:
 
 
 def _header(reader, required: list[str]) -> list[str]:
-    """The first row of ``reader``, which must name every ``required`` column."""
-    header = next(reader, [])
+    """The first row of ``reader``, which must name every ``required`` column.
+    A header that the ``csv`` module cannot split is a ValueError too."""
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise ValueError(f"header: {exc}") from None
     missing = [c for c in required if c not in header]
     if missing:
         raise ValueError(f"missing column(s) {', '.join(missing)}")
@@ -105,6 +109,29 @@ class _Codes(dict):
         return code
 
 
+def _rows_fit(path: Path) -> bool:
+    """Whether every row of the CSV ``path`` is shorter than the ``csv``
+    module's field size limit, so that none can hold a cell over it.
+
+    A row ends at a CR or LF with an even number of quotes before it, which
+    is outside any quoted cell. A row of at least the limit's length holds
+    a whole aligned block of half that many bytes with no row end in it, so
+    the rows fit when every such block holds a row end. (A row from half the
+    limit up may fail the test too, which only costs the row loop's time.)
+    Lengths count bytes, never fewer than the characters the limit counts.
+    """
+    text = path.read_bytes()
+    if b'"' in text:  # blank out the CR and LF inside quoted cells
+        data = np.frombuffer(text, dtype=np.uint8).copy()
+        at = np.flatnonzero((data == ord("\n")) | (data == ord("\r")))
+        data[at[np.searchsorted(np.flatnonzero(data == ord('"')), at) % 2 == 1]] = ord(" ")
+        text = data.tobytes()
+    block = csv.field_size_limit() // 2
+    return all(text.find(b"\n", start, start + block) >= 0
+               or text.find(b"\r", start, start + block) >= 0
+               for start in range(0, len(text) - block + 1, block))
+
+
 def read_columns(path: Path, coded: list[str], floats: list[str]):
     """The ``coded`` text columns and the ``floats`` columns of the headered
     CSV ``path``, read in one pass up to the first row that does not parse:
@@ -120,7 +147,9 @@ def read_columns(path: Path, coded: list[str], floats: list[str]):
     on as they are, and reads a subset of the numbers that ``float()``
     reads, to the same values. Where it refuses the file (or warns), such
     as on ``1_000``, non-ASCII digits or a short row, a ``csv.reader`` loop
-    reads it again row by row.
+    reads it again row by row. numpy has no field size limit, so a file
+    whose rows may hold a cell over the ``csv`` module's (``_rows_fit``)
+    goes to the row loop as well, which stops at that row.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -128,17 +157,21 @@ def read_columns(path: Path, coded: list[str], floats: list[str]):
         columns = [position[column] for column in (*coded, *floats)]
         books = [_Codes() for _ in coded]
         complete = True
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(  # from the handle, so it goes on after the header row
-                    handle, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                    usecols=columns,
-                    # numpy < 2 defaults to encoding="bytes", which hands converters
-                    # latin1 bytes instead of the text cells
-                    encoding=None,
-                    converters={k: book.__getitem__ for k, book in zip(columns, books)})
-        except (ValueError, Warning):
+        table = None
+        if _rows_fit(path):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(  # from the handle, so it goes on after the header row
+                        handle, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                        usecols=columns,
+                        # numpy < 2 defaults to encoding="bytes", which hands converters
+                        # latin1 bytes instead of the text cells
+                        encoding=None,
+                        converters={k: book.__getitem__ for k, book in zip(columns, books)})
+            except (ValueError, Warning):
+                pass
+        if table is None:
             handle.seek(0)
             next(reader)  # the header, again
             books = [_Codes() for _ in coded]

@@ -13,9 +13,11 @@ cells are formatted one value at a time through ``csv.writer`` instead of
 as rendered columns and reused line tails, the hourly inputs are read
 one ``csv.DictReader`` row at a time into dicts instead of in one pass
 into arrays checked by column, and rating series and sweeps evaluate the
-heat-balance formulas one hour at a time from the raw weather instead of
-from weather-only terms computed once for every hour. The generator cost
-curve and the case writer that only tests use live here too.
+heat-balance formulas one hour at a time from the raw weather at each
+line, with K_angle through the attack angle's trigonometry, instead of
+from weather-only terms computed once per (hour, cell) and K_angle from
+the wind components. The generator cost curve and the case writer that
+only tests use live here too.
 """
 
 import csv

@@ -362,6 +362,27 @@ def test_a_cell_over_the_csv_field_limit_ends_with_a_message(runner, cases_dir, 
     assert isinstance(result.exception, SystemExit)  # not a traceback
 
 
+@pytest.mark.parametrize("file, message", [
+    ("demand.csv", "header: field larger than field limit (131072) [demand.csv]"),
+    ("bus.csv", "header: field larger than field limit (131072) [bus.csv]"),
+    ("weather.csv", "weather.csv: header: field larger than field limit (131072)")],
+    ids=["demand.csv", "bus.csv", "weather.csv"])
+def test_a_header_cell_over_the_csv_field_limit_ends_with_a_message(runner, cases_dir, tmp_path,
+                                                                    file, message):
+    case, weather = tmp_path / "case", tmp_path / "weather.csv"
+    shutil.copytree(cases_dir / "case3", case)
+    shutil.copy(cases_dir / "weather_case3.csv", weather)
+    path = weather if file == "weather.csv" else case / file
+    lines = path.read_text().splitlines()
+    lines[0] += "," + "x" * 200_000
+    path.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["run", "--case", str(case), "--weather", str(weather),
+                                  "--regimes", "dlr", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: {message}\n"
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+
+
 @pytest.mark.parametrize("command, work", [
     ("run", "run"), ("ratings", "build_rating_series"), ("sweep", "sweep_parameters")])
 def test_value_error_in_the_work_keeps_its_traceback(runner, cases_dir, tmp_path,

@@ -7,6 +7,7 @@ bits through numpy's reader and through the row loop it falls back to;
 an injected fault, or two at different rows, must give the same error
 type, message, file and row."""
 
+import csv
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -292,3 +293,38 @@ def test_python_only_numbers_and_a_two_line_header_load_right(tmp_path, monkeypa
     series = load_hourly_series(tmp_path, NETWORK, read_availability=False)
     assert reads == [numpy_reads]
     assert series.demand.tolist() == [[1000.0, 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("long_cell", ["x" * 200_000, '"' + "x,\n" * 70_000 + '"'],
+                         ids=["on-one-line", "quoted-over-lines"])
+def test_both_readers_stop_at_a_cell_over_the_csv_field_limit(tmp_path, monkeypatch, long_cell):
+    # the same rows, once with a 10 that numpy reads and once with a 1_0 that
+    # it refuses, so the row loop reads the second file
+    reads = record_numpy_reads(monkeypatch)
+    results = []
+    for spelling in ("10", "1_0"):
+        rows = [f"2016-07-01T0{h}:00:00Z,{h % 2 + 1},{spelling if h == 0 else h}"
+                for h in range(6)]
+        rows[3] += "," + long_cell
+        path = tmp_path / f"demand-{spelling}.csv"
+        path.write_text("time,bus_id,mw\n" + "\n".join(rows) + "\n")
+        results.append(read_columns(path, ["time", "bus_id"], ["mw"]))
+    (texts, codes, values, complete), (texts_1, codes_1, values_1, complete_1) = results
+    assert texts == texts_1 and all(map(np.array_equal, codes, codes_1))
+    assert values.tolist() == values_1.tolist() == [[10.0], [1.0], [2.0]]
+    assert not complete and not complete_1  # both stop at the fourth row
+    assert not any(reads)  # numpy is not given a file with such a cell
+
+
+def test_numpy_reads_a_long_file_whose_cells_are_quoted(tmp_path, monkeypatch):
+    # quoted cells, one with a line end in it, and the file over the csv
+    # field limit: no row is near it, so numpy reads the file
+    reads = record_numpy_reads(monkeypatch)
+    rows = [f'"2016-07-01T00:00:00Z","{k}","{k}.5"' for k in range(10_000)]
+    rows[1] = '"2016-07-01T00:00:00Z","1\n","1.5"'
+    path = tmp_path / "demand.csv"
+    path.write_text("time,bus_id,mw\n" + "\n".join(rows) + "\n")
+    assert path.stat().st_size > csv.field_size_limit()
+    (_, idents), _, values, complete = read_columns(path, ["time", "bus_id"], ["mw"])
+    assert reads == [True] and complete
+    assert idents[:3] == ["0", "1\n", "2"] and values[:3].tolist() == [[0.5], [1.5], [2.5]]

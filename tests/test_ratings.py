@@ -12,7 +12,7 @@ from gridline.errors import GridlineError, RatingCollapseError
 from gridline.ratings import (AAR, DLR, HOUR_BLOCK, SLR, RatingParams, branch_eligible,
                               branch_multiplier, build_rating_series,
                               estimate_diameter, eta_temperature, eta_wind,
-                              fold_attack_angle, k_angle, sweep_parameters)
+                              fold_attack_angle, k_angle, k_angle_of_wind, sweep_parameters)
 from gridline.weather import WeatherGrid, WeatherSample, load_weather, nearest_cell
 
 import oracles
@@ -43,6 +43,52 @@ class TestKAngle:
         for phi in rng.uniform(-10, 10, 200):
             folded = fold_attack_angle(phi)
             assert 0.0 <= folded <= math.pi / 2
+
+
+def trig_k_angle(u, v, axis):
+    """K_angle of a wind (u, v) on a conductor of bearing ``axis`` through
+    the folded attack angle, as ``tests/oracles.py`` rates it."""
+    return k_angle(fold_attack_angle(np.arctan2(v, u) - axis))
+
+
+def component_k_angle(u, v, axis):
+    """K_angle of the same wind through ``k_angle_of_wind``, the wind made a
+    unit direction as the array rater makes it."""
+    speed = np.hypot(u, v)
+    return k_angle_of_wind(np.divide(u, speed), np.divide(v, speed), np.cos(axis), np.sin(axis))
+
+
+class TestKAngleOfWind:
+    """The wind-component form of K_angle equals the trigonometric one."""
+
+    # normal floats only: a subnormal component loses digits in u / speed
+    COMPONENT = st.floats(-30.0, 30.0, allow_subnormal=False)
+    BEARING = st.floats(-math.pi, math.pi, exclude_min=True)  # conductor_angle's range
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=COMPONENT, v=COMPONENT, axis=BEARING)
+    def test_drawn_winds(self, u, v, axis):
+        assume(u != 0.0 or v != 0.0)
+        np.testing.assert_allclose(component_k_angle(u, v, axis), trig_k_angle(u, v, axis),
+                                   rtol=2e-15, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(speed=st.floats(1e-300, 30.0) | st.floats(1e-6, 0.02), axis=BEARING,
+           turn=st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    def test_parallel_perpendicular_and_near_calm_winds(self, speed, axis, turn):
+        # wind along the conductor either way (turn 0, 1) or across it (0.5, 1.5)
+        u, v = speed * math.cos(axis + turn * math.pi), speed * math.sin(axis + turn * math.pi)
+        assume(u != 0.0 or v != 0.0)
+        expected = trig_k_angle(u, v, axis)
+        np.testing.assert_allclose(component_k_angle(u, v, axis), expected, rtol=2e-15, atol=0)
+        assert expected == pytest.approx(0.388 if turn in (0.0, 1.0) else 1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("u, v", [(3.0, 0.0), (-3.0, 0.0), (0.0, 3.0), (0.0, -3.0),
+                                      (-2.0, -5.0), (4.0, -1e-3), (-1e-300, 2e-300)])
+    @pytest.mark.parametrize("axis", [0.0, math.pi / 2, math.pi, -math.pi / 2, -2.5, 1.0])
+    def test_axis_aligned_and_negative_components(self, u, v, axis):
+        np.testing.assert_allclose(component_k_angle(u, v, axis), trig_k_angle(u, v, axis),
+                                   rtol=2e-15, atol=0)
 
 
 class TestEtaTemperature:
@@ -489,6 +535,82 @@ class TestRaterAgainstPerHourOracle:
             series = build_rating_series(net, grid, hours, DLR,
                                          replace(base, t_conductor=t_c, phi_slr=phi))
             assert mean == series.multiplier[np.ix_(present, eligible)].mean()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_lines_sharing_cells(self, data):
+        # a 4 x 4 grid of cells a degree apart, and lines centred on one to
+        # three of them: more lines than used cells, so some share a cell,
+        # and the other cells rate no line
+        cells = [(30.0 + i, -100.0 + j) for i in range(4) for j in range(4)]
+        used = data.draw(st.lists(st.integers(0, len(cells) - 1), min_size=1, max_size=3,
+                                  unique=True))
+        n_lines = data.draw(st.integers(len(used) + 1, 8))
+        offset = st.floats(0.02, 0.3) | st.floats(-0.3, -0.02)
+        buses, branches = [], []
+        for k in range(n_lines):
+            lat, lon = cells[used[k % len(used)]]
+            half_lat, half_lon = data.draw(offset) / 2, data.draw(offset) / 2
+            buses += [(2 * k + 1, lat - half_lat, lon - half_lon, 115.0),
+                      (2 * k + 2, lat + half_lat, lon + half_lon, 115.0)]
+            branches.append((k + 1, 2 * k + 1, 2 * k + 2, 0.1, data.draw(st.floats(50.0, 400.0))))
+        net = make_network(buses, branches, [(1, 1, "natural_gas", 0.0, 10.0, [(10.0, 20.0)])])
+        params = drawn_params(data)
+        n_hours = data.draw(BLOCK_STRADDLING | st.integers(1, 2 * HOUR_BLOCK))
+        grid = drawn_grid(data, cells, params, n_hours)
+        lat, lon = np.array([(b.latitude, b.longitude) for b in net.buses]).T
+        line_cell = nearest_cell(grid, (lat[0::2] + lat[1::2]) / 2, (lon[0::2] + lon[1::2]) / 2)
+        assert sorted(set(line_cell)) == sorted(used)
+        hours = data.draw(st.permutations(grid.hours))
+        aar = build_rating_series(net, grid, hours, AAR, params).multiplier
+        assert np.array_equal(aar, oracles.per_hour_multipliers(net, grid, hours, AAR, params))
+        dlr = build_rating_series(net, grid, hours, DLR, params).multiplier
+        np.testing.assert_allclose(dlr, oracles.per_hour_multipliers(net, grid, hours, DLR,
+                                                                     params),
+                                   rtol=2e-15, atol=0)
+        # one present hour above the conductor limit in every cell
+        hot = data.draw(st.integers(0, n_hours - 1))
+        temperature, present = grid.temperature.copy(), grid.present.copy()
+        temperature[hot] = params.t_conductor + 273.15 + data.draw(
+            arrays(float, len(cells), elements=st.floats(0.0, 5.0)))
+        present[hot] = True
+        grid = WeatherGrid(cells, grid.hours, present, temperature, grid.wind_u, grid.wind_v)
+        for regime in (AAR, DLR):
+            with pytest.raises(RatingCollapseError) as expected:
+                oracles.per_hour_multipliers(net, grid, hours, regime, params)
+            with pytest.raises(RatingCollapseError) as err:
+                build_rating_series(net, grid, hours, regime, params)
+            assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_zero_wind_under_a_nonpositive_calm_threshold(self, networks, weathers, threshold):
+        # the wind is not calm, its speed term is 0, and so DLR is AAR there
+        net, cells = networks["case30"], weathers["case30"].cells
+        params = replace(PARAMS, calm_wind_threshold=threshold)
+        n_hours = HOUR_BLOCK + 3
+        rng = np.random.RandomState(8)
+        shape = (n_hours, len(cells))
+        wind_u, wind_v = rng.uniform(-8.0, 8.0, shape), rng.uniform(-8.0, 8.0, shape)
+        wind_u[::2, ::2] = wind_v[::2, ::2] = 0.0
+        wind_u[1::2, ::3], wind_v[1::2, ::3] = -0.0, 0.0
+        wind_u[::3, 1::2], wind_v[::3, 1::2] = 0.0, -0.0
+        start = datetime(2016, 7, 1, tzinfo=timezone.utc)
+        grid = WeatherGrid(cells, tuple(start + timedelta(hours=h) for h in range(n_hours)),
+                           np.ones(n_hours, dtype=bool), rng.uniform(250.0, 320.0, shape),
+                           wind_u, wind_v)
+        hours = list(grid.hours)
+        dlr = build_rating_series(net, grid, hours, DLR, params).multiplier
+        assert np.isfinite(dlr).all()
+        np.testing.assert_allclose(dlr, oracles.per_hour_multipliers(net, grid, hours, DLR,
+                                                                     params),
+                                   rtol=2e-15, atol=0)
+        a, b = net.branch_from, net.branch_to
+        lat, lon = np.array([(bus.latitude, bus.longitude) for bus in net.buses]).T
+        still = ((wind_u == 0) & (wind_v == 0))[:, nearest_cell(grid, (lat[a] + lat[b]) / 2,
+                                                                  (lon[a] + lon[b]) / 2)]
+        assert still.any()
+        aar = build_rating_series(net, grid, hours, AAR, params).multiplier
+        assert np.array_equal(dlr[still], aar[still])
 
     @pytest.mark.parametrize("regime", [AAR, DLR])
     def test_collapse_in_a_later_block_names_the_per_hour_branch_and_hour(self, networks,
