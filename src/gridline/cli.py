@@ -45,7 +45,7 @@ def load_params_file(path: Path) -> dict[str, float]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise GridlineError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    values: dict[str, float] = {}
+    values: dict[str, tuple[int, float]] = {}  # key: (line number, value)
     for number, line in enumerate(text.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -55,11 +55,13 @@ def load_params_file(path: Path) -> dict[str, float]:
             raise GridlineError(f"{path}:{number}: expected key = value")
         if key not in _PARAM_FIELDS:
             raise GridlineError(f"{path}:{number}: unknown parameter {key!r}")
+        if key in values:
+            raise GridlineError(f"{path}:{number}: {key!r} already set on line {values[key][0]}")
         try:
-            values[key] = float(raw)
+            values[key] = number, float(raw)
         except ValueError:
             raise GridlineError(f"{path}:{number}: bad number {raw!r}") from None
-    return values
+    return {key: value for key, (_, value) in values.items()}
 
 
 def _rating_params(options: dict) -> RatingParams:
@@ -146,8 +148,11 @@ def _emission_factors(ctx, param, text):
     if not text:
         return dict(DEFAULT_EMISSION_FACTORS)
     pairs = [part.partition("=") for part in text.split(",") if part.strip()]
+    fuels = [fuel.strip() for fuel, _, _ in pairs]
+    if len(set(fuels)) < len(fuels):
+        raise ValueError(f"emission factors must not repeat a fuel, got {fuels}")
     try:
-        return {fuel.strip(): float(value) for fuel, _, value in pairs}
+        return {fuel: float(value) for fuel, (_, _, value) in zip(fuels, pairs)}
     except ValueError:
         raise ValueError(f"bad emission factors {text!r}") from None
 

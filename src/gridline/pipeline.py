@@ -10,12 +10,15 @@ model is new at each chunk start and after any hour that did not solve
 cleanly, and an exception in one hour is that hour's error alone.
 Chunks start at fixed positions and are mapped over a worker pool; all
 shared inputs are immutable, HiGHS runs single-threaded, each chunk task
-renders its own rows of the per-hour files, and the parent appends them in
-task order, so outputs depend only on the inputs and ``CARRY_HOURS``.
+renders its own rows of the per-hour files (``HOURLY_HEADERS``, the
+iteration trace included) and returns its hours as one ``ChunkRecord`` of
+arrays, and the parent appends the rows in task order, so outputs depend
+only on the inputs and ``CARRY_HOURS``.
 
 Cross-regime aggregates (costs, generation, curtailment, emissions and the
 congestion decomposition) are computed only over hours that solved cleanly
-in every requested regime, so comparisons are always like-for-like.
+in every requested regime, so comparisons are always like-for-like. Each
+regime's ``congestion_by_branch.csv`` sums that regime's own clean hours.
 """
 
 from __future__ import annotations
@@ -27,13 +30,15 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from multiprocessing import Pool
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .dispatch import DEFAULT_PENALTY, DispatchModel, hour_data, solve_copperplate
+from .dispatch import (DEFAULT_PENALTY, DispatchModel, DispatchResult, hour_data,
+                       solve_copperplate)
 from .errors import GridlineError
 from .factors import build_factors, dump_factors
-from .lp import ERROR, OPTIMAL
+from .lp import ERROR, INFEASIBLE, OPTIMAL
 from .network import (FUELS, VARIABLE_FUELS, HourlySeries, Network, load_hourly_series,
                       load_network)
 from .ratings import (AAR, DLR, RATED_REGIMES, SLR, RatingParams, RatingSeries,
@@ -52,6 +57,8 @@ CARRY_HOURS = 24  # hours per task; flow rows are held only within a task
 HOURLY_HEADERS = {  # the per-hour files: each chunk task renders its own rows of them
     "dispatch.csv": ["time", "gen_id", "mw"],
     "flows.csv": ["time", "branch_id", "mw"],
+    "iteration_trace.csv": ["hour", "iteration", "base_rows", "violations_added",
+                            "simplex_iterations", "objective"],
     "ratings.csv": ["time", "branch_id", "regime", "multiplier", "normal_limit_mva",
                     "contingency_limit_mva"],
 }
@@ -106,30 +113,21 @@ class RunConfig:
             raise ValueError(f"emission factors must be finite and >= 0, got {bad}")
 
 
-@dataclass
-class HourOutcome:
-    """Everything the aggregation step needs from one (regime, hour) solve."""
-
-    regime: str
-    hour: datetime
-    status: str
-    converged: bool
-    objective: float | None = None
-    p_gen: np.ndarray | None = None
-    flows: np.ndarray | None = None  # dropped once the chunk task has rendered them
-    # (monitored, outaged or None) branch positions, row limit, dual, slack
-    binding_rows: list[tuple[int, int | None, float, float, float]] = field(default_factory=list)
-    # per LP solve: (iteration, base rows, contingency rows appended,
-    # simplex iterations, objective)
-    trace: list[tuple[int, int, int, int, float]] = field(default_factory=list)
-    message: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == OPTIMAL and self.converged
+# the status code of each hour of a ChunkRecord
+HOUR_OK, HOUR_UNCONVERGED, HOUR_INFEASIBLE, HOUR_ERROR = range(4)
+_NO_ROWS = np.empty((0, 3))
 
 
-ChunkResult = tuple[list[HourOutcome], dict[str, str]]  # outcomes, text by file name
+class ChunkRecord(NamedTuple):
+    """Consecutive hours of one regime as arrays: what a chunk task returns,
+    and what ``_aggregate`` joins the chunks of a regime into."""
+
+    status: np.ndarray  # (hours,) int8 HOUR_* code
+    objective: np.ndarray  # (hours,) NaN unless optimal
+    p_gen: np.ndarray  # (hours, generators) MW, NaN unless optimal
+    errors: np.ndarray  # object: "<regime> <hour>: <cause>" per error hour, in hour order
+    binding: np.ndarray  # (rows, 3): hour position, monitored branch position and
+    # |dual| x row limit of each binding row of an ok hour, in hour order
 
 
 @dataclass(frozen=True)
@@ -151,77 +149,76 @@ def _init_worker(state: _WorkerState) -> None:
     _STATE = state
 
 
-def _solve_chunk(state: _WorkerState, chunk: tuple[str, int, int]) -> ChunkResult:
+def _solve_chunk(state: _WorkerState,
+                 chunk: tuple[str, int, int]) -> tuple[ChunkRecord, dict[str, str]]:
     """Hours ``start`` to ``stop - 1`` of one regime, in order, each solved
     in the model of the hour before it when that hour was ok, and in a new
-    model if not. Returns the outcomes, without their flows, and the
-    chunk's rows of each per-hour file."""
+    model if not: the chunk's record, and its rows of each per-hour file."""
     regime, start, stop = chunk
-    outcomes = []
-    model = DispatchModel()
-    for pos in range(start, stop):
-        outcome = _solve_task(state, (regime, pos), model)
-        if not outcome.ok:
-            model = DispatchModel()
-        outcomes.append(outcome)
     network = state.network
-    solved = [(format_hour(o.hour), o) for o in outcomes if o.status == OPTIMAL]
+    status = np.empty(stop - start, dtype=np.int8)
+    objective = np.full(stop - start, np.nan)
+    p_gen = np.full((stop - start, network.n_generators), np.nan)
+    errors, solved, trace, binding = [], [], [], [_NO_ROWS]
+    model = DispatchModel()
+    for k, pos in enumerate(range(start, stop)):
+        status[k], result, rows, steps = _solve_task(state, (regime, pos), model)
+        stamp = format_hour(state.series.hours[pos])
+        if result.status == OPTIMAL:
+            objective[k], p_gen[k] = result.objective, result.p_gen
+            solved.append((stamp, result.p_gen, result.flows))
+        elif result.status == ERROR:
+            errors.append(f"{regime} {stamp}: {result.message}")
+        if status[k] != HOUR_OK:  # a new model, and no congestion from this hour
+            model, rows = DispatchModel(), _NO_ROWS
+        binding.append(rows)
+        trace.extend((stamp, *step) for step in steps)
     texts = {"dispatch.csv": render_hourly([g.id for g in network.generators],
-                                           [(stamp, o.p_gen) for stamp, o in solved]),
+                                           [(stamp, p) for stamp, p, _ in solved]),
              "flows.csv": render_hourly([b.id for b in network.branches],
-                                        [(stamp, o.flows) for stamp, o in solved])}
+                                        [(stamp, flows) for stamp, _, flows in solved]),
+             "iteration_trace.csv": render_trace(trace)}
     if regime in state.ratings:
         texts["ratings.csv"] = "".join(render_ratings(state.ratings[regime], start, stop))
-    for outcome in outcomes:  # the parent never reads flows
-        outcome.flows = None
-    return outcomes, texts
+    return ChunkRecord(status, objective, p_gen, np.array(errors, dtype=object),
+                       np.concatenate(binding)), texts
 
 
-def _solve_task(state: _WorkerState, task: tuple[str, int],
-                model: DispatchModel) -> HourOutcome:
+def _solve_task(state: _WorkerState, task: tuple[str, int], model: DispatchModel):
+    """One (regime, hour position): its HOUR_* code, dispatch result,
+    ``ChunkRecord.binding`` rows and trace. An exception is its error alone."""
     regime, pos = task
     hour = state.series.hours[pos]
     try:
-        outcome = _solve_hour(state, regime, pos, hour, model)
+        data = hour_data(state.network, state.series, hour)
+        if regime == UNCONGESTED:
+            result = solve_copperplate(state.network, data, state.factors, model)
+            flow_rows, converged = (), True
+            trace = ([(0, 0, 0, result.simplex_iterations, result.objective)]
+                     if result.status == OPTIMAL else [])
+        else:
+            rating = state.ratings[regime]
+            solution = solve_scdcopf(
+                state.network, state.factors, data,
+                rating.normal_limit[pos], rating.contingency_limit[pos],
+                state.max_iterations, state.penalty_price, state.slack_base_rows, model=model)
+            result, flow_rows = solution.dispatch, solution.flow_rows
+            converged, trace = solution.converged, solution.trace
     except Exception as exc:  # one failed task must not abort the others
         message = str(exc) if isinstance(exc, GridlineError) else f"{type(exc).__name__}: {exc}"
-        outcome = HourOutcome(regime, hour, ERROR, False, message=message)
-    if outcome.status == ERROR:
-        outcome.message = f"{regime} {format_hour(hour)}: {outcome.message}"
-    return outcome
+        return HOUR_ERROR, DispatchResult(hour, ERROR, message=message), _NO_ROWS, []
+    if result.status != OPTIMAL:
+        code = HOUR_INFEASIBLE if result.status == INFEASIBLE else HOUR_ERROR
+        return code, result, _NO_ROWS, trace
+    bound = np.flatnonzero((np.abs(result.row_duals) > BINDING_DUAL_TOL)
+                           | (result.slack_values > BINDING_DUAL_TOL))
+    picked = [flow_rows[r] for r in bound.tolist()]
+    rows = np.column_stack((np.full(len(picked), pos), [row.monitored_branch for row in picked],
+                            np.abs(result.row_duals[bound]) * [row.limit for row in picked]))
+    return (HOUR_OK if converged else HOUR_UNCONVERGED), result, rows, trace
 
 
-def _solve_hour(state: _WorkerState, regime: str, pos: int, hour: datetime,
-                model: DispatchModel) -> HourOutcome:
-    network = state.network
-    data = hour_data(network, state.series, hour)
-    if regime == UNCONGESTED:
-        result = solve_copperplate(network, data, state.factors, model)
-        outcome = HourOutcome(regime, hour, result.status, result.status == OPTIMAL,
-                              result.objective, result.p_gen, result.flows,
-                              message=result.message)
-        if result.status == OPTIMAL:
-            outcome.trace = [(0, 0, 0, result.simplex_iterations, result.objective)]
-        return outcome
-    rating = state.ratings[regime]
-    solution = solve_scdcopf(
-        network, state.factors, data,
-        rating.normal_limit[pos], rating.contingency_limit[pos],
-        state.max_iterations, state.penalty_price, state.slack_base_rows, model=model)
-    result = solution.dispatch
-    outcome = HourOutcome(regime, hour, result.status, solution.converged,
-                          result.objective, result.p_gen, result.flows,
-                          trace=list(solution.trace), message=result.message)
-    if result.status == OPTIMAL:
-        outcome.binding_rows = [
-            (row.monitored_branch, row.outage_branch, row.limit, dual, slack)
-            for row, dual, slack in zip(solution.flow_rows, result.row_duals.tolist(),
-                                        result.slack_values.tolist())
-            if abs(dual) > BINDING_DUAL_TOL or slack > BINDING_DUAL_TOL]
-    return outcome
-
-
-def _solve_chunk_global(chunk: tuple[str, int, int]) -> ChunkResult:
+def _solve_chunk_global(chunk: tuple[str, int, int]) -> tuple[ChunkRecord, dict[str, str]]:
     return _solve_chunk(_STATE, chunk)
 
 
@@ -287,22 +284,25 @@ def emissions(generation_mwh: dict[str, float], factors: dict[str, float]) -> fl
     return sum(factors.get(fuel, 0.0) * mwh for fuel, mwh in generation_mwh.items())
 
 
-def congestion_by_branch(outcomes: list[HourOutcome],
-                         branch_ids: list[int]) -> list[tuple[int, float, int]]:
+def congestion_by_branch(binding: np.ndarray, branch_ids: list) -> list[tuple[int, float, int]]:
     """Per monitored branch id (``branch_ids`` by position): summed |dual|
-    x row limit over all binding rows and hours, plus the count of hours
-    with at least one binding row. Sorted by metric descending (ties by
-    branch id)."""
-    cost: dict[int, float] = {}
-    hours_binding: dict[int, set[datetime]] = {}
-    for outcome in outcomes:
-        for monitored, _outage, limit, dual, _slack in outcome.binding_rows:
-            branch_id = branch_ids[monitored]
-            cost[branch_id] = cost.get(branch_id, 0.0) + abs(dual) * limit
-            hours_binding.setdefault(branch_id, set()).add(outcome.hour)
-    table = [(b, cost[b], len(hours_binding[b])) for b in cost]
-    table.sort(key=lambda row: (-row[1], row[0]))
-    return table
+    x row limit over all ``binding`` rows (``ChunkRecord.binding``, in hour
+    order), plus the count of hours with at least one binding row. Sorted
+    by metric descending (ties by branch id)."""
+    positions, group = np.unique(binding[:, 1].astype(np.intp), return_inverse=True)
+    total = np.array(_sums_by(group, binding[:, 2], len(positions)))
+    _, hours = np.unique(np.unique(binding[:, :2], axis=0)[:, 1], return_counts=True)
+    ids = np.array(branch_ids, dtype=object)[positions]
+    order = np.lexsort((ids, -total))
+    return list(zip(ids[order].tolist(), total[order].tolist(), hours[order].tolist()))
+
+
+def _sums_by(group: np.ndarray, values: np.ndarray, count: int) -> list[float]:
+    """Per group 0 to ``count - 1``, its ``values`` added in order from 0.0
+    as a Python loop adds them: bit for bit, where ``np.sum`` adds pairwise."""
+    sums = np.zeros(count)
+    np.add.at(sums, np.broadcast_to(group, np.shape(values)), values)
+    return sums.tolist()
 
 
 def run(config: RunConfig) -> RunSummary:
@@ -336,7 +336,7 @@ def run(config: RunConfig) -> RunSummary:
                          config.slack_base_rows)
     chunks = [(regime, start, min(start + CARRY_HOURS, len(hours)))
               for regime in config.regimes for start in range(0, len(hours), CARRY_HOURS)]
-    by_regime: dict[str, list[HourOutcome]] = {r: [] for r in config.regimes}
+    records: dict[str, list[ChunkRecord]] = {r: [] for r in config.regimes}
     files = {}  # (regime, file name): handle, opened with the regime's first chunk
     with ExitStack() as stack:
         if config.worker_count == 1:
@@ -345,60 +345,56 @@ def run(config: RunConfig) -> RunSummary:
             pool = stack.enter_context(Pool(min(config.worker_count, len(chunks)),
                                             initializer=_init_worker, initargs=(state,)))
             solved = pool.imap(_solve_chunk_global, chunks, chunksize=1)
-        for (regime, _, _), (outcomes, texts) in zip(chunks, solved):
-            by_regime[regime].extend(outcomes)
+        for (regime, _, _), (record, texts) in zip(chunks, solved):
+            records[regime].append(record)
             for name, text in texts.items():
                 if (regime, name) not in files:
                     path = Path(config.output_directory) / regime / name
                     files[regime, name] = stack.enter_context(open_csv(path, HOURLY_HEADERS[name]))
                 files[regime, name].write(text)
 
-    common = [pos for pos in range(len(hours))
-              if all(by_regime[r][pos].ok for r in config.regimes)]
-    summary = _aggregate(config, network, series, by_regime, common)
-    _write_outputs(config, series, by_regime, summary)
+    summary = _aggregate(config, network, series, records)
+    _write_outputs(config, summary)
     if config.dump_factors:
         dump_factors(factors, network, config.output_directory)
     return summary
 
 
-def _aggregate(config, network, series, by_regime, common_positions) -> RunSummary:
-    hours = list(series.hours)
+def _aggregate(config: RunConfig, network: Network, series: HourlySeries,
+               chunks: dict[str, list[ChunkRecord]]) -> RunSummary:
+    """The run's summary from each regime's chunk records, in hour order.
+    Costs, generation, curtailment and emissions sum the hours that are ok
+    in every regime; each congestion table sums its own regime's ok hours."""
+    by_regime = {regime: ChunkRecord(*map(np.concatenate, zip(*parts)))
+                 for regime, parts in chunks.items()}
+    common = np.logical_and.reduce([r.status == HOUR_OK for r in by_regime.values()])
+    stamps = np.array([format_hour(hour) for hour in series.hours], dtype=object)
     fuels = sorted({g.fuel for g in network.generators})
-    summaries: dict[str, RegimeSummary] = {}
-    totals: dict[str, float] = {}
-    for regime, outcomes in by_regime.items():
-        total = sum(outcomes[pos].objective for pos in common_positions)
-        generation = {fuel: 0.0 for fuel in fuels}
-        curtailment = {fuel: 0.0 for fuel in VARIABLE_FUELS}
-        for pos in common_positions:
-            p = outcomes[pos].p_gen
-            for g, gen in enumerate(network.generators):
-                generation[gen.fuel] += float(p[g])
-                if gen.fuel in curtailment:
-                    curtailment[gen.fuel] += float(series.availability[pos, g] - p[g])
-        totals[regime] = total
+    fuel = np.array([FUELS.index(g.fuel) for g in network.generators], dtype=np.intp)
+    available = series.availability[common]
+    total = {regime: _sums_by(0, r.objective[common], 1)[0] for regime, r in by_regime.items()}
+    summaries = {}
+    for regime, record in by_regime.items():
+        p_gen = record.p_gen[common]
+        generation = dict(zip(FUELS, _sums_by(fuel, p_gen, len(FUELS))))
+        curtailment = dict(zip(FUELS, _sums_by(fuel, available - p_gen, len(FUELS))))
+        generation = {f: generation[f] for f in fuels}
         summaries[regime] = RegimeSummary(
             regime=regime,
-            solved_hours=sum(1 for o in outcomes if o.ok),
-            total_cost=total,
-            congestion_cost=None,
+            solved_hours=int(np.count_nonzero(record.status == HOUR_OK)),
+            total_cost=total[regime],
+            congestion_cost=total[regime] - total[UNCONGESTED] if UNCONGESTED in total else None,
             generation_mwh=generation,
-            curtailment_mwh=curtailment,
+            curtailment_mwh={f: curtailment[f] for f in VARIABLE_FUELS},
             emissions_tons=emissions(generation, config.emission_factors),
-            infeasible_hours=[format_hour(o.hour) for o in outcomes
-                              if o.status == "infeasible"],
-            unconverged_hours=[format_hour(o.hour) for o in outcomes
-                               if o.status == OPTIMAL and not o.converged],
-            error_hours=[o.message for o in outcomes if o.status == ERROR],
+            infeasible_hours=stamps[record.status == HOUR_INFEASIBLE].tolist(),
+            unconverged_hours=stamps[record.status == HOUR_UNCONVERGED].tolist(),
+            error_hours=record.errors.tolist(),
         )
-    if UNCONGESTED in totals:
-        for regime, s in summaries.items():
-            s.congestion_cost = totals[regime] - totals[UNCONGESTED]
-    branch_ids = [b.id for b in network.branches]
-    tables = {regime: congestion_by_branch([o for o in outcomes if o.ok], branch_ids)
-              for regime, outcomes in by_regime.items()}
-    return RunSummary(summaries, hours, [hours[pos] for pos in common_positions], tables)
+    tables = {regime: congestion_by_branch(record.binding, [b.id for b in network.branches])
+              for regime, record in by_regime.items()}
+    return RunSummary(summaries, list(series.hours),
+                      [hour for hour, ok in zip(series.hours, common.tolist()) if ok], tables)
 
 
 def render_hourly(ids, hours) -> str:
@@ -433,22 +429,20 @@ def write_ratings(path: Path, ratings: list[RatingSeries]) -> None:
             handle.writelines(render_ratings(rating, 0, len(rating.hours)))
 
 
-def _write_outputs(config, series, by_regime, summary) -> None:
-    """The files that need every hour: per regime the congestion table and
-    the iteration trace, and ``summary.json``."""
+def render_trace(rows) -> str:
+    """``iteration_trace.csv`` lines, one per (stamp, iteration, base rows,
+    contingency rows added, simplex iterations, objective) of ``rows``."""
+    return "".join([f"{stamp},{it},{base},{added},{nit},{float(obj)!r}\n"
+                    for stamp, it, base, added, nit, obj in rows])
+
+
+def _write_outputs(config: RunConfig, summary: RunSummary) -> None:
+    """Per regime the congestion table, and ``summary.json``."""
     out = Path(config.output_directory)
-    stamps = {hour: format_hour(hour) for hour in series.hours}
-    for regime, outcomes in by_regime.items():
-        regime_dir = out / regime
-        write_csv(regime_dir / "congestion_by_branch.csv",
+    for regime, table in summary.congestion_tables.items():
+        write_csv(out / regime / "congestion_by_branch.csv",
                   ["branch_id", "congestion_cost_proxy_usd", "binding_hours"],
-                  ((branch_id, repr(float(cost)), hours)
-                   for branch_id, cost, hours in summary.congestion_tables[regime]))
-        write_csv(regime_dir / "iteration_trace.csv",
-                  ["hour", "iteration", "base_rows", "violations_added", "simplex_iterations",
-                   "objective"],
-                  ((stamps[o.hour], it, base, added, nit, repr(float(obj)))
-                   for o in outcomes for it, base, added, nit, obj in o.trace))
+                  ((branch_id, repr(float(cost)), hours) for branch_id, cost, hours in table))
 
     payload = summary.to_json_dict()
     with open(out / "summary.json", "w", encoding="utf-8") as handle:

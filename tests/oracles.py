@@ -16,8 +16,10 @@ into arrays checked by column, and rating series and sweeps evaluate the
 heat-balance formulas one hour at a time from the raw weather at each
 line, with K_angle through the attack angle's trigonometry, instead of
 from weather-only terms computed once per (hour, cell) and K_angle from
-the wind components. The generator cost curve and the case writer that
-only tests use live here too.
+the wind components, and a run's summary and congestion tables are summed
+one (hour, generator) and one binding row at a time from per-hour values
+instead of with masked and grouped array sums over the chunk records. The
+generator cost curve and the case writer that only tests use live here too.
 """
 
 import csv
@@ -30,7 +32,9 @@ import numpy as np
 
 from gridline.errors import CaseError, RatingCollapseError, WeatherError
 from gridline.geo import conductor_angle, to_utm
-from gridline.network import HourlySeries
+from gridline.network import VARIABLE_FUELS, HourlySeries
+from gridline.pipeline import (HOUR_ERROR, HOUR_INFEASIBLE, HOUR_OK, HOUR_UNCONVERGED,
+                               UNCONGESTED, RegimeSummary, RunSummary, emissions)
 from gridline.ratings import (AAR, DLR, branch_eligible, estimate_diameter, eta_temperature,
                               fold_attack_angle, k_angle, sweep_grid)
 from gridline.util import HOUR, format_hour, parse_hour, render_floats, write_csv
@@ -398,6 +402,71 @@ def per_value_render_ratings(rating, start, stop):
             (stamp, branch_id, rating.regime, m, n, c) for branch_id, m, n, c in zip(
                 rating.branch_ids, rating.multiplier[pos], rating.normal_limit[pos],
                 rating.contingency_limit[pos]))
+
+
+def per_value_render_trace(rows):
+    """``pipeline.render_trace`` one cell at a time through ``csv.writer``."""
+    return _per_value_csv_text(rows)
+
+
+def per_row_congestion_by_branch(binding, branch_ids):
+    """``pipeline.congestion_by_branch`` one (hour position, branch position,
+    |dual| x row limit) row of ``binding`` at a time."""
+    cost, hours_binding = {}, {}
+    for hour, monitored, value in binding:
+        branch_id = branch_ids[int(monitored)]
+        cost[branch_id] = cost.get(branch_id, 0.0) + value
+        hours_binding.setdefault(branch_id, set()).add(hour)
+    table = [(b, cost[b], len(hours_binding[b])) for b in cost]
+    table.sort(key=lambda row: (-row[1], row[0]))
+    return table
+
+
+def per_hour_aggregate(config, network, series, chunks):
+    """``pipeline._aggregate`` of the joined ``chunks`` (per regime, its
+    chunk records in hour order), from each chunk read back one hour at a
+    time: costs, generation and curtailment summed one (hour, generator) at
+    a time over the hours ok in every regime."""
+    hours = list(series.hours)
+    outcomes = {regime: [(code, record.objective[k], record.p_gen[k])
+                         for record in records for k, code in enumerate(record.status.tolist())]
+                for regime, records in chunks.items()}
+    errors = {regime: [message for record in records for message in record.errors]
+              for regime, records in chunks.items()}
+    binding = {regime: [row for record in records for row in record.binding.tolist()]
+               for regime, records in chunks.items()}
+    common = [pos for pos in range(len(hours))
+              if all(outcomes[r][pos][0] == HOUR_OK for r in chunks)]
+    fuels = sorted({g.fuel for g in network.generators})
+    summaries, totals = {}, {}
+    for regime in chunks:
+        total = sum((outcomes[regime][pos][1] for pos in common), 0.0)
+        generation = {fuel: 0.0 for fuel in fuels}
+        curtailment = {fuel: 0.0 for fuel in VARIABLE_FUELS}
+        for pos in common:
+            p = outcomes[regime][pos][2]
+            for g, gen in enumerate(network.generators):
+                generation[gen.fuel] += float(p[g])
+                if gen.fuel in curtailment:
+                    curtailment[gen.fuel] += float(series.availability[pos, g] - p[g])
+        totals[regime] = total
+
+        def flagged(code):
+            return [format_hour(hours[pos]) for pos, (c, *_) in enumerate(outcomes[regime])
+                    if c == code]
+
+        summaries[regime] = RegimeSummary(
+            regime, sum(1 for c, *_ in outcomes[regime] if c == HOUR_OK), total, None,
+            generation, curtailment, emissions(generation, config.emission_factors),
+            flagged(HOUR_INFEASIBLE), flagged(HOUR_UNCONVERGED), errors[regime])
+        assert len(errors[regime]) == len(flagged(HOUR_ERROR))
+    if UNCONGESTED in totals:
+        for regime, summary in summaries.items():
+            summary.congestion_cost = totals[regime] - totals[UNCONGESTED]
+    branch_ids = [b.id for b in network.branches]
+    tables = {regime: per_row_congestion_by_branch(rows, branch_ids)
+              for regime, rows in binding.items()}
+    return RunSummary(summaries, hours, [hours[pos] for pos in common], tables)
 
 
 def _dict_rows(path, required):

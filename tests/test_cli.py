@@ -160,6 +160,8 @@ def test_unknown_regime_rejected(runner, cases_dir, tmp_path):
     ("--regimes", "slr,SLR", "regimes must not repeat, got ['slr', 'slr']"),
     ("--emission-factors", "natural-gas=0.42,coal=1.0",
      "emission factors for unknown fuel(s) ['natural-gas']"),
+    ("--emission-factors", "coal=1, coal =2",
+     "emission factors must not repeat a fuel, got ['coal', 'coal']"),
 ])
 def test_bad_run_settings_are_usage_errors(runner, cases_dir, tmp_path, option, value,
                                            message):
@@ -307,11 +309,15 @@ def test_option_inventory():
     ("sweep", ["--tc", "78,78", "--phi-slr", "0,0"], 2,
      "t_conductor values must not repeat: value 2 repeats value 1"),
     ("sweep", ["--phi-slr", "0,45,0"], 2, "phi_slr values must not repeat: value 3 repeats value 1"),
+    *[(command, ["--params", "{tmp}/twice.txt"], 1,
+       "{tmp}/twice.txt:3: 't_conductor' already set on line 1")
+      for command in ("run", "ratings", "sweep")],
 ])
 def test_bad_inputs_end_with_a_message(runner, cases_dir, tmp_path, command, args, code,
                                        message):
     (tmp_path / "nonsense.txt").write_text("nonsense = 1\n")
     (tmp_path / "air.txt").write_text("air_density = -1\n")
+    (tmp_path / "twice.txt").write_text("t_conductor = 90\nv_slr = 0.61\n t_conductor=120 # hot\n")
     (tmp_path / "latin.txt").write_bytes(b"t_conductor = 100 \xff\n")
     out = tmp_path / "out"
     result = runner.invoke(main, [

@@ -7,19 +7,23 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridline.pipeline as pipeline
 from gridline.cli import main
 from gridline.factors import SensitivityFactors
-from gridline.network import load_hourly_series, load_network
-from gridline.pipeline import (HourOutcome, RunConfig, congestion_by_branch,
+from gridline.network import FUELS, HourlySeries, load_hourly_series, load_network
+from gridline.pipeline import (ALL_REGIMES, HOUR_ERROR, HOUR_INFEASIBLE, HOUR_OK,
+                               HOUR_UNCONVERGED, ChunkRecord, RunConfig, congestion_by_branch,
                                emissions, run)
 from gridline.ratings import RatingParams, RatingSeries, build_rating_series
-from gridline.util import format_hour, parse_hour
+from gridline.util import HOUR, format_hour, parse_hour
 from gridline.weather import load_weather
 
 import oracles
@@ -167,13 +171,19 @@ def test_hour_span_selection(cases_dir, tmp_path):
     assert summary.hours[0] == parse_hour("2016-07-01T06:00:00Z")
 
 
-def test_infeasible_hour_recorded_and_excluded(cases_dir, tmp_path):
+def bumped_case3(cases_dir, tmp_path, mw_by_hour):
+    """A copy of case3 with bus 2's demand set to ``mw_by_hour[hour]`` MW."""
     case = tmp_path / "case3"
     shutil.copytree(cases_dir / "case3", case)
     lines = (case / "demand.csv").read_text().splitlines()
-    bumped = [line.rsplit(",", 1)[0] + ",900.0" if "T12:" in line and ",2," in line
-              else line for line in lines]
-    (case / "demand.csv").write_text("\n".join(bumped) + "\n")
+    (case / "demand.csv").write_text("\n".join(
+        next((line.rsplit(",", 1)[0] + f",{mw}" for hour, mw in mw_by_hour.items()
+              if f"T{hour:02d}:" in line and ",2," in line), line) for line in lines) + "\n")
+    return case
+
+
+def test_infeasible_hour_recorded_and_excluded(cases_dir, tmp_path):
+    case = bumped_case3(cases_dir, tmp_path, {12: 900.0})
     config = RunConfig(
         case_directory=case,
         output_directory=tmp_path / "out",
@@ -190,22 +200,75 @@ def test_infeasible_hour_recorded_and_excluded(cases_dir, tmp_path):
 
 
 def test_congestion_by_branch_metric():
-    branch_ids = [30, 7, 9, 3]  # binding rows hold branch positions
-    assert congestion_by_branch([], branch_ids) == []
-    hour = parse_hour("2016-07-01T00:00:00Z")
-    outcome = HourOutcome("slr", hour, "optimal", True,
-                          binding_rows=[(1, None, 100.0, 5.0, 0.0)])
-    assert congestion_by_branch([outcome], branch_ids) == [(7, 500.0, 1)]
-    # two hours, two branches, sorted by metric
-    later = parse_hour("2016-07-01T01:00:00Z")
-    second = HourOutcome("slr", later, "optimal", True,
-                         binding_rows=[(1, 3, 100.0, 5.0, 0.0), (2, None, 50.0, 100.0, 0.0)])
-    table = congestion_by_branch([outcome, second], branch_ids)
+    # rows of (hour position, monitored branch position, |dual| x row limit)
+    branch_ids = [30, 7, 9, 3]
+    assert congestion_by_branch(np.empty((0, 3)), branch_ids) == []
+    first = [(0, 1, 5.0 * 100.0)]
+    assert congestion_by_branch(np.array(first), branch_ids) == [(7, 500.0, 1)]
+    # two hours, two branches, sorted by metric; a branch that binds in
+    # two rows of one hour counts that hour once
+    second = [(1, 1, 5.0 * 60.0), (1, 2, 100.0 * 50.0), (1, 1, 5.0 * 40.0)]
+    table = congestion_by_branch(np.array(first + second), branch_ids)
     assert table == [(9, 5000.0, 1), (7, 1000.0, 2)]
     # equal metrics are ordered by branch id, not by position
-    tie = HourOutcome("slr", hour, "optimal", True,
-                      binding_rows=[(0, None, 10.0, 1.0, 0.0), (1, 2, 5.0, 2.0, 0.0)])
-    assert congestion_by_branch([tie], branch_ids) == [(7, 10.0, 1), (30, 10.0, 1)]
+    tie = [(0, 0, 1.0 * 10.0), (0, 1, 2.0 * 5.0)]
+    assert congestion_by_branch(np.array(tie), branch_ids) == [(7, 10.0, 1), (30, 10.0, 1)]
+
+
+# values whose sums depend on the order they are added in
+ORDERED = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, -0.0]))
+COSTS = st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, 0.1, 0.2, 0.3, 10.0, 1e16]))
+
+
+def draw_chunk(data, regime, hours, start, stop, n_generators, n_branches):
+    """A chunk record of hours ``start`` to ``stop - 1`` with any status
+    codes, and up to 3 binding rows in each ok hour."""
+    codes = st.sampled_from((HOUR_OK, HOUR_UNCONVERGED, HOUR_INFEASIBLE, HOUR_ERROR))
+    status = np.array(data.draw(st.lists(st.one_of(st.just(HOUR_OK), codes),
+                                         min_size=stop - start, max_size=stop - start)),
+                      dtype=np.int8)
+    optimal = (status == HOUR_OK) | (status == HOUR_UNCONVERGED)
+    values = st.lists(ORDERED, min_size=n_generators + 1, max_size=n_generators + 1)
+    drawn = np.array([data.draw(values) if ok else [np.nan] * (n_generators + 1)
+                      for ok in optimal]).reshape(stop - start, n_generators + 1)
+    errors = [f"{regime} {format_hour(hours[start + k])}: solver gave up"
+              for k in np.flatnonzero(status == HOUR_ERROR).tolist()]
+    rows = st.lists(st.tuples(st.integers(0, n_branches - 1), COSTS), max_size=3)
+    binding = [(start + k, branch, cost) for k in np.flatnonzero(status == HOUR_OK).tolist()
+               for branch, cost in data.draw(rows)]
+    return ChunkRecord(status, drawn[:, 0], drawn[:, 1:], np.array(errors, dtype=object),
+                       np.array(binding, dtype=float).reshape(-1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_aggregate_equals_the_per_hour_loops(data):
+    regimes = tuple(data.draw(st.lists(st.sampled_from(ALL_REGIMES), min_size=1, max_size=4,
+                                       unique=True)))
+    n_hours = data.draw(st.integers(1, 8))
+    fuels = data.draw(st.lists(st.sampled_from(FUELS), max_size=5))  # other fuels have no units
+    branch_ids = data.draw(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=4, unique=True))
+    network = SimpleNamespace(generators=[SimpleNamespace(fuel=fuel) for fuel in fuels],
+                              branches=[SimpleNamespace(id=i) for i in branch_ids])
+    hours = tuple(parse_hour("2016-07-01T00") + k * HOUR for k in range(n_hours))
+    availability = np.array(data.draw(st.lists(ORDERED, min_size=n_hours * len(fuels),
+                                               max_size=n_hours * len(fuels))))
+    series = HourlySeries(hours, np.zeros((n_hours, 0)), availability.reshape(n_hours, len(fuels)))
+    config = RunConfig(case_directory=Path("case"), output_directory=Path("out"), regimes=regimes,
+                       emission_factors=data.draw(st.dictionaries(st.sampled_from(FUELS),
+                                                                  st.floats(0.0, 10.0))))
+    chunks = {}
+    for regime in regimes:
+        cuts = sorted(data.draw(st.sets(st.integers(1, n_hours - 1))) if n_hours > 1 else set())
+        chunks[regime] = [draw_chunk(data, regime, hours, start, stop, len(fuels), len(branch_ids))
+                          for start, stop in zip([0, *cuts], [*cuts, n_hours])]
+    summary = pipeline._aggregate(config, network, series, chunks)
+    expected = oracles.per_hour_aggregate(config, network, series, chunks)
+    assert summary.to_json_dict() == expected.to_json_dict()
+    # equal as text too: no 0 for 0.0, and no 0.0 for -0.0
+    assert json.dumps(summary.to_json_dict()) == json.dumps(expected.to_json_dict())
+    assert summary.congestion_tables == expected.congestion_tables
+    assert summary.common_hours == expected.common_hours
 
 
 def test_more_limits_fewer_total_congestion_dollars(case5_run):
@@ -315,12 +378,13 @@ def test_rendered_columns_match_per_value_formatting(cases_dir, tmp_path, monkey
 
     monkeypatch.setattr(pipeline, "render_hourly", counted(oracles.per_value_render_hourly))
     monkeypatch.setattr(pipeline, "render_ratings", counted(oracles.per_value_render_ratings))
+    monkeypatch.setattr(pipeline, "render_trace", counted(oracles.per_value_render_trace))
     monkeypatch.setattr(pipeline, "write_csv", counted(oracles.per_value_write_csv))
     run(replace(config, output_directory=tmp_path / "per_value"))
     # one chunk per regime: dispatch and flows, ratings if rated, and the
-    # congestion table and iteration trace
+    # iteration trace; then the congestion table of each regime
     assert sorted(calls) == (["per_value_render_hourly"] * 8 + ["per_value_render_ratings"] * 3
-                             + ["per_value_write_csv"] * 8)
+                             + ["per_value_render_trace"] * 4 + ["per_value_write_csv"] * 4)
     files = sorted(p.relative_to(tmp_path / "rendered")
                    for p in (tmp_path / "rendered").rglob("*") if p.is_file())
     assert len(files) == 4 * 4 + 3 + 1
@@ -508,26 +572,38 @@ def test_each_hour_first_holds_every_row_the_hour_before_ended_with(
 def test_flows_are_rendered_in_the_chunk_and_not_returned(cases_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "CARRY_HOURS", 5)
     solved = {regime: [] for regime in CASE5_REGIMES}  # (stamp, flows) the solves returned
-    solve_hour = pipeline._solve_hour
+    solve_task = pipeline._solve_task
 
-    def recording(state, regime, pos, hour, model):
-        outcome = solve_hour(state, regime, pos, hour, model)
-        solved[regime].append((format_hour(hour), outcome.flows.copy()))
-        return outcome
+    def recording(state, task, model):
+        code, result, *rest = solve_task(state, task, model)
+        solved[task[0]].append((format_hour(state.series.hours[task[1]]), result.flows.copy()))
+        return code, result, *rest
 
-    received = []
+    received = {}
     aggregate = pipeline._aggregate
 
-    def receiving(config, network, series, by_regime, common):
-        received.extend(o for outcomes in by_regime.values() for o in outcomes)
-        return aggregate(config, network, series, by_regime, common)
+    def receiving(config, network, series, chunks):
+        received.update(chunks)
+        return aggregate(config, network, series, chunks)
 
-    monkeypatch.setattr(pipeline, "_solve_hour", recording)
+    monkeypatch.setattr(pipeline, "_solve_task", recording)
     monkeypatch.setattr(pipeline, "_aggregate", receiving)
     out = tmp_path / "out"
     assert run(case5_config(cases_dir, out)).all_ok
-    assert len(received) == 4 * 24 and all(o.flows is None for o in received)
-    branch_ids = [b.id for b in load_network(cases_dir / "case5").branches]
+    network = load_network(cases_dir / "case5")
+    # per chunk of 5 hours, the parent holds arrays over hours, generators and
+    # binding rows, and nothing over branches
+    assert sorted(received) == sorted(CASE5_REGIMES)
+    for regime, records in received.items():
+        assert [len(record.status) for record in records] == [5, 5, 5, 5, 4]
+        for record in records:
+            assert record._fields == ("status", "objective", "p_gen", "errors", "binding")
+            assert record.objective.shape == record.status.shape
+            assert record.p_gen.shape == (len(record.status), network.n_generators)
+            assert record.errors.shape == (0,) and record.binding.shape[1] == 3
+    assert all(len(record.binding) == 0 for record in received["uncongested"])
+    assert sum(len(record.binding) for record in received["slr"]) > 0
+    branch_ids = [b.id for b in network.branches]
     for regime, hours in solved.items():
         assert len(hours) == 24
         assert (out / regime / "flows.csv").read_text() == (
@@ -610,12 +686,7 @@ def csv_hours(path):
 
 def test_failed_hours_mid_chunk_leave_only_their_rows_out(cases_dir, tmp_path, monkeypatch):
     # hour 12 is infeasible and hour 6 raises, each inside a chunk of 5
-    case = tmp_path / "case3"
-    shutil.copytree(cases_dir / "case3", case)
-    lines = (case / "demand.csv").read_text().splitlines()
-    (case / "demand.csv").write_text("\n".join(
-        line.rsplit(",", 1)[0] + ",900.0" if "T12:" in line and ",2," in line else line
-        for line in lines) + "\n")
+    case = bumped_case3(cases_dir, tmp_path, {12: 900.0})
     original = pipeline.hour_data
 
     def broken(network, series, hour):
@@ -644,6 +715,32 @@ def test_failed_hours_mid_chunk_leave_only_their_rows_out(cases_dir, tmp_path, m
             hour for hour in hours for _ in network.branches]
     files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
     assert len(files) == 2 * 4 + 1 + 1
+    for rel in files:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def test_hours_failing_in_some_regimes_only_give_the_same_bytes_on_any_worker_count(
+        cases_dir, tmp_path):
+    # 150 MW at bus 2 is infeasible at 12:00 under SLR and AAR only, and 900 MW
+    # at 15:00 in every regime, so each regime's own clean hours (those of its
+    # congestion table) differ from the common hours of the summary totals
+    case = bumped_case3(cases_dir, tmp_path, {12: 150.0, 15: 900.0})
+    hours = {h: f"2016-07-01T{h}:00:00Z" for h in (12, 15)}
+    outs = [tmp_path / f"workers{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        summary = run(RunConfig(case_directory=case, output_directory=out,
+                                weather_file=cases_dir / "weather_case3.csv",
+                                regimes=CASE5_REGIMES, worker_count=workers))
+        assert len(summary.common_hours) == 22
+        for regime in ("slr", "aar"):
+            assert summary.regimes[regime].infeasible_hours == [hours[12], hours[15]]
+            assert summary.regimes[regime].solved_hours == 22
+        for regime in ("dlr", "uncongested"):
+            assert summary.regimes[regime].infeasible_hours == [hours[15]]
+            assert summary.regimes[regime].solved_hours == 23
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert len(files) == 4 * 4 + 3 + 1
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
     for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
