@@ -6,25 +6,26 @@ system power balance, and two-sided flow rows. Appended contingency rows
 may carry a nonnegative slack variable penalized in the objective, which
 caps their shadow price at the penalty; base rows stay hard.
 
-``solve_problem`` solves a problem as a fresh LP built by ``build_lp`` (the
-reference path), or through a ``DispatchModel`` that rewrites its LP's
-bounds, appends only the rows it lacks and re-solves from the last basis.
-Both paths lower flow rows to LP rows through the same ``_lower_rows``.
-Either way the solution is audited against the problem's rows,
-independently of the solver.
+``solve_problem`` solves every problem through a ``DispatchModel``, the
+caller's or a new one. The model's first LP is built by ``build_lp`` from
+the problem without its flow rows; for each problem the model rewrites its
+LP's bounds, appends only the rows it lacks, lowered by ``_lower_rows`` as
+``build_lp`` lowers them, and ``solve_lp`` re-solves it from the last
+basis. The solution is audited against the problem's rows, independently
+of the solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 
 import numpy as np
 from scipy import sparse
 
 from .errors import SolverError
-from .lp import OPTIMAL, LpModel, LpProblem, LpSolution, csr_rows, solve_lp
+from .lp import OPTIMAL, LpModel, LpProblem, csr_rows, solve_lp
 from .network import HourlySeries, Network
 
 DEFAULT_PENALTY = 2000.0  # $/MWh on contingency-row violations
@@ -216,12 +217,12 @@ def _injections(problem: DispatchProblem, p_gen: np.ndarray) -> np.ndarray:
     return injection
 
 
-def audit_result(problem: DispatchProblem, result: DispatchResult,
-                 tol: float = FEASIBILITY_TOL, coefficients: np.ndarray | None = None) -> None:
+def audit_result(problem: DispatchProblem, result: DispatchResult, coefficients: np.ndarray,
+                 tol: float = FEASIBILITY_TOL) -> None:
     """Independent feasibility re-check of an optimal solution: balance,
     bounds, and flow rows recomputed from the injections. ``coefficients``
-    are the problem's flow rows stacked, where the caller holds them.
-    Raises SolverError on any violation."""
+    are the problem's flow rows stacked. Raises SolverError on any
+    violation."""
     if result.status != OPTIMAL:
         return
     p = result.p_gen
@@ -230,8 +231,6 @@ def audit_result(problem: DispatchProblem, result: DispatchResult,
     if np.any(p < problem.gen_min - tol) or np.any(p > problem.gen_max + tol):
         raise SolverError("generator bounds violated")
     rows = problem.flow_rows
-    if coefficients is None:
-        coefficients = _row_arrays(rows, len(problem.demand))[0]
     limit = np.array([row.limit for row in rows], dtype=float)
     slack = np.where([row.slack_allowed for row in rows], result.slack_values, 0.0)
     margin = np.abs(coefficients @ _injections(problem, p)) - (limit + slack)
@@ -255,15 +254,17 @@ class DispatchModel:
     """The LP of the dispatch problems solved through it, held in one
     ``LpModel`` and changed in place from one problem to the next, so each
     solve starts from the basis of the one before. A study keeps one per
-    chunk of hours; every problem a model serves has the same generators,
-    buses and penalty price.
+    chunk of hours.
 
     ``hold`` brings it to a problem whose flow rows begin with the rows it
-    holds (same branches, slack flag and coefficients, in order). It writes
-    the problem's segment bounds, balance row and the right-hand side of
-    every held row into the LP, then lowers and appends the problem's
-    remaining rows, so the LP holds the problem's rows in the problem's
-    order. Rows are never deleted.
+    holds (same branches, slack flag and coefficients, in order) and whose
+    penalty price, generator buses and cost curves are those of the first
+    problem it held. The first problem's LP is built by ``build_lp``
+    without flow rows; for a later one ``hold`` writes the segment bounds,
+    balance row and the right-hand side of every held row into the LP.
+    Either way it then lowers and appends the problem's remaining rows, so
+    the LP holds the problem's rows in the problem's order. Rows are never
+    deleted.
     """
 
     def __init__(self):
@@ -272,23 +273,27 @@ class DispatchModel:
         self.coefficients: np.ndarray | None = None  # ``rows``' coefficients, stacked
 
     def hold(self, problem: DispatchProblem) -> _Layout:
-        """Raises ValueError, and changes nothing, if ``problem``'s flow rows
-        do not begin with the held rows."""
+        """Raises ValueError, and changes nothing, if ``problem`` is not one
+        the model can hold."""
         rows, held = problem.flow_rows, self.rows
         if len(rows) < len(held) or not all(map(_same_row, held, rows)):
             raise ValueError("the problem's flow rows do not begin with the held rows")
-        b_eq = np.array([float(problem.demand.sum())])
         if self.lp is None:
-            seg_owner, cap, price, before = _segments(problem.cost_curves)
+            self.lp = LpModel(build_lp(replace(problem, flow_rows=()))[0])
+            self.built = problem
+            seg_owner, cap, _, before = _segments(problem.cost_curves)
             self.segments = seg_owner, cap, before
             self.coefficients = np.zeros((0, len(problem.demand)))
-            lo, hi = _segment_bounds(problem, *self.segments)
-            n = len(seg_owner)
-            self.lp = LpModel(LpProblem(price, None, None, _balance_row(n, n), b_eq,
-                                        list(zip(lo.tolist(), hi.tolist()))))
         else:
+            built = self.built
+            if (problem.penalty_price != built.penalty_price
+                    or not np.array_equal(problem.gen_bus, built.gen_bus)
+                    or problem.cost_curves != built.cost_curves):
+                raise ValueError("the problem's penalty price, generator buses or cost "
+                                 "curves differ from those the model was built with")
             limit = np.array([row.limit for row in rows[:len(held)]], dtype=float)
-            self.lp.set_bounds(*_segment_bounds(problem, *self.segments), b_eq,
+            self.lp.set_bounds(*_segment_bounds(problem, *self.segments),
+                               np.array([float(problem.demand.sum())]),
                                _flow_rhs(self.coefficients, limit, problem.demand))
         seg_owner = self.segments[0]
         if len(held) < len(rows):
@@ -303,14 +308,11 @@ class DispatchModel:
 
 def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None,
                   model: DispatchModel | None = None) -> DispatchResult:
-    """Solve one dispatch problem: through ``model``, changed in place to
-    hold it, or else as a fresh LP built by ``build_lp``."""
-    if model is None:
-        lp, layout = build_lp(problem)
-        solution: LpSolution = solve_lp(lp)
-    else:
-        layout = model.hold(problem)
-        solution = model.lp.solve()
+    """Solve one dispatch problem through ``model`` (a new one when None),
+    changed in place to hold it."""
+    model = DispatchModel() if model is None else model
+    layout = model.hold(problem)
+    solution = solve_lp(model.lp)
     if solution.status != OPTIMAL:
         return DispatchResult(problem.hour, solution.status, message=solution.message,
                               simplex_iterations=solution.simplex_iterations)
@@ -332,7 +334,7 @@ def solve_problem(problem: DispatchProblem, ptdf: np.ndarray | None = None,
         problem.hour, OPTIMAL, p_gen, flows, solution.objective,
         row_duals, float(solution.eq_marginals[0]), slack_values,
         simplex_iterations=solution.simplex_iterations)
-    audit_result(problem, result, coefficients=None if model is None else model.coefficients)
+    audit_result(problem, result, model.coefficients)
     return result
 
 
@@ -343,9 +345,9 @@ def base_flow_rows(network: Network, ptdf: np.ndarray, limits: np.ndarray,
     explicitly extended to the base case): one per branch, or one per
     position in ``branches``, in that order."""
     limits = np.asarray(limits, dtype=float)
-    if np.any(limits <= 0):
-        bad = int(np.argmax(limits <= 0))
-        raise ValueError(f"nonpositive flow limit on branch index {bad}")
+    bad = np.flatnonzero(~(limits > 0))
+    if bad.size:
+        raise ValueError(f"flow limit {limits[bad[0]]} on branch index {bad[0]} is not > 0")
     positions = range(network.n_branches) if branches is None else np.asarray(branches).tolist()
     return [FlowRow(ptdf[l], float(limits[l]), slack_allowed, l) for l in positions]
 

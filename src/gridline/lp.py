@@ -4,14 +4,13 @@ The dispatch code builds problems against this interface only; tests are
 solver-agnostic at 1e-6 tolerances. The backend is the HiGHS dual simplex
 bundled with scipy, called through its bindings directly, with the options
 ``scipy.optimize.linprog(method="highs")`` uses (presolve on, dual simplex,
-no output) and one thread. ``solve_lp`` passes one LP to a fresh solver.
-``LpModel`` keeps one solver, appends rows to its LP and rewrites its bounds
-and right-hand sides in place, so that each solve starts from the basis the
-one before it ended on. A study keeps one ``LpModel`` per fixed chunk of
-hours, so a result is a function of its chunk's inputs alone, never of
-which chunk a worker solved before. A solution holds the primal values,
-the objective and the row marginals; a model HiGHS refuses raises
-SolverError on both paths.
+no output) and one thread. An ``LpModel`` holds one LP in one solver:
+it appends rows to the LP and rewrites its bounds and right-hand sides in
+place, and ``solve_lp`` solves it from the basis the solve before it ended
+on. A study keeps one ``LpModel`` per fixed chunk of hours, so a result is
+a function of its chunk's inputs alone, never of which chunk a worker
+solved before. A solution holds the primal values, the objective and the
+row marginals; a model HiGHS refuses raises SolverError.
 """
 
 from __future__ import annotations
@@ -80,25 +79,13 @@ class HighsResult:
     row_dual: np.ndarray | None = None
 
 
-def _new_solver() -> highs._Highs:
-    solver = highs._Highs()
-    solver.passOptions(_OPTIONS)
-    return solver
-
-
 def _check(status: highs.HighsStatus, call: str) -> None:
     if status == highs.HighsStatus.kError:
         raise SolverError(f"HiGHS refused {call}")
 
 
-def linprog(model: highs.HighsLp | None = None,
-            solver: highs._Highs | None = None) -> HighsResult:
-    """Run one LP: ``model`` in a fresh solver, or else ``solver`` as it
-    stands, from the basis it holds. Raises SolverError if HiGHS refuses
-    ``model``."""
-    if solver is None:
-        solver = _new_solver()
-        _check(solver.passModel(model), "passModel")
+def linprog(solver: highs._Highs) -> HighsResult:
+    """Run ``solver`` as it stands, from the basis it holds."""
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
@@ -112,7 +99,9 @@ def linprog(model: highs.HighsLp | None = None,
 
 
 def _highs_model(problem: LpProblem) -> highs.HighsLp:
-    """Rowwise HiGHS model: the ``<=`` rows first, then the equality rows."""
+    """Rowwise HiGHS model: the ``<=`` rows first, then the equality rows,
+    as scipy's ``linprog`` passes them, so that on an LP with many optima
+    both pick the same one."""
     a_eq = problem.a_eq
     b_eq = np.asarray(problem.b_eq, dtype=float)
     lower_rows, upper_rows = b_eq, b_eq
@@ -153,13 +142,15 @@ def _highs_model(problem: LpProblem) -> highs.HighsLp:
     return model
 
 
-def _solution(result: HighsResult, ineq: slice, eq: slice) -> LpSolution:
-    """``result`` in the solver contract; ``ineq`` and ``eq`` pick the
-    ``<=`` and the equality rows out of the solver's rows."""
+def _solution(result: HighsResult, eq: slice) -> LpSolution:
+    """``result`` in the solver contract; ``eq`` picks the equality rows out
+    of the solver's rows, and the rows around them are the ``<=`` rows."""
     nit = result.nit
     if result.status == _STATUS.kOptimal:
-        return LpSolution(OPTIMAL, result.x, float(result.objective), result.row_dual[ineq],
-                          result.row_dual[eq], simplex_iterations=nit)
+        dual = result.row_dual
+        return LpSolution(OPTIMAL, result.x, float(result.objective),
+                          np.concatenate((dual[:eq.start], dual[eq.stop:])), dual[eq],
+                          simplex_iterations=nit)
     if result.status == _STATUS.kInfeasible:
         return LpSolution(INFEASIBLE, None, None, None, None, simplex_iterations=nit)
     if result.status == _STATUS.kUnbounded:
@@ -183,27 +174,22 @@ def csr_rows(n_rows: int, row: np.ndarray, col: np.ndarray, value: np.ndarray,
     return start, index, np.concatenate((value, np.full(penalized.size, -1.0)))[order]
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
-    return _solution(linprog(_highs_model(problem)), slice(0, n_ub), slice(n_ub, None))
-
-
 class LpModel:
     """An LP held in one solver and changed in place between solves.
 
-    The LP is ``problem``'s equality rows, columns and bounds, plus the
-    ``<=`` rows added since, in the order added (in the solver they follow
-    the equality rows). Each added row may have a slack column of its own
-    or share one with other rows added with it: cost ``slack_cost``, bounds
-    [0, inf), entry -1 in each of its rows. Slack columns follow
-    ``problem``'s columns in the order they were added. Rows and columns
-    are only ever appended.
+    The LP is ``problem``, laid out by ``_highs_model``, plus the ``<=``
+    rows added since, in the order added. Each added row may have a slack
+    column of its own or share one with other rows added with it: cost
+    ``slack_cost``, bounds [0, inf), entry -1 in each of its rows. Slack
+    columns follow ``problem``'s columns in the order they were added.
+    Rows and columns are only ever appended.
     """
 
     def __init__(self, problem: LpProblem):
-        """``problem`` has no ``<=`` rows."""
-        self._solver = _new_solver()
-        self._n_eq = problem.a_eq.shape[0]
+        self._solver = highs._Highs()
+        self._solver.passOptions(_OPTIONS)
+        n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
+        self._eq = slice(n_ub, n_ub + problem.a_eq.shape[0])  # the equality rows
         self._n_cols = len(problem.cost)
         _check(self._solver.passModel(_highs_model(problem)), "passModel")
 
@@ -229,21 +215,23 @@ class LpModel:
     def set_bounds(self, lower: np.ndarray, upper: np.ndarray, b_eq: np.ndarray,
                    b_ub: np.ndarray) -> None:
         """New bounds of ``problem``'s columns, and new right-hand sides of
-        the equality rows and of every ``<=`` row, in the order added."""
+        the equality rows and of every ``<=`` row, in the order held."""
         solver = self._solver
-        if self._n_eq + len(b_ub) != solver.getNumRow():
+        first, stop = self._eq.start, self._eq.stop
+        if stop - first + len(b_ub) != solver.getNumRow():
             raise ValueError("one right-hand side per row required")
         n = self._n_cols
         _check(solver.changeColsBounds(n, np.arange(n, dtype=np.int32),
                                        np.asarray(lower, float), np.asarray(upper, float)),
                "changeColsBounds")
-        row_lower = np.concatenate((b_eq, np.full(len(b_ub), -np.inf))).tolist()
-        row_upper = np.concatenate((b_eq, b_ub)).tolist()
+        unbounded = np.full(len(b_ub), -np.inf)
+        row_lower = np.concatenate((unbounded[:first], b_eq, unbounded[first:])).tolist()
+        row_upper = np.concatenate((b_ub[:first], b_eq, b_ub[first:])).tolist()
         for r, (lo, hi) in enumerate(zip(row_lower, row_upper)):
             _check(solver.changeRowBounds(r, lo, hi), "changeRowBounds")
 
-    def solve(self) -> LpSolution:
-        """Solve from the current basis. ``x`` holds ``problem``'s columns,
-        then the slack columns."""
-        return _solution(linprog(solver=self._solver), slice(self._n_eq, None),
-                         slice(0, self._n_eq))
+
+def solve_lp(model: LpModel) -> LpSolution:
+    """Solve ``model`` from the basis it holds. ``x`` holds ``problem``'s
+    columns, then the slack columns."""
+    return _solution(linprog(model._solver), model._eq)

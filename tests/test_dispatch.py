@@ -8,7 +8,7 @@ from gridline.dispatch import (DispatchModel, DispatchProblem, FlowRow, HourData
                                base_flow_rows, build_lp, build_problem, hour_data,
                                solve_copperplate, solve_penalized_dcopf, solve_problem)
 from gridline.factors import build_factors
-from gridline.lp import solve_lp
+from gridline.lp import LpModel, solve_lp
 from gridline.util import parse_hour
 
 from helpers import solve_base, triangle_network, two_bus_network
@@ -165,7 +165,7 @@ def test_lp_duality_euler_identity():
     # duality for LP), on a congested problem with slack rows
     _, _, problem = penalized_two_bus(row_limit=90.0, dear=2500.0)
     lp, _ = build_lp(problem)
-    solution = solve_lp(lp)
+    solution = solve_lp(LpModel(lp))
     assert solution.status == "optimal"
     tol = 1e-6
     assert np.all(solution.ineq_marginals <= tol)  # binding <= rows price nonpositive
@@ -269,6 +269,42 @@ def test_model_refuses_rows_that_do_not_begin_with_its_held_rows(networks, serie
     again, reference = (solve_problem(problem, factors.ptdf, m) for m in (model, twin))
     assert again.objective == reference.objective == first.objective
     assert again.simplex_iterations == reference.simplex_iterations
+
+
+@pytest.mark.parametrize("bad", ["penalty price", "generator buses", "cost curves"])
+def test_model_refuses_a_problem_its_lp_was_not_built_for(networks, serieses, factors_map,
+                                                          bad):
+    # the LP's segment columns and slack costs are those of the first problem
+    # held, so a later problem with others would be solved as if it had them
+    net, series, factors = networks["case30"], serieses["case30"], factors_map["case30"]
+    rows = base_flow_rows(net, factors.ptdf, 0.7 * net.static_rating)
+    problem = build_problem(net, hour_data(net, series, series.hours[0]), rows)
+    model, twin = DispatchModel(), DispatchModel()
+    first = solve_problem(problem, factors.ptdf, model)
+    solve_problem(problem, factors.ptdf, twin)
+    later = build_problem(net, hour_data(net, series, series.hours[12]), rows)
+    (cap, price), *rest = later.cost_curves[0]
+    later = {
+        "penalty price": replace(later, penalty_price=5.0),
+        "generator buses": replace(later, gen_bus=np.roll(later.gen_bus, 1)),
+        "cost curves": replace(later, cost_curves=(((cap, price + 1.0), *rest),
+                                                   *later.cost_curves[1:])),
+    }[bad]
+    with pytest.raises(ValueError, match="differ from those the model was built with"):
+        model.hold(later)
+    assert model.rows is problem.flow_rows
+    again, reference = (solve_problem(problem, factors.ptdf, m) for m in (model, twin))
+    assert again.objective == reference.objective == first.objective
+    assert again.simplex_iterations == reference.simplex_iterations
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
+def test_base_flow_rows_refuse_a_limit_that_is_not_positive(networks, factors_map, bad):
+    net = networks["case5"]
+    limits = net.static_rating.copy()
+    limits[2] = bad
+    with pytest.raises(ValueError, match=f"^flow limit {bad} on branch index 2 is not > 0$"):
+        base_flow_rows(net, factors_map["case5"].ptdf, limits)
 
 
 @pytest.mark.parametrize("field, position", [("demand", 1), ("gen_min", 0), ("gen_max", 0)])

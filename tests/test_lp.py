@@ -13,7 +13,7 @@ from scipy import sparse
 from gridline import lp as backend
 from gridline.dispatch import base_flow_rows, build_lp, build_problem, hour_data
 from gridline.errors import SolverError
-from gridline.lp import ERROR, INFEASIBLE, OPTIMAL, HighsResult, LpProblem, solve_lp
+from gridline.lp import ERROR, INFEASIBLE, OPTIMAL, HighsResult, LpModel, LpProblem, solve_lp
 from gridline.scopf import contingency_row
 
 import oracles
@@ -24,7 +24,7 @@ STATUS = {0: OPTIMAL, 2: INFEASIBLE, 4: ERROR}
 def assert_matches_public_linprog(problem):
     """Same status; on an optimum the same objective and x to 1e-9, and the
     same marginals wherever the optimum is unique. Returns the status."""
-    solution = solve_lp(problem)
+    solution = solve_lp(LpModel(problem))
     reference = oracles.public_linprog(problem)
     assert solution.status == STATUS[reference.status]
     if solution.status != OPTIMAL:
@@ -90,7 +90,7 @@ def test_dispatch_lps_match_public_linprog(networks, serieses, factors_map, name
             lp, layout = build_lp(build_problem(net, data, rows))
             statuses.append(assert_matches_public_linprog(lp))
             if rows is penalized and statuses[-1] == OPTIMAL:
-                slack_hours += bool(np.any(solve_lp(lp).x[len(layout.seg_owner):] > 1e-6))
+                slack_hours += bool(np.any(solve_lp(LpModel(lp)).x[len(layout.seg_owner):] > 1e-6))
     assert OPTIMAL in statuses
     assert slack_hours > 0
 
@@ -108,9 +108,9 @@ def case30_lp(networks, serieses, factors_map):
 ])
 def test_other_statuses_are_errors_with_the_solver_message(monkeypatch, case30_lp,
                                                            status, outcome):
-    monkeypatch.setattr(backend, "linprog", lambda model: HighsResult(
+    monkeypatch.setattr(backend, "linprog", lambda solver: HighsResult(
         status, backend.highs._Highs().modelStatusToString(status), 3))
-    solution = solve_lp(case30_lp)
+    solution = solve_lp(LpModel(case30_lp))
     assert (solution.status, solution.message) == (ERROR, outcome)
 
 
@@ -119,32 +119,35 @@ def test_unbounded_lp_raises():
                         sparse.csr_matrix(np.array([[0.0, 1.0]])), np.array([1.0]),
                         [(0.0, None), (0.0, 5.0)])
     with pytest.raises(SolverError, match="unbounded"):
-        solve_lp(problem)
+        solve_lp(LpModel(problem))
 
 
 @pytest.mark.parametrize("bounds, column", [([(0.0, np.nan)], 0),
                                              ([(0.0, None), (np.nan, 1.0)], 1)])
 def test_a_nan_column_bound_is_refused_on_both_paths(bounds, column):
+    # both ways ``_highs_model`` lays out a model: without and with ``<=`` rows
     problem = LpProblem(-np.ones(len(bounds)), None, None, sparse.csr_matrix((0, len(bounds))),
                         np.zeros(0), bounds)
     with pytest.raises(ValueError, match=f"^column {column} has a NaN bound$"):
-        solve_lp(problem)
+        LpModel(problem)
     with pytest.raises(ValueError, match=f"^column {column} has a NaN bound$"):
-        backend.LpModel(problem)
+        LpModel(replace(problem, a_ub=sparse.csr_matrix(np.ones((1, len(bounds)))),
+                        b_ub=np.ones(1)))
 
 
 def test_a_model_highs_refuses_raises_on_both_paths(case30_lp):
+    # both ways ``_highs_model`` lays out a model: with and without ``<=`` rows
     refused = replace(case30_lp, b_eq=np.array([np.nan]))
     with pytest.raises(SolverError, match="HiGHS refused passModel"):
-        solve_lp(refused)
+        LpModel(refused)
     with pytest.raises(SolverError, match="HiGHS refused passModel"):
-        backend.LpModel(replace(refused, a_ub=None, b_ub=None))
+        LpModel(replace(refused, a_ub=None, b_ub=None))
 
 
 def test_simplex_iterations_are_reported(case30_lp):
-    result = backend.linprog(backend._highs_model(case30_lp))
-    assert result.status == backend._STATUS.kOptimal
-    assert result.nit > 0
+    solution = solve_lp(LpModel(case30_lp))
+    assert solution.status == OPTIMAL
+    assert solution.simplex_iterations > 0
 
 
 shifts = st.floats(-3.0, 3.0).map(lambda v: round(v, 3))
@@ -153,18 +156,22 @@ shifts = st.floats(-3.0, 3.0).map(lambda v: round(v, 3))
 @settings(max_examples=150, deadline=None)
 @given(problem=box_lps(), draw=st.data())
 def test_lp_model_changed_in_place_matches_a_fresh_solve(problem, draw):
-    """Rows added in batches with private and shared slacks, and the column
-    bounds and every right-hand side moved at once: after each change the
-    model solves to the status and objective of the same LP in a fresh
-    solver."""
+    """A model built with some of the drawn ``<=`` rows or none, then rows
+    added in batches with private and shared slacks, and the column bounds
+    and every right-hand side moved at once: after each change the model
+    solves to the status and objective of the same LP in a new model."""
     n = len(problem.cost)
     lower, upper = np.array(problem.bounds, dtype=float).T
     b_eq = problem.b_eq
     candidates = (np.zeros((0, n)), np.zeros(0)) if problem.a_ub is None else (
         problem.a_ub.toarray(), problem.b_ub)
-    model = backend.LpModel(LpProblem(problem.cost, None, None, problem.a_eq, b_eq,
-                                      problem.bounds))
-    rows = []  # (coefficients over the problem's columns, right-hand side, slack column)
+    held = draw.draw(st.integers(0, len(candidates[1])))
+    model = LpModel(LpProblem(problem.cost,
+                              sparse.csr_matrix(candidates[0][:held]) if held else None,
+                              candidates[1][:held] if held else None, problem.a_eq, b_eq,
+                              problem.bounds))
+    # (coefficients over the problem's columns, right-hand side, slack column)
+    rows = [(candidates[0][i], candidates[1][i], None) for i in range(held)]
     n_slacks = 0  # slack columns, numbered in the order added
     penalty = 1.0  # cheap enough that slacks take part in most optima
 
@@ -174,12 +181,12 @@ def test_lp_model_changed_in_place_matches_a_fresh_solve(problem, draw):
             a_ub[i, :n] = coefficients
             if slack is not None:
                 a_ub[i, n + slack] = -1.0
-        return solve_lp(LpProblem(
+        return solve_lp(LpModel(LpProblem(
             np.concatenate((problem.cost, np.full(n_slacks, penalty))),
             sparse.csr_matrix(a_ub) if rows else None,
             np.array([b for _, b, _ in rows]) if rows else None,
             sparse.csr_matrix(np.hstack((problem.a_eq.toarray(), np.zeros((1, n_slacks))))),
-            b_eq, list(zip(lower.tolist(), upper.tolist())) + [(0.0, None)] * n_slacks))
+            b_eq, list(zip(lower.tolist(), upper.tolist())) + [(0.0, None)] * n_slacks)))
 
     for step in draw.draw(st.lists(st.sampled_from(["add", "add", "move"]),
                                    min_size=1, max_size=10)):
@@ -206,7 +213,7 @@ def test_lp_model_changed_in_place_matches_a_fresh_solve(problem, draw):
             moves = draw.draw(st.lists(shifts, min_size=len(rows), max_size=len(rows)))
             rows = [(a, b + move, slack) for (a, b, slack), move in zip(rows, moves)]
             model.set_bounds(lower, upper, b_eq, np.array([b for _, b, _ in rows]))
-        solution, reference = model.solve(), fresh()
+        solution, reference = solve_lp(model), fresh()
         assert solution.status == reference.status
         if reference.status == OPTIMAL:
             assert solution.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-9)
@@ -217,9 +224,9 @@ def test_lp_model_changed_in_place_matches_a_fresh_solve(problem, draw):
 def test_lp_model_needs_one_right_hand_side_per_row(case30_lp):
     no_rows = LpProblem(case30_lp.cost, None, None, case30_lp.a_eq, case30_lp.b_eq,
                         case30_lp.bounds)
-    model = backend.LpModel(no_rows)
+    model = LpModel(no_rows)
     lower, upper = np.array(no_rows.bounds, dtype=float).T
     with pytest.raises(ValueError, match="one right-hand side per row"):
         model.set_bounds(lower, upper, no_rows.b_eq, np.zeros(1))
     model.set_bounds(lower, upper, no_rows.b_eq, np.zeros(0))
-    assert model.solve().objective == solve_lp(no_rows).objective
+    assert solve_lp(model).objective == solve_lp(LpModel(no_rows)).objective

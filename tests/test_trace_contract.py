@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridline import pipeline
+from gridline import dispatch, pipeline
 from gridline.dispatch import (DispatchResult, FlowRow, base_flow_rows, build_lp,
                                build_problem, hour_data)
 from gridline.factors import build_factors
@@ -93,3 +93,30 @@ def test_every_hour_is_one_solve_task_call(cases_dir, tmp_path, monkeypatch):
     assert len(calls) == len(regimes) * hours
     assert sorted(calls) == sorted((regime, pos) for regime in regimes
                                    for pos in range(hours))
+
+
+def test_every_lp_is_built_and_solved_through_the_traced_names(cases_dir, tmp_path,
+                                                              monkeypatch):
+    # the tracer times lp.solve_s from dispatch.solve_lp and counts
+    # dispatch.lp_count from dispatch.build_lp, so every LP solve of a study
+    # must call the one and every chunk's model be built by the other
+    counts = {"build_lp": 0, "solve_lp": 0}
+    for name in counts:
+        original = getattr(dispatch, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dispatch, name, counting)
+    regimes = ("slr", "aar", "dlr", "uncongested")
+    out = tmp_path / "out"
+    summary = pipeline.run(pipeline.RunConfig(
+        case_directory=cases_dir / "case5", output_directory=out,
+        weather_file=cases_dir / "weather_case5.csv", regimes=regimes, worker_count=1))
+    assert summary.all_ok
+    trace_rows = sum(len((out / regime / "iteration_trace.csv").read_text().splitlines()) - 1
+                     for regime in regimes)
+    assert counts["solve_lp"] == trace_rows > len(regimes) * len(summary.hours)
+    chunks = len(regimes) * -(-len(summary.hours) // pipeline.CARRY_HOURS)
+    assert counts["build_lp"] == chunks
