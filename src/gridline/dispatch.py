@@ -152,6 +152,25 @@ def _row_arrays(rows: tuple[FlowRow, ...], n_buses: int):
     return coefficients.reshape(len(rows), n_buses), limit, slack_allowed
 
 
+def _refuse_non_finite(limit: np.ndarray, coefficients: np.ndarray | None = None,
+                       first: int = 0) -> None:
+    """Raise ValueError naming the first flow row whose limit, or whose
+    stacked coefficients when given, are not finite. Row i is the flow row
+    at position ``first`` + i."""
+    finite = np.isfinite(limit)
+    if coefficients is not None:  # NaN and inf reach a row's max or min
+        finite &= np.isfinite(coefficients.max(axis=1, initial=0.0))
+        finite &= np.isfinite(coefficients.min(axis=1, initial=0.0))
+    if finite.all():
+        return
+    r = int(np.argmin(finite))
+    if not np.isfinite(limit[r]):
+        raise ValueError(f"flow row {first + r} has a non-finite limit {limit[r]}")
+    bus = int(np.argmin(np.isfinite(coefficients[r])))
+    raise ValueError(f"flow row {first + r} has a non-finite coefficient "
+                     f"{coefficients[r, bus]} at bus position {bus}")
+
+
 def _flow_rhs(coefficients: np.ndarray, limit: np.ndarray, demand: np.ndarray) -> np.ndarray:
     """Right-hand sides of the ``<=`` rows 2r (+) and 2r + 1 (-) of each
     flow row r over the segment columns."""
@@ -159,13 +178,17 @@ def _flow_rhs(coefficients: np.ndarray, limit: np.ndarray, demand: np.ndarray) -
     return np.column_stack((limit + fixed, limit - fixed)).ravel()
 
 
-def _lower_rows(rows: tuple[FlowRow, ...], seg_bus: np.ndarray, demand: np.ndarray):
+def _lower_rows(rows: tuple[FlowRow, ...], seg_bus: np.ndarray, demand: np.ndarray,
+                first: int = 0):
     """Flow row r as the ``<=`` rows 2r (+) and 2r + 1 (-) over the segment
     columns. Returns the rows' stacked coefficients, the LP rows'
     right-hand sides, the (row, column, value) of each entry HiGHS would
     keep, sorted by row, and each LP row's slack number: the slack-allowed
-    flow rows are numbered from 0 in order, and -1 marks a hard row."""
+    flow rows are numbered from 0 in order, and -1 marks a hard row. A
+    non-finite limit or coefficient raises ValueError, naming the row by
+    its position counted from ``first``."""
     coefficients, limit, slack_allowed = _row_arrays(rows, len(demand))
+    _refuse_non_finite(limit, coefficients, first)
     seg_coef = coefficients[:, seg_bus]
     signed = np.stack((seg_coef, -seg_coef), axis=1).reshape(2 * len(rows), len(seg_bus))
     row, col = np.nonzero(np.abs(signed) > MATRIX_ZERO_TOL)
@@ -274,31 +297,38 @@ class DispatchModel:
 
     def hold(self, problem: DispatchProblem) -> _Layout:
         """Raises ValueError, and changes nothing, if ``problem`` is not one
-        the model can hold."""
+        the model can hold or has a non-finite flow row."""
         rows, held = problem.flow_rows, self.rows
         if len(rows) < len(held) or not all(map(_same_row, held, rows)):
             raise ValueError("the problem's flow rows do not begin with the held rows")
         if self.lp is None:
-            self.lp = LpModel(build_lp(replace(problem, flow_rows=()))[0])
-            self.built = problem
             seg_owner, cap, _, before = _segments(problem.cost_curves)
-            self.segments = seg_owner, cap, before
-            self.coefficients = np.zeros((0, len(problem.demand)))
+            segments = seg_owner, cap, before
         else:
-            built = self.built
+            built, segments = self.built, self.segments
             if (problem.penalty_price != built.penalty_price
                     or not np.array_equal(problem.gen_bus, built.gen_bus)
                     or problem.cost_curves != built.cost_curves):
                 raise ValueError("the problem's penalty price, generator buses or cost "
                                  "curves differ from those the model was built with")
-            limit = np.array([row.limit for row in rows[:len(held)]], dtype=float)
-            self.lp.set_bounds(*_segment_bounds(problem, *self.segments),
+        limit = np.array([row.limit for row in rows[:len(held)]], dtype=float)
+        _refuse_non_finite(limit)
+        seg_owner = segments[0]
+        new = None
+        if len(held) < len(rows):
+            new = _lower_rows(rows[len(held):], problem.gen_bus[seg_owner], problem.demand,
+                              len(held))
+        # every check has passed: only now is the LP changed
+        if self.lp is None:
+            self.lp = LpModel(build_lp(replace(problem, flow_rows=()))[0])
+            self.built, self.segments = problem, segments
+            self.coefficients = np.zeros((0, len(problem.demand)))
+        else:
+            self.lp.set_bounds(*_segment_bounds(problem, *segments),
                                np.array([float(problem.demand.sum())]),
                                _flow_rhs(self.coefficients, limit, problem.demand))
-        seg_owner = self.segments[0]
-        if len(held) < len(rows):
-            coefficients, b_ub, entries, slack = _lower_rows(
-                rows[len(held):], problem.gen_bus[seg_owner], problem.demand)
+        if new is not None:
+            coefficients, b_ub, entries, slack = new
             self.lp.add_rows(b_ub, *entries, slack, problem.penalty_price)
             self.coefficients = np.concatenate((self.coefficients, coefficients))
         self.rows = rows

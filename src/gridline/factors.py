@@ -1,11 +1,12 @@
 """PTDF and LODF sensitivity factors for the DC approximation.
 
-The PTDF comes from one sparse LU factorisation of the reduced nodal
-susceptance matrix, solved against the identity: target cases are a few
-thousand buses, where the dense reduced inverse fits in memory but dense
-products with the branch incidence do not pay. The LODF is never kept
-whole: any block of its rows is one formula over the PTDF, and only
-verification and debug code asks for the full L x L matrix.
+The PTDF comes from one dense Cholesky inverse of the nodal susceptance
+matrix with its slack row and column replaced by the identity's, times
+the sparse branch incidence: target cases are a few thousand buses, where
+the dense inverse fits in memory and LAPACK inverts it faster than sparse
+solves against the identity. The LODF is never kept whole: any block of
+its rows is one formula over the PTDF, and only verification and debug
+code asks for the full L x L matrix.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .errors import NetworkStructureError
 from .network import Network
@@ -39,12 +40,17 @@ class SensitivityFactors:
     lodf_row_max: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # a block's numerators are one product with the incidence, the same
+        # bits as ``lodf_rows``' gathers; a row's own entry is zeroed anyway
+        incidence_t = _incidence(self.branch_from, self.branch_to, self.ptdf.shape[1]).T
         out = np.empty(len(self.denominator))
         for start in range(0, out.size, ROW_BLOCK):
-            rows = np.arange(start, min(start + ROW_BLOCK, out.size))
-            block = np.abs(self.lodf_rows(rows))
-            block[np.arange(rows.size), rows] = 0.0
-            np.fmax.reduce(block, axis=1, initial=0.0, out=out[start:start + rows.size])
+            stop = min(start + ROW_BLOCK, out.size)
+            block = self.ptdf[start:stop] @ incidence_t
+            block /= self.denominator
+            np.abs(block, out=block)
+            block[np.arange(stop - start), np.arange(start, stop)] = 0.0
+            np.fmax.reduce(block, axis=1, initial=0.0, out=out[start:stop])
         object.__setattr__(self, "lodf_row_max", out)
 
     def lodf_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -53,7 +59,11 @@ class SensitivityFactors:
         when c is outaged,
         LODF[b, c] = (PTDF[b, from_c] - PTDF[b, to_c]) / denominator[c].
         Radial columns are NaN, and a row's own non-radial outage is -1
-        (the outage removes the branch's own flow)."""
+        (the outage removes the branch's own flow).
+
+        The screen and ``contingency_row`` ask for a few rows at a time,
+        where two column gathers cost less than a product with the sparse
+        incidence, which pays only on blocks of hundreds of rows."""
         ptdf = self.ptdf[rows]
         block = (ptdf[:, self.branch_from] - ptdf[:, self.branch_to]) / self.denominator
         own = ~np.isnan(self.denominator[rows])
@@ -73,6 +83,18 @@ def default_slack_bus(network: Network) -> int:
     if not with_gen:
         raise NetworkStructureError("no generators; cannot pick a slack bus")
     return with_gen[0]
+
+
+def _incidence(branch_from: np.ndarray, branch_to: np.ndarray,
+               n_buses: int) -> sparse.csr_matrix:
+    """The (L, N) branch incidence: +1 at each branch's from bus and -1 at
+    its to bus. Row b of its product with a matrix M is exactly
+    M[from_b] - M[to_b]."""
+    n_branches = len(branch_from)
+    return sparse.csr_matrix((np.tile([1.0, -1.0], n_branches),
+                              np.column_stack((branch_from, branch_to)).ravel(),
+                              np.arange(0, 2 * n_branches + 1, 2)),
+                             shape=(n_branches, n_buses))
 
 
 def _check_connected(network: Network, nodal: sparse.csc_matrix) -> None:
@@ -102,16 +124,21 @@ def compute_ptdf(network: Network, slack_bus: int | None = None) -> np.ndarray:
         raise NetworkStructureError(f"slack bus {slack_id} not in network")
     slack = network.bus_index[slack_id]
 
-    n = network.n_buses
-    keep = np.flatnonzero(np.arange(n) != slack)
-    try:
-        lu = splu(nodal[keep][:, keep])
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        raise NetworkStructureError("reduced susceptance matrix is singular") from None
-    inverse = np.zeros((n, n))
-    inverse[np.ix_(keep, keep)] = lu.solve(np.eye(n - 1))
-    ptdf = inverse[f]
-    ptdf -= inverse[t]
+    # with the slack row and column of the identity's the matrix is SPD,
+    # and its inverse is the bordered X above but for a 1 at (slack, slack)
+    matrix = nodal.toarray(order="F")  # Fortran order: LAPACK works on it in place
+    matrix[slack] = 0.0
+    matrix[:, slack] = 0.0
+    matrix[slack, slack] = 1.0
+    factor, info = lapack.dpotrf(matrix, lower=False, clean=False, overwrite_a=True)
+    if info == 0:
+        inverse, info = lapack.dpotri(factor, lower=False, overwrite_c=True)
+    if info != 0:
+        raise NetworkStructureError("reduced susceptance matrix is singular")
+    inverse = inverse.T  # C order, for the product; the inverse is in its lower triangle
+    np.copyto(inverse, inverse.T, where=~np.tri(network.n_buses, dtype=bool))  # mirror
+    inverse[slack, slack] = 0.0
+    ptdf = _incidence(f, t, network.n_buses) @ inverse
     ptdf /= network.reactance[:, None]
     return ptdf
 

@@ -88,13 +88,14 @@ def linprog(solver: highs._Highs) -> HighsResult:
     """Run ``solver`` as it stands, from the basis it holds."""
     solver.run()
     status = solver.getModelStatus()
-    info = solver.getInfo()
+    # two values, not a copy of the whole ``HighsInfo`` struct
+    _, nit = solver.getInfoValue("simplex_iteration_count")
     message = solver.modelStatusToString(status)
     if status != _STATUS.kOptimal:
-        return HighsResult(status, message, info.simplex_iteration_count)
+        return HighsResult(status, message, nit)
     solution = solver.getSolution()
-    return HighsResult(status, message, info.simplex_iteration_count,
-                       np.array(solution.col_value), info.objective_function_value,
+    _, objective = solver.getInfoValue("objective_function_value")
+    return HighsResult(status, message, nit, np.array(solution.col_value), objective,
                        np.array(solution.row_dual))
 
 
@@ -190,7 +191,7 @@ class LpModel:
         self._solver.passOptions(_OPTIONS)
         n_ub = 0 if problem.a_ub is None else problem.a_ub.shape[0]
         self._eq = slice(n_ub, n_ub + problem.a_eq.shape[0])  # the equality rows
-        self._n_cols = len(problem.cost)
+        self._columns = np.arange(len(problem.cost), dtype=np.int32)  # for set_bounds
         _check(self._solver.passModel(_highs_model(problem)), "passModel")
 
     def add_rows(self, b_ub: np.ndarray, row: np.ndarray, col: np.ndarray,
@@ -220,15 +221,18 @@ class LpModel:
         first, stop = self._eq.start, self._eq.stop
         if stop - first + len(b_ub) != solver.getNumRow():
             raise ValueError("one right-hand side per row required")
-        n = self._n_cols
-        _check(solver.changeColsBounds(n, np.arange(n, dtype=np.int32),
-                                       np.asarray(lower, float), np.asarray(upper, float)),
-               "changeColsBounds")
-        unbounded = np.full(len(b_ub), -np.inf)
-        row_lower = np.concatenate((unbounded[:first], b_eq, unbounded[first:])).tolist()
-        row_upper = np.concatenate((b_ub[:first], b_eq, b_ub[first:])).tolist()
-        for r, (lo, hi) in enumerate(zip(row_lower, row_upper)):
-            _check(solver.changeRowBounds(r, lo, hi), "changeRowBounds")
+        columns = self._columns
+        _check(solver.changeColsBounds(len(columns), columns, np.asarray(lower, float),
+                                       np.asarray(upper, float)), "changeColsBounds")
+        # scipy's bindings change one row's bounds per call
+        change, lowest = solver.changeRowBounds, -np.inf
+        upper_rows = np.asarray(b_ub, float).tolist()
+        equal_rows = np.asarray(b_eq, float).tolist()
+        status = [change(r, lowest, hi) for r, hi in enumerate(upper_rows[:first])]
+        status += [change(r, value, value) for r, value in enumerate(equal_rows, first)]
+        status += [change(r, lowest, hi) for r, hi in enumerate(upper_rows[first:], stop)]
+        if highs.HighsStatus.kError in status:
+            raise SolverError("HiGHS refused changeRowBounds")
 
 
 def solve_lp(model: LpModel) -> LpSolution:

@@ -172,6 +172,32 @@ def branch_eligible(branch: Branch, params: RatingParams) -> bool:
     return branch.kind == "line" and branch.length_km < params.eligibility_length_km
 
 
+def eligible_positions(network: Network, params: RatingParams) -> np.ndarray:
+    """Positions of the branches ``branch_eligible`` passes, on arrays."""
+    line = np.array([b.kind == "line" for b in network.branches], dtype=bool)
+    length = np.array([b.length_km for b in network.branches], dtype=float)
+    return np.flatnonzero(line & (length < params.eligibility_length_km))
+
+
+def line_diameters(network: Network, positions: np.ndarray,
+                   params: RatingParams) -> np.ndarray:
+    """``estimate_diameter`` of the branches at ``positions``, on arrays: the
+    same operations in the same order, so the same bits. A non-positive
+    ampacity names the first branch that has one."""
+    given = [network.branches[l].diameter_m for l in positions]
+    fitted = np.array([d is None for d in given], dtype=bool)
+    diameter = np.array([0.0 if d is None else d for d in given], dtype=float)
+    at = np.asarray(positions, dtype=int)[fitted]
+    kv = np.array([b.base_voltage for b in network.buses])[network.branch_from[at]]
+    ampacity = network.static_rating[at] * 1e3 / (math.sqrt(3.0) * kv)
+    if np.any(ampacity <= 0):
+        first = np.argmax(ampacity <= 0)
+        raise GridlineError(f"branch {network.branches[at[first]].id}: nonpositive ampacity "
+                            f"{ampacity[first]}")
+    diameter[fitted] = params.diameter_fit_a * ampacity + params.diameter_fit_b
+    return diameter
+
+
 def branch_multiplier(weather_sample: WeatherSample | None, branch: Branch,
                       regime: str, params: RatingParams, diameter: float,
                       axis_angle: float | None = None) -> float:
@@ -224,8 +250,7 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
     sine of each line's bearing (``k_angle_of_wind``). ``rate`` finds eta_T
     per (hour, cell). Its params may differ from these only in T_C, T_A_SLR
     and phi_SLR."""
-    index = np.array([l for l, b in enumerate(network.branches)
-                      if branch_eligible(b, params)], dtype=int)
+    index = eligible_positions(network, params)
     lat, lon = np.array([(b.latitude, b.longitude) for b in network.buses]).T
     a, b = network.branch_from[index], network.branch_to[index]
     cells, line_cell = np.unique(
@@ -243,8 +268,7 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
                                 "needs a conductor bearing, but the line has zero length")
         axis = conductor_angle(start, end)
         cos_axis, sin_axis = np.cos(axis), np.sin(axis)
-        diameter = np.array([estimate_diameter(network.branches[l], network, params)
-                             for l in index])
+        diameter = line_diameters(network, index, params)
         if np.any(diameter <= 0):
             thin = np.argmax(diameter <= 0)
             raise GridlineError(

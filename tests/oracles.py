@@ -1,25 +1,28 @@
 """Independent reference implementations used only to check the package.
 
-Each oracle is deliberately written from a different formulation than the
-code under test: DC power flow solves the nodal system directly instead of
-using distribution factors, the PTDF comes from a dense incidence matrix
-and a dense inverse instead of a sparse LU, UTM uses the classic Snyder
-series instead of the Krueger expansion (and the Krueger series one point
-at a time with ``math`` instead of on arrays), distances use the spherical
-law of cosines instead of the haversine, the SC-DCOPF oracle enumerates
-every contingency row up front instead of screening, LPs go through
-scipy's public ``linprog`` instead of the direct HiGHS calls, CSV
-cells are formatted one value at a time through ``csv.writer`` instead of
-as rendered columns and reused line tails, the hourly inputs are read
-one ``csv.DictReader`` row at a time into dicts instead of in one pass
-into arrays checked by column, and rating series and sweeps evaluate the
+Each oracle is deliberately written from a different formulation than
+the code under test: DC power flow solves the nodal system directly
+instead of using distribution factors, the PTDF comes from a dense
+incidence matrix and numpy's dense inverse of the reduced Bbus instead
+of a Cholesky inverse bordered at the slack and a sparse incidence
+product, UTM uses the classic Snyder series instead of the Krueger
+expansion (and the Krueger series one point at a time with ``math``
+instead of on arrays), distances use the spherical law of cosines
+instead of the haversine, the SC-DCOPF oracle enumerates every
+contingency row up front instead of screening, LPs go through scipy's
+public ``linprog`` instead of the direct HiGHS calls, CSV cells are
+formatted one value at a time through ``csv.writer`` instead of as
+rendered columns and reused line tails, the hourly inputs are read one
+``csv.DictReader`` row at a time into dicts instead of in one pass into
+arrays checked by column, and rating series and sweeps evaluate the
 heat-balance formulas one hour at a time from the raw weather at each
 line, with K_angle through the attack angle's trigonometry, instead of
 from weather-only terms computed once per (hour, cell) and K_angle from
-the wind components, and a run's summary and congestion tables are summed
-one (hour, generator) and one binding row at a time from per-hour values
-instead of with masked and grouped array sums over the chunk records. The
-generator cost curve and the case writer that only tests use live here too.
+the wind components, and a run's summary and congestion tables are
+summed one (hour, generator) and one binding row at a time from per-hour
+values instead of with masked and grouped array sums over the chunk
+records. The generator cost curve and the case writer that only tests
+use live here too.
 """
 
 import csv

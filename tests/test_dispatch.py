@@ -321,6 +321,48 @@ def test_non_finite_dispatch_input_is_refused_before_any_lp(monkeypatch, field, 
                       factors.ptdf, None if model is None else model())
 
 
+
+@pytest.mark.parametrize("limit, coefficients, message", [
+    (float("nan"), None, "flow row 1 has a non-finite limit nan"),
+    (50.0, [np.nan, 0.0], "flow row 1 has a non-finite coefficient nan at bus position 0"),
+], ids=["limit", "coefficients"])
+def test_non_finite_new_flow_row_is_refused_and_leaves_the_lp_untouched(limit, coefficients,
+                                                                        message):
+    net, factors, data = two_bus_setup(line_limit=50.0)
+    good = base_flow_rows(net, factors.ptdf, [50.0])
+    bad = FlowRow(factors.ptdf[0] if coefficients is None else np.array(coefficients),
+                  limit, True, 0, 0)
+    fresh, model, twin = DispatchModel(), DispatchModel(), DispatchModel()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fresh.hold(build_problem(net, data, [*good, bad]))
+    assert fresh.lp is None and fresh.rows == ()
+    problem = build_problem(net, data, good)
+    first = solve_problem(problem, factors.ptdf, model)
+    solve_problem(problem, factors.ptdf, twin)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model.hold(build_problem(net, replace(data, demand=np.array([0.0, 60.0])), [*good, bad]))
+    assert model.rows is problem.flow_rows
+    again, reference = (solve_problem(problem, factors.ptdf, m) for m in (model, twin))
+    assert again.objective == reference.objective == first.objective
+    assert again.simplex_iterations == reference.simplex_iterations
+
+
+def test_non_finite_limit_of_a_held_row_is_refused_and_leaves_the_lp_untouched():
+    net, factors, data = two_bus_setup(line_limit=50.0)
+    problem = build_problem(net, data, base_flow_rows(net, factors.ptdf, [50.0]))
+    model, twin = DispatchModel(), DispatchModel()
+    first = solve_problem(problem, factors.ptdf, model)
+    solve_problem(problem, factors.ptdf, twin)
+    held = problem.flow_rows[0]
+    later = replace(problem, demand=np.array([0.0, 60.0]),
+                    flow_rows=(replace(held, limit=float("nan")),))
+    with pytest.raises(ValueError, match="^flow row 0 has a non-finite limit nan$"):
+        model.hold(later)
+    assert model.rows is problem.flow_rows
+    again, reference = (solve_problem(problem, factors.ptdf, m) for m in (model, twin))
+    assert again.objective == reference.objective == first.objective
+    assert again.simplex_iterations == reference.simplex_iterations
+
 def test_non_finite_segment_price_is_refused_with_its_generator():
     # no dispatch problem, on either path, can be built from such a unit
     with pytest.raises(ValueError, match=r"generator 1 cost curve must be finite, "

@@ -89,8 +89,13 @@ def test_lodf_matches_remove_and_resolve(networks, factors_map):
 
 
 def test_sparse_ptdf_matches_dense_oracle(networks, factors_map):
+    # the slack at the first, a middle and the last bus position, and at
+    # the ends of radial spurs (case30's buses 29 and 30)
     for name, net in networks.items():
-        for slack in (factors_map[name].slack_bus, net.buses[-1].id):
+        spur_ends = [b.id for b in net.buses
+                     if sum(b.id in (br.from_bus, br.to_bus) for br in net.branches) == 1]
+        for slack in (factors_map[name].slack_bus, net.buses[-1].id, net.buses[0].id,
+                      net.buses[net.n_buses // 2].id, *spur_ends):
             np.testing.assert_allclose(compute_ptdf(net, slack), oracles.dense_ptdf(net, slack),
                                        rtol=0, atol=1e-12)
 
@@ -98,12 +103,17 @@ def test_sparse_ptdf_matches_dense_oracle(networks, factors_map):
 @settings(max_examples=60, deadline=None)
 @given(case=meshed_hours(), data=st.data())
 def test_factors_of_drawn_meshes(case, data):
-    """Sparse-LU PTDF against the dense oracle, LODF row blocks against the
-    full matrix bit for bit, and contingency rows against the full LODF."""
+    """PTDF against the dense oracle, also with the slack at the first, a
+    middle and the last bus position (the end of the radial spur), LODF row
+    blocks against the full matrix bit for bit, and contingency rows
+    against the full LODF."""
     net = case[0]
     factors = build_factors(net)
     np.testing.assert_allclose(factors.ptdf, oracles.dense_ptdf(net, factors.slack_bus),
                                rtol=0, atol=1e-12)
+    for slack in (net.buses[0].id, net.buses[net.n_buses // 2].id, net.buses[-1].id):
+        np.testing.assert_allclose(compute_ptdf(net, slack), oracles.dense_ptdf(net, slack),
+                                   rtol=0, atol=1e-12)
     assert factors.radial_branches == oracles.bridges(net)
     rows = np.array(data.draw(st.lists(st.integers(0, net.n_branches - 1), max_size=8)),
                     dtype=int)
@@ -155,6 +165,16 @@ def test_disconnected_network_rejected():
         branches=[(1, 1, 2, 0.1, 100.0), (2, 3, 4, 0.1, 100.0)],
         gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, 10.0)])])
     with pytest.raises(NetworkStructureError, match="disconnected"):
+        compute_ptdf(net, slack_bus=1)
+
+
+def test_cancelling_parallel_susceptances_are_singular():
+    # connected, but the two circuits' 1/x sum to zero between buses 1 and 2
+    net = make_network(
+        buses=[(1, 31.0, -99.0, 115.0), (2, 31.2, -99.0, 115.0), (3, 31.4, -99.0, 115.0)],
+        branches=[(1, 1, 2, 0.1, 100.0), (2, 1, 2, -0.1, 100.0), (3, 2, 3, 0.1, 100.0)],
+        gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, 10.0)])])
+    with pytest.raises(NetworkStructureError, match="^reduced susceptance matrix is singular$"):
         compute_ptdf(net, slack_bus=1)
 
 

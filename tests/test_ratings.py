@@ -10,13 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from gridline.errors import GridlineError, RatingCollapseError
 from gridline.ratings import (AAR, DLR, HOUR_BLOCK, SLR, RatingParams, branch_eligible,
-                              branch_multiplier, build_rating_series,
+                              branch_multiplier, build_rating_series, eligible_positions,
                               estimate_diameter, eta_temperature, eta_wind,
-                              fold_attack_angle, k_angle, k_angle_of_wind, sweep_parameters)
+                              fold_attack_angle, k_angle, k_angle_of_wind, line_diameters,
+                              sweep_parameters)
 from gridline.weather import WeatherGrid, WeatherSample, load_weather, nearest_cell
 
 import oracles
-from helpers import make_network, triangle_network, two_bus_network
+from helpers import make_network, meshed_hours, triangle_network, two_bus_network
 
 PARAMS = RatingParams()
 
@@ -666,6 +667,54 @@ def test_nonpositive_ampacity_rejected():
     with pytest.raises(GridlineError, match="ampacity"):
         estimate_diameter(bogus, net, PARAMS)
 
+
+
+def assert_rater_arrays_match_scalar_helpers(net, params):
+    """The rater's eligible positions and diameters are those of the
+    per-branch ``branch_eligible`` and ``estimate_diameter``, bit for bit."""
+    eligible = [l for l, b in enumerate(net.branches) if branch_eligible(b, params)]
+    positions = eligible_positions(net, params)
+    np.testing.assert_array_equal(positions, eligible)
+    expected = [estimate_diameter(net.branches[l], net, params) for l in eligible]
+    np.testing.assert_array_equal(line_diameters(net, positions, params), expected)
+
+
+@pytest.mark.parametrize("params", [PARAMS, replace(PARAMS, eligibility_length_km=40.0),
+                                    replace(PARAMS, diameter_fit_a=3e-5, diameter_fit_b=-0.01)])
+def test_rater_arrays_match_the_scalar_helpers_on_bundled_cases(networks, params):
+    for net in networks.values():
+        assert_rater_arrays_match_scalar_helpers(net, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=meshed_hours(), data=st.data())
+def test_rater_arrays_match_the_scalar_helpers_on_drawn_meshes(case, data):
+    net = case[0]
+    buses = [(b.id, b.latitude, b.longitude, data.draw(st.sampled_from([69.0, 115.0, 345.0])))
+             for b in net.buses]
+    branches = [(b.id, b.from_bus, b.to_bus, b.reactance, data.draw(st.floats(1.0, 900.0)),
+                 data.draw(st.sampled_from(["line", "line", "transformer"])),
+                 data.draw(st.floats(1.0, 150.0)), data.draw(st.none() | st.floats(0.005, 0.05)))
+                for b in net.branches]
+    mixed = make_network(buses, branches, [(g.id, g.bus, g.fuel, g.p_min, g.p_max_static,
+                                            g.cost_curve) for g in net.generators])
+    given_diameter = [mixed.branches[l].diameter_m is not None
+                      for l in eligible_positions(mixed, PARAMS)]
+    assume(any(given_diameter) and not all(given_diameter))
+    assert_rater_arrays_match_scalar_helpers(mixed, PARAMS)
+
+
+def test_rater_diameters_name_the_first_nonpositive_ampacity():
+    net = make_network(
+        buses=[(1, 31.0, -99.0, 115.0), (2, 31.2, -99.0, 115.0), (3, 31.4, -99.0, 115.0)],
+        branches=[(1, 1, 2, 0.1, 100.0, "line", 10.0, -0.01), (2, 2, 3, 0.1, -5.0),
+                  (3, 1, 3, 0.1, -7.0)],
+        gens=[(1, 1, "natural_gas", 0.0, 100.0, [(100.0, 10.0)])])
+    with pytest.raises(GridlineError) as scalar:
+        estimate_diameter(net.branches[1], net, PARAMS)
+    with pytest.raises(GridlineError, match="^branch 2: nonpositive ampacity -25.1") as arrays:
+        line_diameters(net, eligible_positions(net, PARAMS), PARAMS)
+    assert str(arrays.value) == str(scalar.value)
 
 def test_sweep_without_eligible_line_fails(networks, weathers, serieses):
     short = RatingParams(eligibility_length_km=1e-3)
