@@ -46,7 +46,7 @@ class HourData:
 def hour_data(network: Network, series: HourlySeries, hour: datetime) -> HourData:
     pos = series.hour_pos(hour)
     gen_max = series.availability[pos].copy()
-    gen_min = np.minimum(np.array([g.p_min for g in network.generators]), gen_max)
+    gen_min = np.minimum(network.gen_p_min, gen_max)
     return HourData(hour, series.demand[pos].copy(), gen_min, gen_max)
 
 
@@ -112,7 +112,7 @@ def build_problem(network: Network, data: HourData, flow_rows: list[FlowRow],
                   penalty_price: float = DEFAULT_PENALTY) -> DispatchProblem:
     return DispatchProblem(
         data.hour, data.demand, network.gen_bus, data.gen_min, data.gen_max,
-        tuple(g.cost_curve for g in network.generators), tuple(flow_rows),
+        network.cost_curves, tuple(flow_rows),
         penalty_price)
 
 

@@ -99,7 +99,7 @@ def _incidence(branch_from: np.ndarray, branch_to: np.ndarray,
 
 def _check_connected(network: Network, nodal: sparse.csc_matrix) -> None:
     _, label = connected_components(nodal, directed=False)
-    missing = [b.id for b, part in zip(network.buses, label) if part != label[0]]
+    missing = [network.bus_ids[k] for k in np.flatnonzero(label != label[0])]
     if missing:
         raise NetworkStructureError(f"network disconnected; unreachable buses {missing}")
 
@@ -154,7 +154,7 @@ def build_factors(network: Network, slack_bus: int | None = None) -> Sensitivity
     denominator = 1.0 - (ptdf[branches, network.branch_from] - ptdf[branches, network.branch_to])
     radial = np.abs(denominator) < RADIAL_TOLERANCE
     denominator[radial] = np.nan
-    radial_ids = frozenset(network.branches[i].id for i in np.flatnonzero(radial))
+    radial_ids = frozenset(network.branch_ids[i] for i in np.flatnonzero(radial))
     return SensitivityFactors(ptdf, slack_id, radial_ids, network.branch_from,
                               network.branch_to, denominator)
 
@@ -163,8 +163,8 @@ def dump_factors(factors: SensitivityFactors, network: Network,
                  directory: str | Path) -> None:
     """Debug dump of the PTDF/LODF matrices as labelled CSV."""
     out = Path(directory)
-    bus_ids = [str(b.id) for b in network.buses]
-    branch_ids = [b.id for b in network.branches]
+    bus_ids = list(map(str, network.bus_ids))
+    branch_ids = network.branch_ids
     write_csv(out / "ptdf.csv", ["branch_id"] + bus_ids,
               ([branch_ids[l], *render_floats(factors.ptdf[l])]
                for l in range(network.n_branches)))

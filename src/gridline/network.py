@@ -4,11 +4,17 @@ A case directory holds bus.csv, branch.csv, gen.csv plus hourly
 demand.csv / availability.csv (schemas in the README). Everything is
 validated up front with file/row context and is immutable afterwards, so
 networks and series can be shared read-only across parallel workers.
+
+A ``Network`` holds its buses and branches as columns in file order, read
+by column and checked as arrays; it builds ``Bus`` and ``Branch`` objects
+only when asked for them, which no study path does. Its few generators
+are read row by row into ``Generator`` objects.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -25,6 +31,9 @@ from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each,
 FUELS = ("solar", "wind", "natural_gas", "coal", "nuclear", "hydro", "other")
 VARIABLE_FUELS = ("solar", "wind")
 BRANCH_KINDS = ("line", "transformer")
+SEGMENT_COLUMN = re.compile(r"seg([1-9][0-9]*)_(mw|cost)")
+BUS_COLUMNS = ["id", "lat", "lon", "base_kv"]
+BRANCH_COLUMNS = ["id", "from_bus", "to_bus", "reactance_pu", "rating_mva", "kind"]  # required
 
 
 @dataclass(frozen=True)
@@ -63,25 +72,53 @@ class Generator:
 
 
 class Network:
-    """Validated, immutable bus/branch/generator collection with index maps
-    and flat arrays for the numeric code paths."""
+    """Validated, immutable case: bus and branch columns in file order,
+    the generators, id -> position maps and flat arrays for the numeric
+    code paths. Ids are Python ints, so ids beyond int64 work.
+    ``branch_from`` and ``branch_to`` are bus positions, ``is_line`` is
+    False for a transformer, and ``diameter_m`` is NaN where the diameter
+    is fitted."""
 
-    def __init__(self, buses: list[Bus], branches: list[Branch], generators: list[Generator]):
-        self.buses = tuple(buses)
-        self.branches = tuple(branches)
+    def __init__(self, *, bus_ids, latitude, longitude, base_voltage, branch_ids,
+                 branch_from, branch_to, reactance, static_rating, is_line, length_km,
+                 diameter_m, generators: list[Generator]):
+        self.bus_ids = tuple(bus_ids)
+        self.branch_ids = tuple(branch_ids)
         self.generators = tuple(generators)
-        self.bus_index = {b.id: i for i, b in enumerate(self.buses)}
-        self.branch_index = {b.id: i for i, b in enumerate(self.branches)}
+        self.bus_index = dict(zip(self.bus_ids, range(len(self.bus_ids))))
+        self.branch_index = dict(zip(self.branch_ids, range(len(self.branch_ids))))
         self.gen_index = {g.id: i for i, g in enumerate(self.generators)}
 
-        self.n_buses = len(self.buses)
-        self.n_branches = len(self.branches)
+        self.n_buses = len(self.bus_ids)
+        self.n_branches = len(self.branch_ids)
         self.n_generators = len(self.generators)
-        self.branch_from = np.array([self.bus_index[b.from_bus] for b in self.branches], dtype=int)
-        self.branch_to = np.array([self.bus_index[b.to_bus] for b in self.branches], dtype=int)
-        self.reactance = np.array([b.reactance for b in self.branches])
-        self.static_rating = np.array([b.static_rating for b in self.branches])
+        self.latitude, self.longitude, self.base_voltage = (
+            np.asarray(column, dtype=float) for column in (latitude, longitude, base_voltage))
+        self.branch_from = np.asarray(branch_from, dtype=int)
+        self.branch_to = np.asarray(branch_to, dtype=int)
+        self.reactance, self.static_rating, self.length_km, self.diameter_m = (
+            np.asarray(column, dtype=float)
+            for column in (reactance, static_rating, length_km, diameter_m))
+        self.is_line = np.asarray(is_line, dtype=bool)
         self.gen_bus = np.array([self.bus_index[g.bus] for g in self.generators], dtype=int)
+        self.gen_p_min = np.array([g.p_min for g in self.generators], dtype=float)
+        self.cost_curves = tuple(g.cost_curve for g in self.generators)
+
+    @cached_property
+    def buses(self) -> tuple[Bus, ...]:
+        return tuple(map(Bus, self.bus_ids, self.latitude.tolist(), self.longitude.tolist(),
+                         self.base_voltage.tolist()))
+
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        ids = self.bus_ids
+        return tuple(
+            Branch(branch, ids[f], ids[t], x, rating, "line" if line else "transformer", length,
+                   None if math.isnan(diameter) else diameter)
+            for branch, f, t, x, rating, line, length, diameter in zip(
+                self.branch_ids, self.branch_from.tolist(), self.branch_to.tolist(),
+                self.reactance.tolist(), self.static_rating.tolist(), self.is_line.tolist(),
+                self.length_km.tolist(), self.diameter_m.tolist()))
 
     def bus(self, bus_id: int) -> Bus:
         return self.buses[self.bus_index[bus_id]]
@@ -173,6 +210,162 @@ def _rows(directory: Path, name: str, required):
         raise CaseError(str(exc), file=name, row=getattr(exc, "row", None)) from None
 
 
+def _read_table(directory: Path, name: str, coded, floats, optional=()):
+    """``read_columns`` of the case file ``name``."""
+    try:
+        return read_columns(_case_file(directory, name), coded, floats, optional)
+    except ValueError as exc:  # such as a missing column
+        raise CaseError(str(exc), file=name) from None
+
+
+def _row_at(directory: Path, name: str, required, position: int) -> dict:
+    """The data row at 0-based ``position`` of the case file ``name``."""
+    return next(islice(_rows(directory, name, required), position, None))[1]
+
+
+def _per_row(texts, code, parse, dtype=np.int64):
+    """``parse_each`` of the distinct ``texts``, gathered to the rows by ``code``."""
+    values, parsed = parse_each(texts, parse, dtype)
+    return values[code], parsed[code]
+
+
+def _first_fault(valid: np.ndarray, complete: bool, ids: np.ndarray) -> int | None:
+    """The position of the first row that is not ``valid``, repeats the id
+    of an earlier row or was not read, or None. ``ids`` holds Python ints."""
+    n = len(valid) if valid.all() else int(np.argmin(valid))
+    head = ids[:n].tolist()
+    if len(set(head)) < n:
+        same = {}  # equal ids, which may be beyond int64, get one key
+        return first_repeat(np.array([same.setdefault(i, len(same)) for i in head]))
+    return n if n < len(valid) or not complete else None
+
+
+def _optional_number(text: str, strict_min: bool) -> float:
+    """A blank cell as NaN, else its number, which must be finite and
+    >= 0 (> 0 with ``strict_min``); a ValueError otherwise."""
+    raw = text.strip()
+    if not raw:
+        return math.nan
+    value = float(raw)
+    if math.isfinite(value) and (value > 0.0 if strict_min else value >= 0.0):
+        return value
+    raise ValueError(raw)
+
+
+def _bus_row(row, number, seen):
+    """Raise the first fault of one bus.csv row, in reporting order;
+    ``seen`` holds the ids of the rows before it."""
+    bus_id = _parse_int(row, "id", "bus.csv", number)
+    if bus_id in seen:
+        raise CaseError(f"duplicate bus id {bus_id}", file="bus.csv", row=number)
+    lat = _parse_float(row, "lat", "bus.csv", number)
+    lon = _parse_float(row, "lon", "bus.csv", number)
+    if abs(lat) > 90:
+        raise CaseError(f"latitude {lat} out of range", file="bus.csv", row=number)
+    if abs(lon) > 180:
+        raise CaseError(f"longitude {lon} out of range", file="bus.csv", row=number)
+    _parse_float(row, "base_kv", "bus.csv", number, minimum=0.0, strict_min=True)
+    raise AssertionError(f"bus.csv row {number} passes the checks it failed")
+
+
+def _branch_row(row, number, seen, bus_index):
+    """Raise the first fault of one branch.csv row, in reporting order;
+    ``seen`` holds the ids of the rows before it."""
+    branch_id = _parse_int(row, "id", "branch.csv", number)
+    if branch_id in seen:
+        raise CaseError(f"duplicate branch id {branch_id}", file="branch.csv", row=number)
+    from_bus = _parse_int(row, "from_bus", "branch.csv", number)
+    to_bus = _parse_int(row, "to_bus", "branch.csv", number)
+    for end in (from_bus, to_bus):
+        if end not in bus_index:
+            raise CaseError(f"branch {branch_id} references unknown bus {end}",
+                            file="branch.csv", row=number)
+    if from_bus == to_bus:
+        raise CaseError(f"branch {branch_id} is a self-loop", file="branch.csv", row=number)
+    _parse_float(row, "reactance_pu", "branch.csv", number, minimum=0.0, strict_min=True)
+    _parse_float(row, "rating_mva", "branch.csv", number, minimum=0.0, strict_min=True)
+    kind = (row.get("kind") or "").strip()
+    if kind not in BRANCH_KINDS:
+        raise CaseError(f"unknown branch kind {kind!r}", file="branch.csv", row=number)
+    _parse_float(row, "length_km", "branch.csv", number, minimum=0.0, optional=True)
+    _parse_float(row, "diameter_m", "branch.csv", number, minimum=0.0, strict_min=True,
+                 optional=True)
+    raise AssertionError(f"branch.csv row {number} passes the checks it failed")
+
+
+def _positive(values):
+    return (values > 0.0) & (values < np.inf)
+
+
+def _load_buses(directory: Path):
+    """bus.csv's ids and its (lat, lon, base_kv) columns, checked as arrays;
+    the first faulty row is read again to name its fault."""
+    (texts,), (code,), values, complete = _read_table(directory, "bus.csv", ["id"],
+                                                      BUS_COLUMNS[1:])
+    ids, valid = _per_row(texts, code, int, object)
+    lat, lon, kv = values.T.copy()
+    valid &= (np.abs(lat) <= 90) & (np.abs(lon) <= 180) & _positive(kv)
+    faulty = _first_fault(valid, complete, ids)
+    if faulty is not None:
+        _bus_row(_row_at(directory, "bus.csv", BUS_COLUMNS, faulty), faulty + 1,
+                 set(ids[:faulty].tolist()))
+    if not len(ids):
+        raise CaseError("no buses", file="bus.csv")
+    return ids.tolist(), lat, lon, kv
+
+
+def _load_branches(directory: Path, bus_index: dict, latitude, longitude) -> dict:
+    """branch.csv as ``Network`` keyword arguments, checked as arrays; the
+    first faulty row is read again to name its fault. A blank length is
+    the great-circle distance between the endpoint buses."""
+    texts, codes, values, complete = _read_table(
+        directory, "branch.csv", ["id", "from_bus", "to_bus", "kind", "length_km", "diameter_m"],
+        BRANCH_COLUMNS[3:5], optional=("length_km", "diameter_m"))
+    ids, valid = _per_row(texts[0], codes[0], int, object)
+    (from_bus, from_ok), (to_bus, to_ok) = (
+        _per_row(texts[k], codes[k], lambda text: bus_index.get(int(text))) for k in (1, 2))
+    is_line, kind_ok = _per_row(texts[3], codes[3],
+                                lambda text: BRANCH_KINDS.index(text.strip()) == 0, bool)
+    length, length_ok = _per_row(texts[4], codes[4], lambda text: _optional_number(text, False),
+                                 float)
+    diameter, diameter_ok = _per_row(texts[5], codes[5],
+                                     lambda text: _optional_number(text, True), float)
+    reactance, rating = values.T.copy()
+    valid &= (from_ok & to_ok & (from_bus != to_bus) & _positive(reactance) & _positive(rating)
+              & kind_ok & length_ok & diameter_ok)
+    faulty = _first_fault(valid, complete, ids)
+    if faulty is not None:
+        _branch_row(_row_at(directory, "branch.csv", BRANCH_COLUMNS, faulty), faulty + 1,
+                    set(ids[:faulty].tolist()), bus_index)
+    distance = great_circle_km(latitude[from_bus], longitude[from_bus], latitude[to_bus],
+                               longitude[to_bus])
+    return dict(branch_ids=ids.tolist(), branch_from=from_bus, branch_to=to_bus,
+                reactance=reactance, static_rating=rating, is_line=is_line,
+                length_km=np.where(np.isnan(length), distance, length), diameter_m=diameter)
+
+
+def _cost_curve(row, number) -> tuple[tuple[float, float], ...]:
+    """The (MW, $/MWh) segments of one gen.csv row: seg1, seg2, ... up to
+    the first blank ``seg{k}_mw``. A segment cell given after that one is
+    refused, naming its column."""
+    curve = []
+    while (row.get(f"seg{len(curve) + 1}_mw") or "").strip() != "":
+        segment = len(curve) + 1
+        cap = _parse_float(row, f"seg{segment}_mw", "gen.csv", number,
+                           minimum=0.0, strict_min=True)
+        price = _parse_float(row, f"seg{segment}_cost", "gen.csv", number)
+        curve.append((cap, price))
+    if not curve:
+        raise CaseError("generator needs at least one cost segment", file="gen.csv", row=number)
+    blank = len(curve) + 1
+    for column, cell in row.items():
+        later = SEGMENT_COLUMN.fullmatch(column or "")
+        if later and int(later[1]) >= blank and (cell or "").strip() != "":
+            raise CaseError(f"'{column}' given after blank 'seg{blank}_mw'",
+                            file="gen.csv", row=number)
+    return tuple(curve)
+
+
 def load_network(case_directory: str | Path) -> Network:
     """Load and validate bus.csv, branch.csv, gen.csv.
 
@@ -180,60 +373,9 @@ def load_network(case_directory: str | Path) -> Network:
     distance between endpoint buses.
     """
     directory = Path(case_directory)
-
-    buses: list[Bus] = []
-    seen_bus: set[int] = set()
-    for number, row in _rows(directory, "bus.csv", ["id", "lat", "lon", "base_kv"]):
-        bus_id = _parse_int(row, "id", "bus.csv", number)
-        if bus_id in seen_bus:
-            raise CaseError(f"duplicate bus id {bus_id}", file="bus.csv", row=number)
-        seen_bus.add(bus_id)
-        lat = _parse_float(row, "lat", "bus.csv", number)
-        lon = _parse_float(row, "lon", "bus.csv", number)
-        if abs(lat) > 90:
-            raise CaseError(f"latitude {lat} out of range", file="bus.csv", row=number)
-        if abs(lon) > 180:
-            raise CaseError(f"longitude {lon} out of range", file="bus.csv", row=number)
-        kv = _parse_float(row, "base_kv", "bus.csv", number, minimum=0.0, strict_min=True)
-        buses.append(Bus(bus_id, lat, lon, kv))
-    if not buses:
-        raise CaseError("no buses", file="bus.csv")
-    by_id = {b.id: b for b in buses}
-
-    fields = []  # Branch arguments; a blank length becomes the endpoint distance
-    seen_branch: set[int] = set()
-    required = ["id", "from_bus", "to_bus", "reactance_pu", "rating_mva", "kind"]
-    for number, row in _rows(directory, "branch.csv", required):
-        branch_id = _parse_int(row, "id", "branch.csv", number)
-        if branch_id in seen_branch:
-            raise CaseError(f"duplicate branch id {branch_id}", file="branch.csv", row=number)
-        seen_branch.add(branch_id)
-        from_bus = _parse_int(row, "from_bus", "branch.csv", number)
-        to_bus = _parse_int(row, "to_bus", "branch.csv", number)
-        for end in (from_bus, to_bus):
-            if end not in by_id:
-                raise CaseError(f"branch {branch_id} references unknown bus {end}",
-                                file="branch.csv", row=number)
-        if from_bus == to_bus:
-            raise CaseError(f"branch {branch_id} is a self-loop", file="branch.csv", row=number)
-        reactance = _parse_float(row, "reactance_pu", "branch.csv", number,
-                                 minimum=0.0, strict_min=True)
-        rating = _parse_float(row, "rating_mva", "branch.csv", number,
-                              minimum=0.0, strict_min=True)
-        kind = (row.get("kind") or "").strip()
-        if kind not in BRANCH_KINDS:
-            raise CaseError(f"unknown branch kind {kind!r}", file="branch.csv", row=number)
-        length = _parse_float(row, "length_km", "branch.csv", number,
-                              minimum=0.0, optional=True)
-        diameter = _parse_float(row, "diameter_m", "branch.csv", number,
-                                minimum=0.0, strict_min=True, optional=True)
-        fields.append((branch_id, from_bus, to_bus, reactance, rating, kind, length,
-                       diameter))
-    ends = np.array([(by_id[f[1]].latitude, by_id[f[1]].longitude, by_id[f[2]].latitude,
-                      by_id[f[2]].longitude) for f in fields]).reshape(-1, 4)
-    distance = great_circle_km(*ends.T).tolist()
-    branches = [Branch(*f[:6], km if f[6] is None else f[6], f[7])
-                for f, km in zip(fields, distance)]
+    bus_ids, latitude, longitude, base_voltage = _load_buses(directory)
+    bus_index = dict(zip(bus_ids, range(len(bus_ids))))
+    branches = _load_branches(directory, bus_index, latitude, longitude)
 
     generators: list[Generator] = []
     seen_gen: set[int] = set()
@@ -243,7 +385,7 @@ def load_network(case_directory: str | Path) -> Network:
             raise CaseError(f"duplicate generator id {gen_id}", file="gen.csv", row=number)
         seen_gen.add(gen_id)
         bus = _parse_int(row, "bus", "gen.csv", number)
-        if bus not in by_id:
+        if bus not in bus_index:
             raise CaseError(f"generator {gen_id} references unknown bus {bus}",
                             file="gen.csv", row=number)
         fuel = (row.get("fuel") or "").strip()
@@ -253,17 +395,7 @@ def load_network(case_directory: str | Path) -> Network:
         p_max = _parse_float(row, "p_max_mw", "gen.csv", number, minimum=0.0)
         if p_min > p_max:
             raise CaseError(f"p_min {p_min} exceeds p_max {p_max}", file="gen.csv", row=number)
-        curve = []
-        segment = 1
-        while f"seg{segment}_mw" in row and (row.get(f"seg{segment}_mw") or "").strip() != "":
-            cap = _parse_float(row, f"seg{segment}_mw", "gen.csv", number,
-                               minimum=0.0, strict_min=True)
-            price = _parse_float(row, f"seg{segment}_cost", "gen.csv", number)
-            curve.append((cap, price))
-            segment += 1
-        if not curve:
-            raise CaseError("generator needs at least one cost segment",
-                            file="gen.csv", row=number)
+        curve = _cost_curve(row, number)
         prices = [price for _, price in curve]
         if any(b < a for a, b in zip(prices, prices[1:])):
             raise CaseError("cost segments must have nondecreasing marginal cost",
@@ -272,9 +404,10 @@ def load_network(case_directory: str | Path) -> Network:
         if abs(total - p_max) > 1e-6 * max(1.0, p_max):
             raise CaseError(f"segment capacities sum to {total}, expected p_max {p_max}",
                             file="gen.csv", row=number)
-        generators.append(Generator(gen_id, bus, fuel, p_min, p_max, tuple(curve)))
+        generators.append(Generator(gen_id, bus, fuel, p_min, p_max, curve))
 
-    return Network(buses, branches, generators)
+    return Network(bus_ids=bus_ids, latitude=latitude, longitude=longitude,
+                   base_voltage=base_voltage, **branches, generators=generators)
 
 
 def _timed_row(row, name, number, id_column, index):
@@ -298,11 +431,8 @@ def _load_timed_table(directory, name, id_column, index):
     parse; each distinct time and id text is parsed once and the rows are
     checked as arrays. The first faulty row is read again to name its fault.
     """
-    try:
-        (stamps, idents), (stamp_code, ident_code), values, complete = read_columns(
-            _case_file(directory, name), ["time", id_column], ["mw"])
-    except ValueError as exc:  # such as a missing column
-        raise CaseError(str(exc), file=name) from None
+    (stamps, idents), (stamp_code, ident_code), values, complete = _read_table(
+        directory, name, ["time", id_column], ["mw"])
     mw = values[:, 0]
     hour, hour_ok = parse_each(stamps, hour_number)
     column, column_ok = parse_each(idents, lambda ident: index.get(int(ident)))
@@ -315,8 +445,8 @@ def _load_timed_table(directory, name, id_column, index):
         raise CaseError(f"duplicate entry for {id_column} {int(ident)} at {stamp}",
                         file=name, row=repeat + 1)
     if n < len(mw) or not complete:
-        row = next(islice(_rows(directory, name, ["time", id_column, "mw"]), n, None))[1]
-        _timed_row(row, name, n + 1, id_column, index)
+        _timed_row(_row_at(directory, name, ["time", id_column, "mw"], n), name, n + 1,
+                   id_column, index)
     return hour, column, mw
 
 
@@ -358,7 +488,7 @@ def load_hourly_series(case_directory: str | Path, network: Network,
     short = order[np.bincount(bus, minlength=network.n_buses)[order] != n_hours]
     if short.size:
         missing = _missing_hour(hour - first, bus, short[0], n_hours)
-        raise CaseError(f"bus {network.buses[short[0]].id} missing hour "
+        raise CaseError(f"bus {network.bus_ids[short[0]]} missing hour "
                         f"{format_hour(hour_at(first + missing))}", file="demand.csv")
     demand = np.zeros((n_hours, network.n_buses))
     demand[hour - first, bus] = mw

@@ -175,7 +175,7 @@ def _solve_chunk(state: _WorkerState,
         trace.extend((stamp, *step) for step in steps)
     texts = {"dispatch.csv": render_hourly([g.id for g in network.generators],
                                            [(stamp, p) for stamp, p, _ in solved]),
-             "flows.csv": render_hourly([b.id for b in network.branches],
+             "flows.csv": render_hourly(network.branch_ids,
                                         [(stamp, flows) for stamp, _, flows in solved]),
              "iteration_trace.csv": render_trace(trace)}
     if regime in state.ratings:
@@ -391,7 +391,7 @@ def _aggregate(config: RunConfig, network: Network, series: HourlySeries,
             unconverged_hours=stamps[record.status == HOUR_UNCONVERGED].tolist(),
             error_hours=record.errors.tolist(),
         )
-    tables = {regime: congestion_by_branch(record.binding, [b.id for b in network.branches])
+    tables = {regime: congestion_by_branch(record.binding, network.branch_ids)
               for regime, record in by_regime.items()}
     return RunSummary(summaries, list(series.hours),
                       [hour for hour, ok in zip(series.hours, common.tolist()) if ok], tables)

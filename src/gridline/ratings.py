@@ -161,7 +161,7 @@ def estimate_diameter(branch: Branch, network: Network,
     the from-bus voltage."""
     if branch.diameter_m is not None:
         return branch.diameter_m
-    kv = network.bus(branch.from_bus).base_voltage
+    kv = network.base_voltage[network.bus_index[branch.from_bus]]
     ampacity = branch.static_rating * 1e3 / (math.sqrt(3.0) * kv)
     if ampacity <= 0:
         raise GridlineError(f"branch {branch.id}: nonpositive ampacity {ampacity}")
@@ -174,9 +174,8 @@ def branch_eligible(branch: Branch, params: RatingParams) -> bool:
 
 def eligible_positions(network: Network, params: RatingParams) -> np.ndarray:
     """Positions of the branches ``branch_eligible`` passes, on arrays."""
-    line = np.array([b.kind == "line" for b in network.branches], dtype=bool)
-    length = np.array([b.length_km for b in network.branches], dtype=float)
-    return np.flatnonzero(line & (length < params.eligibility_length_km))
+    return np.flatnonzero(network.is_line
+                          & (network.length_km < params.eligibility_length_km))
 
 
 def line_diameters(network: Network, positions: np.ndarray,
@@ -184,15 +183,14 @@ def line_diameters(network: Network, positions: np.ndarray,
     """``estimate_diameter`` of the branches at ``positions``, on arrays: the
     same operations in the same order, so the same bits. A non-positive
     ampacity names the first branch that has one."""
-    given = [network.branches[l].diameter_m for l in positions]
-    fitted = np.array([d is None for d in given], dtype=bool)
-    diameter = np.array([0.0 if d is None else d for d in given], dtype=float)
+    diameter = network.diameter_m[positions]
+    fitted = np.isnan(diameter)
     at = np.asarray(positions, dtype=int)[fitted]
-    kv = np.array([b.base_voltage for b in network.buses])[network.branch_from[at]]
+    kv = network.base_voltage[network.branch_from[at]]
     ampacity = network.static_rating[at] * 1e3 / (math.sqrt(3.0) * kv)
     if np.any(ampacity <= 0):
         first = np.argmax(ampacity <= 0)
-        raise GridlineError(f"branch {network.branches[at[first]].id}: nonpositive ampacity "
+        raise GridlineError(f"branch {network.branch_ids[at[first]]}: nonpositive ampacity "
                             f"{ampacity[first]}")
     diameter[fitted] = params.diameter_fit_a * ampacity + params.diameter_fit_b
     return diameter
@@ -251,7 +249,7 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
     per (hour, cell). Its params may differ from these only in T_C, T_A_SLR
     and phi_SLR."""
     index = eligible_positions(network, params)
-    lat, lon = np.array([(b.latitude, b.longitude) for b in network.buses]).T
+    lat, lon = network.latitude, network.longitude
     a, b = network.branch_from[index], network.branch_to[index]
     cells, line_cell = np.unique(
         nearest_cell(weather, (lat[a] + lat[b]) / 2.0, (lon[a] + lon[b]) / 2.0),
@@ -264,7 +262,7 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
         end = to_utm(lat[b], lon[b], forced_zone=start.zone)
         flat = (start.x == end.x) & (start.y == end.y)
         if flat.any():
-            raise GridlineError(f"branch {network.branches[index[np.argmax(flat)]].id}: DLR "
+            raise GridlineError(f"branch {network.branch_ids[index[np.argmax(flat)]]}: DLR "
                                 "needs a conductor bearing, but the line has zero length")
         axis = conductor_angle(start, end)
         cos_axis, sin_axis = np.cos(axis), np.sin(axis)
@@ -272,7 +270,7 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
         if np.any(diameter <= 0):
             thin = np.argmax(diameter <= 0)
             raise GridlineError(
-                f"branch {network.branches[index[thin]].id}: fitted conductor diameter "
+                f"branch {network.branch_ids[index[thin]]}: fitted conductor diameter "
                 f"{diameter[thin]} m is not positive (diameter_fit_a {params.diameter_fit_a}, "
                 f"diameter_fit_b {params.diameter_fit_b})")
         reynolds_per_speed = (params.air_density / params.air_viscosity) * diameter
@@ -301,9 +299,9 @@ def _line_rater(network: Network, weather: WeatherGrid, regime: str, params: Rat
             try:
                 eta_temperature(ambient[k], params)
             except RatingCollapseError as exc:
-                hottest = network.branches[index[np.argmax(ambient[k, line_cell])]]
+                hottest = network.branch_ids[index[np.argmax(ambient[k, line_cell])]]
                 hour = format_hour(weather.hours[positions[k]])
-                raise RatingCollapseError(f"branch {hottest.id} at {hour}: {exc}") from None
+                raise RatingCollapseError(f"branch {hottest} at {hour}: {exc}") from None
 
     def rate(params: RatingParams) -> np.ndarray:
         root_slr = np.sqrt(params.k_angle_slr)
@@ -344,7 +342,7 @@ def build_rating_series(network: Network, weather: WeatherGrid | None,
         index, rate = _line_rater(network, weather, regime, params, pos[rows])
         multiplier[np.ix_(rows, index)] = rate(params)
     normal = network.static_rating[None, :] * multiplier
-    return RatingSeries(regime, tuple(hours), tuple(b.id for b in network.branches),
+    return RatingSeries(regime, tuple(hours), network.branch_ids,
                         multiplier, normal, params.contingency_ratio * normal)
 
 

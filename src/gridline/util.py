@@ -45,17 +45,22 @@ def hour_at(number) -> datetime:
     return EPOCH + int(number) * HOUR
 
 
-def parse_each(texts, parse) -> tuple[np.ndarray, np.ndarray]:
-    """``parse`` of each text as int64, 0 where it raised ValueError or
+def parse_each(texts, parse, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """``parse`` of each text as ``dtype``, 0 where it raised ValueError or
     OverflowError or gave None, and a mask of the texts that parsed."""
-    values = []
-    for text in texts:
-        try:
-            values.append(parse(text))
-        except (ValueError, OverflowError):
-            values.append(None)
+    try:
+        values = list(map(parse, texts))  # the usual case: every text parses
+    except (ValueError, OverflowError):
+        values = []
+        for text in texts:
+            try:
+                values.append(parse(text))
+            except (ValueError, OverflowError):
+                values.append(None)
+    if None not in values:
+        return np.array(values, dtype=dtype), np.ones(len(values), dtype=bool)
     parsed = np.array([v is not None for v in values], dtype=bool)
-    return np.array([v or 0 for v in values], dtype=np.int64), parsed
+    return np.array([0 if v is None else v for v in values], dtype=dtype), parsed
 
 
 def first_repeat(*keys: np.ndarray) -> int | None:
@@ -132,14 +137,16 @@ def _rows_fit(path: Path) -> bool:
                for start in range(0, len(text) - block + 1, block))
 
 
-def read_columns(path: Path, coded: list[str], floats: list[str]):
+def read_columns(path: Path, coded: list[str], floats: list[str], optional=()):
     """The ``coded`` text columns and the ``floats`` columns of the headered
     CSV ``path``, read in one pass up to the first row that does not parse:
     for each ``coded`` column its distinct texts in order of first
     appearance and an array of each row's position among them, an (rows,
     ``len(floats)``) float64 array, and whether every row was read. The
     caller reads the first unread row again (``read_rows``) to name its
-    fault. A missing column is a ValueError.
+    fault. A missing column is a ValueError, but for the ``coded`` columns
+    named in ``optional``: their cells read '' where the header or a short
+    row lacks them.
 
     numpy's C reader reads the file when it can. It splits rows as
     ``read_rows`` does (``"`` quoting with doubled quotes, LF, CR or CRLF
@@ -153,9 +160,11 @@ def read_columns(path: Path, coded: list[str], floats: list[str]):
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        position = {column: k for k, column in enumerate(_header(reader, [*coded, *floats]))}
-        columns = [position[column] for column in (*coded, *floats)]
-        books = [_Codes() for _ in coded]
+        required = [column for column in (*coded, *floats) if column not in optional]
+        position = {column: k for k, column in enumerate(_header(reader, required))}
+        present = [column for column in coded if column in position]
+        columns = [position[column] for column in (*present, *floats)]
+        books = [_Codes() for _ in present]
         complete = True
         table = None
         if _rows_fit(path):
@@ -174,17 +183,25 @@ def read_columns(path: Path, coded: list[str], floats: list[str]):
         if table is None:
             handle.seek(0)
             next(reader)  # the header, again
-            books = [_Codes() for _ in coded]
+            books = [_Codes() for _ in present]
             parsers = [book.__getitem__ for book in books] + [float] * len(floats)
             values = array("d")
+            # a row may end before its optional cells, which then read ''
+            width = max(columns) + 1
+            need = max((position[column] for column in required), default=-1) + 1
             try:
                 for cells in filter(None, reader):
+                    if need <= len(cells) < width:
+                        cells += [""] * (width - len(cells))
                     values.extend([parse(cells[k]) for parse, k in zip(parsers, columns)])
             except (IndexError, ValueError, csv.Error):
                 complete = False
             table = np.asarray(values).reshape(-1, len(columns))
-    codes = [table[:, k].astype(np.intp) for k in range(len(coded))]
-    return [list(book) for book in books], codes, table[:, len(coded):], complete
+    read = {column: (list(book), table[:, k].astype(np.intp))
+            for k, (column, book) in enumerate(zip(present, books))}
+    blank = ([""], np.zeros(len(table), dtype=np.intp))
+    texts, codes = zip(*(read.get(column, blank) for column in coded))
+    return list(texts), list(codes), table[:, len(present):], complete
 
 
 def read_rows(path: Path, required: list[str]):

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gridline.dispatch import HourData, base_flow_rows, build_problem, solve_problem
-from gridline.network import Branch, Bus, Generator, Network
+from gridline.geo import great_circle_km
+from gridline.network import Generator, Network
 from gridline.util import parse_hour
 
 HOUR = parse_hour("2016-07-01T00:00:00Z")
@@ -20,21 +21,25 @@ def solve_base(net, factors, data, limits):
 def make_network(buses, branches, gens):
     """buses: (id, lat, lon, kv); branches: (id, from, to, x, rating[, kind,
     length_km, diameter]); gens: (id, bus, fuel, p_min, p_max, segments)."""
-    bus_objs = [Bus(*b) for b in buses]
-    by_id = {b.id: b for b in bus_objs}
-    branch_objs = []
+    by_id = {b[0]: b for b in buses}
+    position = {b[0]: k for k, b in enumerate(buses)}
+    columns = []
     for spec in branches:
         bid, f, t, x, rating = spec[:5]
         kind = spec[5] if len(spec) > 5 else "line"
         length = spec[6] if len(spec) > 6 else None
         diameter = spec[7] if len(spec) > 7 else None
         if length is None:
-            from gridline.geo import great_circle_km
-            a, b = by_id[f], by_id[t]
-            length = great_circle_km(a.latitude, a.longitude, b.latitude, b.longitude)
-        branch_objs.append(Branch(bid, f, t, x, rating, kind, length, diameter))
+            length = float(great_circle_km(*by_id[f][1:3], *by_id[t][1:3]))
+        columns.append((bid, position[f], position[t], x, rating, kind == "line", length,
+                        np.nan if diameter is None else diameter))
+    ids, lat, lon, kv = zip(*buses)
+    branch_columns = dict(zip(["branch_ids", "branch_from", "branch_to", "reactance",
+                               "static_rating", "is_line", "length_km", "diameter_m"],
+                              zip(*columns) if columns else [()] * 8))
     gen_objs = [Generator(g[0], g[1], g[2], g[3], g[4], tuple(g[5])) for g in gens]
-    return Network(bus_objs, branch_objs, gen_objs)
+    return Network(bus_ids=ids, latitude=lat, longitude=lon, base_voltage=kv,
+                   **branch_columns, generators=gen_objs)
 
 
 def triangle_network(rating=60.0):

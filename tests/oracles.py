@@ -18,7 +18,9 @@ arrays checked by column, and rating series and sweeps evaluate the
 heat-balance formulas one hour at a time from the raw weather at each
 line, with K_angle through the attack angle's trigonometry, instead of
 from weather-only terms computed once per (hour, cell) and K_angle from
-the wind components, and a run's summary and congestion tables are
+the wind components, bus.csv and branch.csv are read one dict row at
+a time into ``Bus`` and ``Branch`` objects instead of by column into
+arrays checked as masks, and a run's summary and congestion tables are
 summed one (hour, generator) and one binding row at a time from per-hour
 values instead of with masked and grouped array sums over the chunk
 records. The generator cost curve and the case writer that only tests
@@ -34,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from gridline.errors import CaseError, RatingCollapseError, WeatherError
-from gridline.geo import conductor_angle, to_utm
-from gridline.network import VARIABLE_FUELS, HourlySeries
+from gridline.geo import conductor_angle, great_circle_km, to_utm
+from gridline.network import BRANCH_KINDS, VARIABLE_FUELS, Branch, Bus, HourlySeries
 from gridline.pipeline import (HOUR_ERROR, HOUR_INFEASIBLE, HOUR_OK, HOUR_UNCONVERGED,
                                UNCONGESTED, RegimeSummary, RunSummary, emissions)
 from gridline.ratings import (AAR, DLR, branch_eligible, estimate_diameter, eta_temperature,
@@ -474,7 +476,7 @@ def per_hour_aggregate(config, network, series, chunks):
 
 def _dict_rows(path, required):
     """(row_number, dict) of each data row of a headered CSV."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         missing = [c for c in required if c not in (reader.fieldnames or [])]
         if missing:
@@ -537,6 +539,94 @@ def _row_timed_table(directory, name, id_column, known_ids):
         slot[hour] = mw
         hours.add(hour)
     return sorted(hours), values
+
+
+def _row_float(row, key, file, number, *, minimum=None, strict_min=False, optional=False):
+    raw = (row.get(key) or "").strip()
+    if raw == "":
+        if optional:
+            return None
+        raise CaseError(f"missing value for '{key}'", file=file, row=number)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise CaseError(f"bad number {raw!r} for '{key}'", file=file, row=number) from None
+    if not math.isfinite(value):
+        raise CaseError(f"non-finite value {raw!r} for '{key}'", file=file, row=number)
+    if minimum is not None:
+        if strict_min and not value > minimum:
+            raise CaseError(f"'{key}' must be > {minimum}, got {value}", file=file, row=number)
+        if not strict_min and not value >= minimum:
+            raise CaseError(f"'{key}' must be >= {minimum}, got {value}", file=file, row=number)
+    return value
+
+
+def _row_int(row, key, file, number):
+    raw = _present(row, key, file, number).strip()
+    try:
+        return int(raw)
+    except ValueError:
+        raise CaseError(f"bad integer {raw!r} for '{key}'", file=file, row=number) from None
+
+
+def row_by_row_buses_and_branches(case_directory):
+    """bus.csv and branch.csv as ``network.load_network`` reads them, one
+    dict row at a time into ``Bus`` and ``Branch`` objects."""
+    directory = Path(case_directory)
+    buses = []
+    seen_bus = set()
+    for number, row in _case_rows(directory, "bus.csv", ["id", "lat", "lon", "base_kv"]):
+        bus_id = _row_int(row, "id", "bus.csv", number)
+        if bus_id in seen_bus:
+            raise CaseError(f"duplicate bus id {bus_id}", file="bus.csv", row=number)
+        seen_bus.add(bus_id)
+        lat = _row_float(row, "lat", "bus.csv", number)
+        lon = _row_float(row, "lon", "bus.csv", number)
+        if abs(lat) > 90:
+            raise CaseError(f"latitude {lat} out of range", file="bus.csv", row=number)
+        if abs(lon) > 180:
+            raise CaseError(f"longitude {lon} out of range", file="bus.csv", row=number)
+        kv = _row_float(row, "base_kv", "bus.csv", number, minimum=0.0, strict_min=True)
+        buses.append(Bus(bus_id, lat, lon, kv))
+    if not buses:
+        raise CaseError("no buses", file="bus.csv")
+    by_id = {b.id: b for b in buses}
+
+    fields = []  # Branch arguments; a blank length becomes the endpoint distance
+    seen_branch = set()
+    required = ["id", "from_bus", "to_bus", "reactance_pu", "rating_mva", "kind"]
+    for number, row in _case_rows(directory, "branch.csv", required):
+        branch_id = _row_int(row, "id", "branch.csv", number)
+        if branch_id in seen_branch:
+            raise CaseError(f"duplicate branch id {branch_id}", file="branch.csv", row=number)
+        seen_branch.add(branch_id)
+        from_bus = _row_int(row, "from_bus", "branch.csv", number)
+        to_bus = _row_int(row, "to_bus", "branch.csv", number)
+        for end in (from_bus, to_bus):
+            if end not in by_id:
+                raise CaseError(f"branch {branch_id} references unknown bus {end}",
+                                file="branch.csv", row=number)
+        if from_bus == to_bus:
+            raise CaseError(f"branch {branch_id} is a self-loop", file="branch.csv", row=number)
+        reactance = _row_float(row, "reactance_pu", "branch.csv", number,
+                               minimum=0.0, strict_min=True)
+        rating = _row_float(row, "rating_mva", "branch.csv", number,
+                            minimum=0.0, strict_min=True)
+        kind = (row.get("kind") or "").strip()
+        if kind not in BRANCH_KINDS:
+            raise CaseError(f"unknown branch kind {kind!r}", file="branch.csv", row=number)
+        length = _row_float(row, "length_km", "branch.csv", number,
+                            minimum=0.0, optional=True)
+        diameter = _row_float(row, "diameter_m", "branch.csv", number,
+                              minimum=0.0, strict_min=True, optional=True)
+        fields.append((branch_id, from_bus, to_bus, reactance, rating, kind, length,
+                       diameter))
+    ends = np.array([(by_id[f[1]].latitude, by_id[f[1]].longitude, by_id[f[2]].latitude,
+                      by_id[f[2]].longitude) for f in fields]).reshape(-1, 4)
+    distance = great_circle_km(*ends.T).tolist()
+    branches = [Branch(*f[:6], km if f[6] is None else f[6], f[7])
+                for f, km in zip(fields, distance)]
+    return buses, branches
 
 
 def row_by_row_hourly_series(case_directory, network, strict=True):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gridline.errors import GridlineError
-from gridline.network import load_hourly_series
+from gridline.network import load_hourly_series, load_network
 from gridline.util import read_columns, read_rows
 from gridline.weather import COLUMNS, load_weather
 from helpers import make_network, record_numpy_reads
@@ -34,6 +34,15 @@ LATS, LONS = (0.0, 30.5), (-99.0, -98.5, -98.0)
 ID_SPELLINGS = ("{}", " {}", "0{}", "{} ", "{:020}")
 SERIES_FAULTS = ("time", "id", "mw", "short", "repeat", "drop", "extra", "over", "space")
 WEATHER_FAULTS = ("time", "number", "temp", "short", "repeat", "drop", "stray", "space")
+WIDE = 2**64
+CASE_IDS = (*range(1, 10), *(WIDE + k for k in range(1, 10)), 10**25)
+CASE_ID_SPELLINGS = ("{}", "+{}", "0{}", " {} ", "{}\n")
+BUS_FAULTS = ("id", "repeat", "number", "range", "short", "empty")
+BRANCH_FAULTS = ("id", "repeat", "number", "range", "short", "end", "loop", "kind", "length",
+                 "diameter")
+CASE_FAULTS = (*(("bus.csv", kind) for kind in BUS_FAULTS),
+               *(("branch.csv", kind) for kind in BRANCH_FAULTS))
+BRANCH_COLUMNS = ["id", "from_bus", "to_bus", "reactance_pu", "rating_mva", "kind"]
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 # unread cells: plain, and quoted with a comma, doubled quotes or line ends
 NOTES = ("x", "", "a,b", 'say ""hi""', "two\nlines", "two\r\nlines", '"')
@@ -237,6 +246,140 @@ def test_weather_loader_matches_row_by_row_oracle(kinds, data):
     if not kinds:
         assert not isinstance(new, tuple), new
     _assert_same(new, old, ("cells", "present", "temperature", "wind_u", "wind_v"))
+
+
+def _spelled(draw, low, high):
+    """A number in [low, high] in one of the spellings numpy reads too:
+    shortest repr, an exponent, a plus sign, a leading zero or spaces."""
+    value = float(_number(draw, low, high))
+    text = repr(value)
+    signed = text.startswith("-")
+    return draw(st.sampled_from([text, f"{value:.17e}", f" {text} ",
+                                 text if signed else "+" + text,
+                                 text if signed else "0" + text]))
+
+
+def _case_id(draw, ident):
+    return draw(st.sampled_from(CASE_ID_SPELLINGS)).format(ident)
+
+
+def _inject_case(draw, rows, kind, k, columns):
+    """Fault ``kind`` at row ``k`` of bus.csv or branch.csv ``rows``."""
+    row = rows[k]
+    if kind == "id":
+        row["id"] = draw(st.sampled_from(["x", "1.5", "", "1e3", "0x1", "- 1"]))
+    elif kind == "repeat":
+        others = [i for i in range(len(rows)) if i != k] or [k]
+        row["id"] = _case_id(draw, int(rows[draw(st.sampled_from(others))]["id"]))
+    elif kind == "number":
+        column = draw(st.sampled_from([c for c in columns if c not in ("id", "kind")]))
+        row[column] = draw(st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999"]))
+    elif kind == "range":
+        column, texts = draw(st.sampled_from(
+            [("lat", ["90.5", "-91"]), ("lon", ["180.0001", "-200"]), ("base_kv", ["0", "-1"])]
+            if "lat" in columns else
+            [("reactance_pu", ["0", "-0.0", "-1"]), ("rating_mva", ["0", "-5"])]))
+        row[column] = draw(st.sampled_from(texts))
+    elif kind == "short":
+        row["cut"] = draw(st.integers(1, len(columns)))
+    elif kind == "end":
+        row[draw(st.sampled_from(["from_bus", "to_bus"]))] = draw(st.sampled_from(
+            ["x", "", "99", str(WIDE + 99)]))
+    elif kind == "loop":
+        row["to_bus"] = _case_id(draw, int(row["from_bus"]))
+    elif kind == "kind":
+        row["kind"] = draw(st.sampled_from(["cable", "", "Line", "lines"]))
+    elif kind == "length":
+        row["length_km"] = draw(st.sampled_from(["-1", "-1e-300", "nan", "x", "inf"]))
+    else:
+        row["diameter_m"] = draw(st.sampled_from(["0", "-0.0", "-0.01", "inf", "x"]))
+
+
+def _network_case(draw, directory, faults):
+    """bus.csv, branch.csv and gen.csv of a drawn network with ``faults``,
+    a list of (file, kind) each at its own drawn row."""
+    bus_ids = draw(st.lists(st.sampled_from(CASE_IDS), min_size=1, max_size=6, unique=True))
+    buses = [{"id": _case_id(draw, ident), "lat": _spelled(draw, -90.0, 90.0),
+              "lon": _spelled(draw, -180.0, 180.0), "base_kv": _spelled(draw, 1e-3, 500.0)}
+             for ident in bus_ids]
+    pairs = [(a, b) for a in bus_ids for b in bus_ids if a != b]
+    branch_ids = draw(st.lists(st.sampled_from(CASE_IDS), max_size=8 if pairs else 0,
+                               unique=True))
+    optional = draw(st.sampled_from([["length_km", "diameter_m"], ["length_km"], []]))
+    branches = []
+    for ident in branch_ids:
+        start, end = draw(st.sampled_from(pairs))
+        branches.append({
+            "id": _case_id(draw, ident), "from_bus": _case_id(draw, start),
+            "to_bus": _case_id(draw, end), "reactance_pu": _spelled(draw, 1e-3, 1.0),
+            "rating_mva": _spelled(draw, 1e-3, 1000.0),
+            "kind": draw(st.sampled_from(["line", " line", "transformer", "line "])),
+            "length_km": draw(st.sampled_from(["", " ", _spelled(draw, 0.0, 500.0)])),
+            "diameter_m": draw(st.sampled_from(["", _spelled(draw, 1e-4, 0.1)]))})
+    tables = {"bus.csv": (["id", "lat", "lon", "base_kv"], buses),
+              "branch.csv": (BRANCH_COLUMNS + optional, branches)}
+    for file, kind in faults:
+        columns, rows = tables[file]
+        if kind == "empty":
+            rows.clear()
+        elif rows:
+            _inject_case(draw, rows, kind, draw(st.integers(0, len(rows) - 1)), columns)
+    for file, (columns, rows) in tables.items():
+        path = directory / file
+        _write(draw, path, columns, rows)
+        if draw(st.booleans()):  # a byte-order mark
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    (directory / "gen.csv").write_text("id,bus,fuel,p_min_mw,p_max_mw,seg1_mw,seg1_cost\n"
+                                       f"1,{bus_ids[0]},natural_gas,0,100,100,10\n")
+
+
+def _network_columns(net):
+    """The bus and branch columns of ``net``, as the column loader builds them."""
+    return (net.bus_ids, net.branch_ids, net.latitude, net.longitude, net.base_voltage,
+            net.branch_from, net.branch_to, net.reactance, net.static_rating, net.is_line,
+            net.length_km, net.diameter_m)
+
+
+def _object_columns(buses, branches):
+    """``_network_columns`` of the oracle's ``Bus`` and ``Branch`` objects."""
+    position = {b.id: k for k, b in enumerate(buses)}
+    column = lambda objects, field, dtype=float: np.array(  # noqa: E731
+        [getattr(o, field) for o in objects], dtype=dtype).reshape(len(objects))
+    return (tuple(b.id for b in buses), tuple(b.id for b in branches),
+            column(buses, "latitude"), column(buses, "longitude"),
+            column(buses, "base_voltage"),
+            np.array([position[b.from_bus] for b in branches], dtype=int).reshape(-1),
+            np.array([position[b.to_bus] for b in branches], dtype=int).reshape(-1),
+            column(branches, "reactance"), column(branches, "static_rating"),
+            np.array([b.kind == "line" for b in branches], dtype=bool).reshape(-1),
+            column(branches, "length_km"),
+            np.array([np.nan if b.diameter_m is None else b.diameter_m for b in branches],
+                     dtype=float).reshape(-1))
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("faults", [(), *[(fault,) for fault in CASE_FAULTS], "two"],
+                         ids=lambda faults: "-".join(map("-".join, faults))
+                         if isinstance(faults, tuple) else faults)
+@given(data=st.data())
+def test_case_loader_matches_row_by_row_oracle(faults, data):
+    if faults == "two":
+        faults = data.draw(st.lists(st.sampled_from(CASE_FAULTS), min_size=2, max_size=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        _network_case(data.draw, Path(tmp), list(faults))
+        new = _outcome(load_network, tmp)
+        old = _outcome(oracles.row_by_row_buses_and_branches, tmp)
+    if not faults:
+        assert not isinstance(new, tuple), new
+    if isinstance(new, tuple) or isinstance(old[0], type):
+        assert new == old
+        return
+    assert (new.buses, new.branches) == (tuple(old[0]), tuple(old[1]))
+    for got, want in zip(_network_columns(new), _object_columns(*old)):
+        if isinstance(want, tuple):
+            assert got == want and all(type(i) is int for i in got)
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 CASES = Path(__file__).parent / "cases"

@@ -118,6 +118,48 @@ def test_cost_curve_validation(cases_dir, tmp_path):
         load_network(case2)
 
 
+@pytest.mark.parametrize("header, row, message", [
+    # a cheaper 50 MW segment at $5 after a blank second segment
+    (",seg3_mw,seg3_cost", "1,1,natural_gas,0.0,200.0,200.0,12.0,,,50.0,5.0",
+     "'seg3_mw' given after blank 'seg2_mw'"),
+    ("", "1,1,natural_gas,0.0,200.0,200.0,12.0,,99.0", "'seg2_cost' given after blank 'seg2_mw'"),
+], ids=["later-segment", "cost-without-mw"])
+def test_cost_cell_after_a_blank_segment_is_refused(cases_dir, tmp_path, header, row, message):
+    case = copy_case(cases_dir, tmp_path)
+    edit_csv(case / "gen.csv", lambda lines: [lines[0] + header, row, lines[2]])
+    with pytest.raises(CaseError) as err:
+        load_network(case)
+    assert str(err.value) == message + " [gen.csv, row 1]"
+    assert (err.value.file, err.value.row) == ("gen.csv", 1)
+
+
+def test_trailing_blank_segments_are_allowed(cases_dir, tmp_path):
+    case = copy_case(cases_dir, tmp_path)
+    edit_csv(case / "gen.csv", lambda lines: [lines[0] + ",seg3_mw,seg3_cost",
+                                              "1,1,natural_gas,0.0,200.0,200.0,12.0,, ,,",
+                                              lines[2]])
+    assert load_network(case).generators[0].cost_curve == ((200.0, 12.0),)
+
+
+@pytest.mark.parametrize("header, row", [
+    ("id,from_bus,to_bus,reactance_pu,rating_mva,kind,length_km,diameter_m",
+     "1,1,2,0.1,60.0,line"),
+    ("id,from_bus,to_bus,reactance_pu,rating_mva,kind,length_km,diameter_m",
+     "1,1,2,0.1,60.0,line,25.0"),
+    ("id,from_bus,to_bus,reactance_pu,rating_mva,kind", "1,1,2,0.1,60.0,line"),
+], ids=["row-ends-before-length", "row-ends-before-diameter", "no-optional-columns"])
+def test_optional_branch_cells_may_be_left_out(cases_dir, tmp_path, header, row):
+    case = copy_case(cases_dir, tmp_path)
+    edit_csv(case / "branch.csv", lambda lines: [header, row, *[
+        ",".join(line.split(",")[:6]) for line in lines[2:]]])
+    net = load_network(case)
+    expected = load_network(cases_dir / "case3")
+    length = float(row.split(",")[6]) if row.count(",") > 5 else expected.length_km[0]
+    assert net.length_km.tolist() == [length, *expected.length_km[1:].tolist()]
+    assert np.isnan(net.diameter_m).all()
+    assert net.branches[1:] == expected.branches[1:]
+
+
 def test_cost_function_convex_by_sampling(networks):
     for net in networks.values():
         for gen in net.generators:
@@ -255,12 +297,17 @@ def test_ids_beyond_int64_load_through_both_readers(cases_dir, tmp_path, monkeyp
         for name in ("demand.csv", "availability.csv"):
             edit_csv(case / name, lambda lines: [lines[0], lines[1][:-1] + "_" + lines[1][-1],
                                                  *lines[2:]])
-    reads = record_numpy_reads(monkeypatch)
     net = load_network(case)
+    reads = record_numpy_reads(monkeypatch)  # of the hourly tables
     series = load_hourly_series(case, net)
     assert reads == [reader == "numpy"] * 2
     plain = load_network(cases_dir / "case5")
-    assert [b.id for b in net.buses] == [WIDE + b.id for b in plain.buses]
+    assert net.bus_ids == tuple(WIDE + i for i in plain.bus_ids)
+    assert [(b.from_bus, b.to_bus) for b in net.branches] == [
+        (WIDE + b.from_bus, WIDE + b.to_bus) for b in plain.branches]
+    for column in ("latitude", "longitude", "base_voltage", "branch_from", "branch_to",
+                   "length_km", "diameter_m"):
+        assert getattr(net, column).tobytes() == getattr(plain, column).tobytes(), column
     assert [g.id for g in net.generators] == [WIDE + g.id for g in plain.generators]
     expected = load_hourly_series(cases_dir / "case5", plain)
     assert series.hours == expected.hours

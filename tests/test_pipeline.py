@@ -41,6 +41,27 @@ def case5_run(cases_dir, tmp_path_factory):
     return config, run(config), out
 
 
+def test_studies_build_no_bus_or_branch_objects(cases_dir, tmp_path, monkeypatch):
+    from gridline.network import Branch, Bus
+    from gridline.ratings import sweep_parameters
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a study built a {type(self).__name__}")
+
+    monkeypatch.setattr(Bus, "__init__", refuse)
+    monkeypatch.setattr(Branch, "__init__", refuse)
+    config = RunConfig(case_directory=cases_dir / "case5", output_directory=tmp_path,
+                       weather_file=cases_dir / "weather_case5.csv",
+                       regimes=("slr", "dlr", "uncongested"), worker_count=1)
+    assert run(config).all_ok
+    network = load_network(cases_dir / "case5")
+    weather = load_weather(cases_dir / "weather_case5.csv")
+    table = sweep_parameters(network, weather, list(weather.hours), [78.0, 100.0], [0.0, 0.5])
+    assert len(table) == 4
+    with pytest.raises(AssertionError, match="a study built a Bus"):
+        network.bus(1)
+
+
 def test_summary_cost_ordering(case5_run):
     _, summary, _ = case5_run
     costs = {name: s.total_cost for name, s in summary.regimes.items()}
@@ -249,7 +270,8 @@ def test_aggregate_equals_the_per_hour_loops(data):
     fuels = data.draw(st.lists(st.sampled_from(FUELS), max_size=5))  # other fuels have no units
     branch_ids = data.draw(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=4, unique=True))
     network = SimpleNamespace(generators=[SimpleNamespace(fuel=fuel) for fuel in fuels],
-                              branches=[SimpleNamespace(id=i) for i in branch_ids])
+                              branches=[SimpleNamespace(id=i) for i in branch_ids],
+                              branch_ids=tuple(branch_ids))
     hours = tuple(parse_hour("2016-07-01T00") + k * HOUR for k in range(n_hours))
     availability = np.array(data.draw(st.lists(ORDERED, min_size=n_hours * len(fuels),
                                                max_size=n_hours * len(fuels))))
