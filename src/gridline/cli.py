@@ -1,6 +1,7 @@
 """Command-line entry points: full studies, ratings-only runs and the T_C x phi_SLR
 sweep. Each command turns its options into library values (a ValueError there is a
-usage error, exit 2) before it works; a GridlineError is its message alone (exit 1)."""
+usage error, exit 2) before it works; a GridlineError is its message alone (exit 1).
+Only ``run`` imports the solver layers, so ``ratings`` and ``sweep`` load no scipy."""
 
 from __future__ import annotations
 
@@ -13,14 +14,12 @@ from pathlib import Path
 
 import click
 
-from .dispatch import DEFAULT_PENALTY
 from .errors import GridlineError
-from .pipeline import DEFAULT_EMISSION_FACTORS, RunConfig, run, write_ratings
 from .ratings import (RATED_REGIMES, RatingParams, build_rating_series, sweep_grid,
-                      sweep_parameters)
+                      sweep_parameters, write_ratings)
 from .network import load_hourly_series, load_network
-from .scopf import DEFAULT_MAX_ITERATIONS
-from .util import check_span, parse_hour, render_floats, write_csv
+from .util import (DEFAULT_EMISSION_FACTORS, DEFAULT_MAX_ITERATIONS, DEFAULT_PENALTY,
+                   check_span, parse_hour, render_floats, write_csv)
 from .weather import load_weather
 
 _PARAM_FIELDS = {f.name for f in fields(RatingParams)}
@@ -172,6 +171,7 @@ def main():
 
 
 def _run_values(case_dir, out_dir, penalty, workers, clamp_availability, **options):
+    from .pipeline import RunConfig
     config = RunConfig(case_directory=case_dir, output_directory=out_dir, penalty_price=penalty,
                        worker_count=workers, strict_availability=not clamp_availability, **options)
     return {"config": config}
@@ -196,6 +196,7 @@ def _run_values(case_dir, out_dir, penalty, workers, clamp_availability, **optio
 @out_option(required=True)
 def run_command(config):
     """Solve every hour under each regime and write reports to --out."""
+    from .pipeline import run
     summary = run(config)
     for name, regime in summary.regimes.items():
         click.echo(f"{name}: {regime.solved_hours} hours solved, "

@@ -27,8 +27,8 @@ from scipy import sparse
 from .errors import SolverError
 from .lp import OPTIMAL, LpModel, LpProblem, csr_rows, solve_lp
 from .network import HourlySeries, Network
+from .util import DEFAULT_PENALTY
 
-DEFAULT_PENALTY = 2000.0  # $/MWh on contingency-row violations
 FEASIBILITY_TOL = 1e-6
 # HiGHS drops matrix entries this small (its small_matrix_value), so they are
 # left out of the lowered LP rather than passed as PTDF rounding noise

@@ -34,23 +34,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dispatch import (DEFAULT_PENALTY, DispatchModel, DispatchResult, hour_data,
-                       solve_copperplate)
+from .dispatch import DispatchModel, DispatchResult, hour_data, solve_copperplate
 from .errors import GridlineError
 from .factors import build_factors, dump_factors
 from .lp import ERROR, INFEASIBLE, OPTIMAL
 from .network import (FUELS, VARIABLE_FUELS, HourlySeries, Network, load_hourly_series,
                       load_network)
-from .ratings import (AAR, DLR, RATED_REGIMES, SLR, RatingParams, RatingSeries,
-                      build_rating_series)
-from .scopf import DEFAULT_MAX_ITERATIONS, solve_scdcopf
-from .util import check_span, format_hour, open_csv, write_csv
+from .ratings import (AAR, DLR, RATED_REGIMES, RATINGS_HEADER, SLR, RatingParams,
+                      RatingSeries, build_rating_series, render_ratings)
+from .scopf import solve_scdcopf
+from .util import (DEFAULT_EMISSION_FACTORS, DEFAULT_MAX_ITERATIONS, DEFAULT_PENALTY,
+                   check_span, format_hour, open_csv, write_csv)
 from .weather import load_weather
 
 UNCONGESTED = "uncongested"
 ALL_REGIMES = RATED_REGIMES + (UNCONGESTED,)
 
-DEFAULT_EMISSION_FACTORS = {"coal": 1.0, "natural_gas": 0.42}  # tons CO2 / MWh
 BINDING_DUAL_TOL = 1e-9
 CARRY_HOURS = 24  # hours per task; flow rows are held only within a task
 
@@ -59,8 +58,7 @@ HOURLY_HEADERS = {  # the per-hour files: each chunk task renders its own rows o
     "flows.csv": ["time", "branch_id", "mw"],
     "iteration_trace.csv": ["hour", "iteration", "base_rows", "violations_added",
                             "simplex_iterations", "objective"],
-    "ratings.csv": ["time", "branch_id", "regime", "multiplier", "normal_limit_mva",
-                    "contingency_limit_mva"],
+    "ratings.csv": RATINGS_HEADER,
 }
 
 CONGESTION_PROXY_NOTE = ("congestion_cost_proxy_usd = sum over binding rows of "
@@ -403,30 +401,6 @@ def render_hourly(ids, hours) -> str:
     tails = [f",{i}," for i in ids]
     return "".join([f"{stamp}{tail}{value!r}\n" for stamp, values in hours
                     for tail, value in zip(tails, np.asarray(values, dtype=float).tolist())])
-
-
-def render_ratings(rating: RatingSeries, start: int, stop: int):
-    """``ratings.csv`` lines of hours ``start`` to ``stop - 1``, one block
-    per hour. An hour whose rows equal the hour before's bit for bit reuses
-    their rendered text, so a constant series is rendered once."""
-    columns = (rating.multiplier, rating.normal_limit, rating.contingency_limit)
-    heads = [f",{branch_id},{rating.regime}," for branch_id in rating.branch_ids]
-    key = tails = None
-    for pos in range(start, stop):
-        rows = [np.asarray(column[pos], dtype=float) for column in columns]
-        if (new_key := b"".join(row.tobytes() for row in rows)) != key:
-            key = new_key
-            # joined by the hour's stamp, so that each line starts with it
-            tails = ["", *(f"{head}{m!r},{n!r},{c!r}\n" for head, m, n, c
-                           in zip(heads, *(row.tolist() for row in rows)))]
-        yield format_hour(rating.hours[pos]).join(tails)
-
-
-def write_ratings(path: Path, ratings: list[RatingSeries]) -> None:
-    """ratings.csv: one row per (regime, hour, branch)."""
-    with open_csv(path, HOURLY_HEADERS["ratings.csv"]) as handle:
-        for rating in ratings:
-            handle.writelines(render_ratings(rating, 0, len(rating.hours)))
 
 
 def render_trace(rows) -> str:

@@ -19,7 +19,8 @@ eligible lines, and gather them to the lines that share each cell; K_angle
 comes from the wind's unit direction and each line's bearing cosine and
 sine, without trigonometry per branch-hour. They then rate every eligible
 branch over every present hour in one array pass per parameter set;
-``branch_multiplier`` rates one branch-hour.
+``branch_multiplier`` rates one branch-hour. ``write_ratings`` writes a
+series to ``ratings.csv``; ``render_ratings`` renders its lines.
 """
 
 from __future__ import annotations
@@ -27,19 +28,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 
 from .errors import GridlineError, RatingCollapseError
 from .geo import conductor_angle, to_utm
 from .network import Branch, Network
-from .util import format_hour
+from .util import format_hour, open_csv
 from .weather import WeatherGrid, WeatherSample, nearest_cell
 
 SLR = "slr"
 AAR = "aar"
 DLR = "dlr"
 RATED_REGIMES = (SLR, AAR, DLR)
+RATINGS_HEADER = ["time", "branch_id", "regime", "multiplier", "normal_limit_mva",
+                  "contingency_limit_mva"]
 
 KELVIN_OFFSET = 273.15
 HOUR_BLOCK = 16  # hours per block of the array passes, so temporaries stay small
@@ -344,6 +348,30 @@ def build_rating_series(network: Network, weather: WeatherGrid | None,
     normal = network.static_rating[None, :] * multiplier
     return RatingSeries(regime, tuple(hours), network.branch_ids,
                         multiplier, normal, params.contingency_ratio * normal)
+
+
+def render_ratings(rating: RatingSeries, start: int, stop: int):
+    """``ratings.csv`` lines of hours ``start`` to ``stop - 1``, one block
+    per hour. An hour whose rows equal the hour before's bit for bit reuses
+    their rendered text, so a constant series is rendered once."""
+    columns = (rating.multiplier, rating.normal_limit, rating.contingency_limit)
+    heads = [f",{branch_id},{rating.regime}," for branch_id in rating.branch_ids]
+    key = tails = None
+    for pos in range(start, stop):
+        rows = [np.asarray(column[pos], dtype=float) for column in columns]
+        if (new_key := b"".join(row.tobytes() for row in rows)) != key:
+            key = new_key
+            # joined by the hour's stamp, so that each line starts with it
+            tails = ["", *(f"{head}{m!r},{n!r},{c!r}\n" for head, m, n, c
+                           in zip(heads, *(row.tolist() for row in rows)))]
+        yield format_hour(rating.hours[pos]).join(tails)
+
+
+def write_ratings(path: Path, ratings: list[RatingSeries]) -> None:
+    """ratings.csv: one row per (regime, hour, branch)."""
+    with open_csv(path, RATINGS_HEADER) as handle:
+        for rating in ratings:
+            handle.writelines(render_ratings(rating, 0, len(rating.hours)))
 
 
 def sweep_grid(base: RatingParams, t_conductor_values: list[float],

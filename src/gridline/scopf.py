@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispatch import (DEFAULT_PENALTY, DispatchModel, DispatchResult, FlowRow, HourData,
-                       base_flow_rows, build_problem, solve_problem)
+from .dispatch import (DispatchModel, DispatchResult, FlowRow, HourData, base_flow_rows,
+                       build_problem, solve_problem)
 from .factors import ROW_BLOCK, SensitivityFactors
 from .lp import OPTIMAL
 from .network import Network
+from .util import DEFAULT_MAX_ITERATIONS, DEFAULT_PENALTY
 
 SCREEN_TOLERANCE = 1e-6  # relative to each flow limit
-DEFAULT_MAX_ITERATIONS = 20
 
 
 def post_contingency_flows(f_base: np.ndarray, lodf: np.ndarray,

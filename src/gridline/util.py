@@ -1,4 +1,4 @@
-"""Small shared helpers: UTC hour keys and CSV plumbing."""
+"""Small shared helpers: UTC hour keys, CSV plumbing and the run defaults."""
 
 from __future__ import annotations
 
@@ -13,6 +13,11 @@ import numpy as np
 
 HOUR = timedelta(hours=1)
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+# the run defaults live here, so that the CLI shows them without loading the solver
+DEFAULT_PENALTY = 2000.0  # $/MWh on contingency-row violations
+DEFAULT_MAX_ITERATIONS = 20
+DEFAULT_EMISSION_FACTORS = {"coal": 1.0, "natural_gas": 0.42}  # tons CO2 / MWh
 
 
 def parse_hour(text: str) -> datetime:

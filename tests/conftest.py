@@ -2,8 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from gridline import (RatingParams, build_factors, load_hourly_series, load_network,
-                      load_weather)
+from gridline.factors import build_factors
+from gridline.network import load_hourly_series, load_network
+from gridline.ratings import RatingParams
+from gridline.weather import load_weather
 
 _ACCEPTANCE_RESULTS = []
 

@@ -399,7 +399,7 @@ def per_value_render_hourly(ids, hours):
 
 
 def per_value_render_ratings(rating, start, stop):
-    """``pipeline.render_ratings`` one cell at a time through ``csv.writer``,
+    """``ratings.render_ratings`` one cell at a time through ``csv.writer``,
     every hour rendered afresh."""
     for pos in range(start, stop):
         stamp = rating.hours[pos].astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

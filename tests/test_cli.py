@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import shutil
+import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,8 +14,8 @@ from gridline.cli import load_params_file, main
 from gridline.errors import GridlineError
 from gridline.factors import build_factors, dump_factors
 from gridline.network import load_hourly_series, load_network
-from gridline.pipeline import RunConfig, write_ratings
-from gridline.ratings import DLR, RatingParams, build_rating_series
+from gridline.pipeline import RunConfig
+from gridline.ratings import DLR, RatingParams, build_rating_series, write_ratings
 from gridline.weather import load_weather
 
 RATING_FLAGS = [("--tc", None, False), ("--ta-slr", None, False), ("--v-slr", None, False),
@@ -256,6 +259,35 @@ def test_ratings_and_sweep_do_not_read_availability(runner, cases_dir, tmp_path)
     assert "availability 999.0 exceeds p_max 110.0" in result.output
 
 
+# in a fresh interpreter: the scipy modules loaded after ratings and sweep, then after run
+_SCIPY_AFTER_EACH_COMMAND = """
+import json, sys
+from gridline.cli import main
+case, weather, out = sys.argv[1:]
+loaded = []
+for commands in (("ratings", "sweep"), ("run",)):
+    for command in commands:
+        main([command, "--case", case, "--weather", weather, "--out", f"{out}/{command}"],
+             standalone_mode=False)
+    loaded.append(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(json.dumps(loaded))
+"""
+
+
+def test_ratings_and_sweep_load_no_scipy(cases_dir, tmp_path):
+    """One module-level import of a solver layer on the rating path loads
+    scipy, about 50 MB; run loads it, which shows the check can fail."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_AFTER_EACH_COMMAND, str(cases_dir / "case5"),
+         str(cases_dir / "weather_case5.csv"), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    rating, run = json.loads(result.stdout.splitlines()[-1])
+    assert rating == []
+    assert "scipy.optimize" in run
+
+
 def test_sweep_without_weather_in_span_fails(runner, cases_dir, tmp_path):
     lines = (cases_dir / "weather_case3.csv").read_text().splitlines()
     dropped = [f"2016-07-01T0{h}:" for h in range(1, 6)]
@@ -312,6 +344,8 @@ def test_option_inventory():
     *[(command, ["--params", "{tmp}/twice.txt"], 1,
        "{tmp}/twice.txt:3: 't_conductor' already set on line 1")
       for command in ("run", "ratings", "sweep")],
+    ("sweep", ["--params", "{tmp}/short.txt"], 1,
+     "no line shorter than 0.001 km is rated by weather; the sweep has nothing to average"),
 ])
 def test_bad_inputs_end_with_a_message(runner, cases_dir, tmp_path, command, args, code,
                                        message):
@@ -319,6 +353,7 @@ def test_bad_inputs_end_with_a_message(runner, cases_dir, tmp_path, command, arg
     (tmp_path / "air.txt").write_text("air_density = -1\n")
     (tmp_path / "twice.txt").write_text("t_conductor = 90\nv_slr = 0.61\n t_conductor=120 # hot\n")
     (tmp_path / "latin.txt").write_bytes(b"t_conductor = 100 \xff\n")
+    (tmp_path / "short.txt").write_text("eligibility_length_km = 0.001\n")
     out = tmp_path / "out"
     result = runner.invoke(main, [
         command, "--case", str(cases_dir / "case5"),
@@ -389,6 +424,7 @@ def test_a_header_cell_over_the_csv_field_limit_ends_with_a_message(runner, case
     assert isinstance(result.exception, SystemExit)  # not a traceback
 
 
+# run_command imports pipeline.run when it runs, so the study is patched there
 @pytest.mark.parametrize("command, work", [
     ("run", "run"), ("ratings", "build_rating_series"), ("sweep", "sweep_parameters")])
 def test_value_error_in_the_work_keeps_its_traceback(runner, cases_dir, tmp_path,
@@ -396,7 +432,7 @@ def test_value_error_in_the_work_keeps_its_traceback(runner, cases_dir, tmp_path
     def broken(*args, **kwargs):
         raise ValueError("a bug in the study")
 
-    monkeypatch.setattr(f"gridline.cli.{work}", broken)
+    monkeypatch.setattr(f"gridline.{'pipeline' if command == 'run' else 'cli'}.{work}", broken)
     result = runner.invoke(main, [
         command, "--case", str(cases_dir / "case5"),
         "--weather", str(cases_dir / "weather_case5.csv"), "--out", str(tmp_path / "out")])
