@@ -41,7 +41,7 @@ def load_params_file(path: Path) -> dict[str, float]:
     """Parse a key=value params file; keys are RatingParams field names in
     field units (phi_slr in radians)."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise GridlineError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values: dict[str, tuple[int, float]] = {}  # key: (line number, value)

@@ -240,24 +240,25 @@ def _injections(problem: DispatchProblem, p_gen: np.ndarray) -> np.ndarray:
     return injection
 
 
-def audit_result(problem: DispatchProblem, result: DispatchResult, coefficients: np.ndarray,
-                 tol: float = FEASIBILITY_TOL) -> None:
+def audit_result(problem: DispatchProblem, result: DispatchResult,
+                 coefficients: np.ndarray) -> None:
     """Independent feasibility re-check of an optimal solution: balance,
-    bounds, and flow rows recomputed from the injections. ``coefficients``
-    are the problem's flow rows stacked. Raises SolverError on any
-    violation."""
+    bounds, and flow rows recomputed from the injections, each to within
+    ``FEASIBILITY_TOL``. ``coefficients`` are the problem's flow rows
+    stacked. Raises SolverError on any violation."""
     if result.status != OPTIMAL:
         return
     p = result.p_gen
-    if abs(p.sum() - problem.demand.sum()) > tol:
+    if abs(p.sum() - problem.demand.sum()) > FEASIBILITY_TOL:
         raise SolverError(f"power balance residual {p.sum() - problem.demand.sum():.3e} MW")
-    if np.any(p < problem.gen_min - tol) or np.any(p > problem.gen_max + tol):
+    if (np.any(p < problem.gen_min - FEASIBILITY_TOL)
+            or np.any(p > problem.gen_max + FEASIBILITY_TOL)):
         raise SolverError("generator bounds violated")
     rows = problem.flow_rows
     limit = np.array([row.limit for row in rows], dtype=float)
     slack = np.where([row.slack_allowed for row in rows], result.slack_values, 0.0)
     margin = np.abs(coefficients @ _injections(problem, p)) - (limit + slack)
-    violated = np.flatnonzero(margin > tol * np.maximum(1.0, limit))
+    violated = np.flatnonzero(margin > FEASIBILITY_TOL * np.maximum(1.0, limit))
     if violated.size:
         r = int(violated[0])
         raise SolverError(

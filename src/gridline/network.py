@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import CaseError, GridlineError
 from .geo import great_circle_km
-from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each,
-                   parse_hour, read_columns, read_rows)
+from .util import (first_fault, format_hour, hour_at, hour_number, parse_hour, parse_rows,
+                   read_columns, read_rows)
 
 FUELS = ("solar", "wind", "natural_gas", "coal", "nuclear", "hydro", "other")
 VARIABLE_FUELS = ("solar", "wind")
@@ -223,23 +223,6 @@ def _row_at(directory: Path, name: str, required, position: int) -> dict:
     return next(islice(_rows(directory, name, required), position, None))[1]
 
 
-def _per_row(texts, code, parse, dtype=np.int64):
-    """``parse_each`` of the distinct ``texts``, gathered to the rows by ``code``."""
-    values, parsed = parse_each(texts, parse, dtype)
-    return values[code], parsed[code]
-
-
-def _first_fault(valid: np.ndarray, complete: bool, ids: np.ndarray) -> int | None:
-    """The position of the first row that is not ``valid``, repeats the id
-    of an earlier row or was not read, or None. ``ids`` holds Python ints."""
-    n = len(valid) if valid.all() else int(np.argmin(valid))
-    head = ids[:n].tolist()
-    if len(set(head)) < n:
-        same = {}  # equal ids, which may be beyond int64, get one key
-        return first_repeat(np.array([same.setdefault(i, len(same)) for i in head]))
-    return n if n < len(valid) or not complete else None
-
-
 def _optional_number(text: str, strict_min: bool) -> float:
     """A blank cell as NaN, else its number, which must be finite and
     >= 0 (> 0 with ``strict_min``); a ValueError otherwise."""
@@ -302,11 +285,12 @@ def _load_buses(directory: Path):
     the first faulty row is read again to name its fault."""
     (texts,), (code,), values, complete = _read_table(directory, "bus.csv", ["id"],
                                                       BUS_COLUMNS[1:])
-    ids, valid = _per_row(texts, code, int, object)
+    ids, valid = parse_rows(texts, code, int, object)
     lat, lon, kv = values.T.copy()
     valid &= (np.abs(lat) <= 90) & (np.abs(lon) <= 180) & _positive(kv)
-    faulty = _first_fault(valid, complete, ids)
-    if faulty is not None:
+    fault = first_fault(valid, complete, ids)
+    if fault is not None:  # _bus_row names a repeated id through the ids before it
+        faulty = fault[0]
         _bus_row(_row_at(directory, "bus.csv", BUS_COLUMNS, faulty), faulty + 1,
                  set(ids[:faulty].tolist()))
     if not len(ids):
@@ -321,20 +305,21 @@ def _load_branches(directory: Path, bus_index: dict, latitude, longitude) -> dic
     texts, codes, values, complete = _read_table(
         directory, "branch.csv", ["id", "from_bus", "to_bus", "kind", "length_km", "diameter_m"],
         BRANCH_COLUMNS[3:5], optional=("length_km", "diameter_m"))
-    ids, valid = _per_row(texts[0], codes[0], int, object)
+    ids, valid = parse_rows(texts[0], codes[0], int, object)
     (from_bus, from_ok), (to_bus, to_ok) = (
-        _per_row(texts[k], codes[k], lambda text: bus_index.get(int(text))) for k in (1, 2))
-    is_line, kind_ok = _per_row(texts[3], codes[3],
-                                lambda text: BRANCH_KINDS.index(text.strip()) == 0, bool)
-    length, length_ok = _per_row(texts[4], codes[4], lambda text: _optional_number(text, False),
-                                 float)
-    diameter, diameter_ok = _per_row(texts[5], codes[5],
-                                     lambda text: _optional_number(text, True), float)
+        parse_rows(texts[k], codes[k], lambda text: bus_index.get(int(text))) for k in (1, 2))
+    is_line, kind_ok = parse_rows(texts[3], codes[3],
+                                  lambda text: BRANCH_KINDS.index(text.strip()) == 0, bool)
+    length, length_ok = parse_rows(texts[4], codes[4],
+                                   lambda text: _optional_number(text, False), float)
+    diameter, diameter_ok = parse_rows(texts[5], codes[5],
+                                       lambda text: _optional_number(text, True), float)
     reactance, rating = values.T.copy()
     valid &= (from_ok & to_ok & (from_bus != to_bus) & _positive(reactance) & _positive(rating)
               & kind_ok & length_ok & diameter_ok)
-    faulty = _first_fault(valid, complete, ids)
-    if faulty is not None:
+    fault = first_fault(valid, complete, ids)
+    if fault is not None:  # _branch_row names a repeated id through the ids before it
+        faulty = fault[0]
         _branch_row(_row_at(directory, "branch.csv", BRANCH_COLUMNS, faulty), faulty + 1,
                     set(ids[:faulty].tolist()), bus_index)
     distance = great_circle_km(latitude[from_bus], longitude[from_bus], latitude[to_bus],
@@ -434,19 +419,17 @@ def _load_timed_table(directory, name, id_column, index):
     (stamps, idents), (stamp_code, ident_code), values, complete = _read_table(
         directory, name, ["time", id_column], ["mw"])
     mw = values[:, 0]
-    hour, hour_ok = parse_each(stamps, hour_number)
-    column, column_ok = parse_each(idents, lambda ident: index.get(int(ident)))
-    valid = hour_ok[stamp_code] & column_ok[ident_code] & (mw >= 0.0) & (mw < np.inf)
-    hour, column = hour[stamp_code], column[ident_code]
-    n = len(mw) if valid.all() else int(np.argmin(valid))
-    repeat = first_repeat(hour[:n], column[:n])
-    if repeat is not None:
-        stamp, ident = stamps[stamp_code[repeat]], idents[ident_code[repeat]]
-        raise CaseError(f"duplicate entry for {id_column} {int(ident)} at {stamp}",
-                        file=name, row=repeat + 1)
-    if n < len(mw) or not complete:
-        _timed_row(_row_at(directory, name, ["time", id_column, "mw"], n), name, n + 1,
-                   id_column, index)
+    hour, hour_ok = parse_rows(stamps, stamp_code, hour_number)
+    column, column_ok = parse_rows(idents, ident_code, lambda ident: index.get(int(ident)))
+    fault = first_fault(hour_ok & column_ok & (mw >= 0.0) & (mw < np.inf), complete, hour, column)
+    if fault is not None:
+        faulty, repeated = fault
+        if repeated:
+            stamp, ident = stamps[stamp_code[faulty]], idents[ident_code[faulty]]
+            raise CaseError(f"duplicate entry for {id_column} {int(ident)} at {stamp}",
+                            file=name, row=faulty + 1)
+        _timed_row(_row_at(directory, name, ["time", id_column, "mw"], faulty), name,
+                   faulty + 1, id_column, index)
     return hour, column, mw
 
 

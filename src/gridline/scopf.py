@@ -52,11 +52,10 @@ def post_contingency_flows(f_base: np.ndarray, lodf: np.ndarray,
 
 
 def screen_violations(f_cont: np.ndarray, contingency_limits: np.ndarray,
-                      tolerance: float = SCREEN_TOLERANCE,
                       rows: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All pairs whose post-contingency flow magnitude exceeds the monitored
-    branch's contingency limit (plus a relative feasibility tolerance), as
+    branch's contingency limit by more than ``SCREEN_TOLERANCE`` of it, as
     (monitored, outaged, overload) arrays: branch positions and MW beyond
     the limit, in no particular order.
 
@@ -68,7 +67,7 @@ def screen_violations(f_cont: np.ndarray, contingency_limits: np.ndarray,
     limits = np.asarray(contingency_limits, dtype=float)[monitored]
     overload = np.abs(f_cont) - limits[:, None]
     with np.errstate(invalid="ignore"):
-        mask = overload > tolerance * limits[:, None]
+        mask = overload > SCREEN_TOLERANCE * limits[:, None]
     mask[np.arange(len(monitored)), monitored] = False
     i, c = np.nonzero(mask)
     return monitored[i], c, overload[i, c]
@@ -83,8 +82,7 @@ def _ordered_pairs(monitored: np.ndarray, outaged: np.ndarray,
 
 
 def screen_contingencies(flows: np.ndarray, factors: SensitivityFactors,
-                         contingency_limits: np.ndarray,
-                         tolerance: float = SCREEN_TOLERANCE) -> tuple[tuple[int, int], ...]:
+                         contingency_limits: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The pairs ``verify_n1`` finds, in its order, with post-contingency
     flows computed only for the monitored rows the bound
     |f_b| + max_c |LODF[b, c]| * max_c |f_c| does not clear, ``ROW_BLOCK``
@@ -93,12 +91,12 @@ def screen_contingencies(flows: np.ndarray, factors: SensitivityFactors,
     limits = np.asarray(contingency_limits, dtype=float)
     magnitude = np.abs(flows)
     bound = (magnitude + factors.lodf_row_max * magnitude.max(initial=0.0)) * (1.0 + 1e-12)
-    rows = np.flatnonzero(bound > limits * (1.0 + tolerance))
+    rows = np.flatnonzero(bound > limits * (1.0 + SCREEN_TOLERANCE))
     found = []
     for start in range(0, rows.size, ROW_BLOCK):
         block = rows[start:start + ROW_BLOCK]
         found.append(screen_violations(post_contingency_flows(flows, factors.lodf_rows(block),
-                                                              block), limits, tolerance, block))
+                                                              block), limits, block))
     return _ordered_pairs(*map(np.concatenate, zip(*found))) if found else ()
 
 
@@ -211,10 +209,10 @@ def solve_scdcopf(network: Network, factors: SensitivityFactors, data: HourData,
     return ScopfResult(result, iterations, violations, not violations, tuple(rows), trace)
 
 
-def verify_n1(flows: np.ndarray, lodf: np.ndarray, contingency_limits: np.ndarray,
-              tolerance: float = SCREEN_TOLERANCE) -> tuple[tuple[int, int], ...]:
+def verify_n1(flows: np.ndarray, lodf: np.ndarray,
+              contingency_limits: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Exhaustive post-check over every (monitored, outaged) pair,
     independent of the screening path: the violated pairs by overload
     descending, ties by pair."""
     return _ordered_pairs(*screen_violations(post_contingency_flows(flows, lodf),
-                                             contingency_limits, tolerance))
+                                             contingency_limits))

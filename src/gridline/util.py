@@ -50,9 +50,11 @@ def hour_at(number) -> datetime:
     return EPOCH + int(number) * HOUR
 
 
-def parse_each(texts, parse, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
-    """``parse`` of each text as ``dtype``, 0 where it raised ValueError or
-    OverflowError or gave None, and a mask of the texts that parsed."""
+def parse_rows(texts, code, parse, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's value as ``dtype`` and whether it parsed: ``parse`` of each
+    distinct text in ``texts`` once, gathered to the rows by ``code``, each
+    row's position in ``texts``. A text whose ``parse`` raised ValueError or
+    OverflowError or gave None reads 0 and did not parse."""
     try:
         values = list(map(parse, texts))  # the usual case: every text parses
     except (ValueError, OverflowError):
@@ -63,18 +65,25 @@ def parse_each(texts, parse, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
             except (ValueError, OverflowError):
                 values.append(None)
     if None not in values:
-        return np.array(values, dtype=dtype), np.ones(len(values), dtype=bool)
+        return np.array(values, dtype=dtype)[code], np.ones(len(code), dtype=bool)
     parsed = np.array([v is not None for v in values], dtype=bool)
-    return np.array([0 if v is None else v for v in values], dtype=dtype), parsed
+    return np.array([0 if v is None else v for v in values], dtype=dtype)[code], parsed[code]
 
 
-def first_repeat(*keys: np.ndarray) -> int | None:
-    """Index of the first entry whose keys all equal (``==``) those of an
-    earlier entry, or None."""
-    order = np.lexsort(keys)  # stable, so each run of equal entries is in index order
+def first_fault(valid: np.ndarray, complete: bool, *keys: np.ndarray) -> tuple[int, bool] | None:
+    """The first faulty row of a table read up to its first unread row, as
+    (position, repeated), or None. A row is faulty when it is not ``valid``,
+    when its ``keys`` all equal (``==``) those of an earlier valid row
+    (``repeated``), or when it is the row after the last one read and
+    ``complete`` is False. Rows past the first invalid one are not looked at."""
+    n = len(valid) if valid.all() else int(np.argmin(valid))
+    head = [key[:n] for key in keys]
+    order = np.lexsort(head)  # stable, so each run of equal rows is in row order
     later, earlier = order[1:], order[:-1]
-    same = np.logical_and.reduce([key[later] == key[earlier] for key in keys])
-    return int(later[same].min()) if same.any() else None
+    same = np.logical_and.reduce([key[later] == key[earlier] for key in head])
+    if same.any():
+        return int(later[same].min()), True
+    return (n, False) if n < len(valid) or not complete else None
 
 
 def format_hour(stamp: datetime) -> str:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import WeatherError
 from .geo import great_circle_km
-from .util import (first_repeat, format_hour, hour_at, hour_number, parse_each,
-                   parse_hour, read_columns, read_rows)
+from .util import (first_fault, format_hour, hour_at, hour_number, parse_hour, parse_rows,
+                   read_columns, read_rows)
 
 COLUMNS = ("time", "lat", "lon", "temp_k", "wind_u_ms", "wind_v_ms")
 MIN_PLAUSIBLE_TEMP_K = 150.0
@@ -106,17 +106,15 @@ def load_weather(file: str | Path) -> WeatherGrid:
         (stamps,), (code,), fields, complete = read_columns(path, ["time"], COLUMNS[1:])
     except ValueError as exc:  # such as a missing column
         raise WeatherError(f"{name}: {exc}") from None
-    hour, hour_ok = parse_each(stamps, hour_number)
-    hour = hour[code]
-    valid = hour_ok[code] & np.isfinite(fields).all(axis=1)
-    valid &= fields[:, 2] > MIN_PLAUSIBLE_TEMP_K
-    n = len(code) if valid.all() else int(np.argmin(valid))
-    repeat = first_repeat(hour[:n], fields[:n, 0], fields[:n, 1])
-    if repeat is not None:
-        raise WeatherError(f"{name} row {repeat + 1}: duplicate cell "
-                           f"{tuple(fields[repeat, :2].tolist())} at {stamps[code[repeat]]}")
-    if n < len(code) or not complete:
-        _weather_row(next(islice(_rows(path), n, None))[1], name, n + 1)
+    hour, hour_ok = parse_rows(stamps, code, hour_number)
+    valid = hour_ok & np.isfinite(fields).all(axis=1) & (fields[:, 2] > MIN_PLAUSIBLE_TEMP_K)
+    fault = first_fault(valid, complete, hour, fields[:, 0], fields[:, 1])
+    if fault is not None:
+        faulty, repeated = fault
+        if repeated:
+            raise WeatherError(f"{name} row {faulty + 1}: duplicate cell "
+                               f"{tuple(fields[faulty, :2].tolist())} at {stamps[code[faulty]]}")
+        _weather_row(next(islice(_rows(path), faulty, None))[1], name, faulty + 1)
     if not len(code):
         raise WeatherError(f"{name}: no weather rows")
 

@@ -126,14 +126,18 @@ def test_sweep_command(runner, cases_dir, tmp_path):
 
 def test_params_file_and_override(runner, cases_dir, tmp_path):
     params = tmp_path / "params.txt"
-    params.write_text(
-        "# SLR weather assumptions\n"
-        "t_conductor = 110\n"
-        "t_ambient_slr = 35\n"
-        "calm_wind_threshold = 0.02\n")
+    text = ("# SLR weather assumptions\n"
+            "t_conductor = 110\n"
+            "t_ambient_slr = 35\n"
+            "calm_wind_threshold = 0.02\n")
+    params.write_text(text)
     loaded = load_params_file(params)
     assert loaded == {"t_conductor": 110.0, "t_ambient_slr": 35.0,
                       "calm_wind_threshold": 0.02}
+    # a byte-order mark and CRLF line ends, as the CSV inputs allow
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(("\ufeff" + text.replace("\n", "\r\n")).encode())
+    assert load_params_file(marked) == loaded
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense = 1\n")
     with pytest.raises(GridlineError, match="unknown parameter"):
