@@ -172,6 +172,8 @@ def main():
 
 def _run_values(case_dir, out_dir, penalty, workers, clamp_availability, **options):
     from .pipeline import RunConfig
+    if out_dir.exists() and any(out_dir.iterdir()):  # a second run would mix its files in
+        raise ValueError(f"output directory {out_dir} is not empty")
     config = RunConfig(case_directory=case_dir, output_directory=out_dir, penalty_price=penalty,
                        worker_count=workers, strict_availability=not clamp_availability, **options)
     return {"config": config}
@@ -195,9 +197,13 @@ def _run_values(case_dir, out_dir, penalty, workers, clamp_availability, **optio
 @click.option("--dump-factors", is_flag=True, help="Also write ptdf.csv and lodf.csv (debug).")
 @out_option(required=True)
 def run_command(config):
-    """Solve every hour under each regime and write reports to --out."""
+    """Solve every hour under each regime and write reports to an empty --out."""
+    from concurrent.futures.process import BrokenProcessPool
     from .pipeline import run
-    summary = run(config)
+    try:
+        summary = run(config)
+    except BrokenProcessPool as exc:
+        raise GridlineError(f"a worker process died: {exc}") from None
     for name, regime in summary.regimes.items():
         click.echo(f"{name}: {regime.solved_hours} hours solved, "
                    f"total cost ${regime.total_cost:,.2f}"

@@ -117,8 +117,8 @@ def build_problem(network: Network, data: HourData, flow_rows: list[FlowRow],
 
 
 def _segments(cost_curves: tuple[tuple[tuple[float, float], ...], ...]):
-    """Per cost segment: owner, capacity, price, and the capacity of the
-    owner's cheaper segments."""
+    """Per cost segment: owner, capacity, the capacity of the owner's
+    cheaper segments (``_segment_bounds``' arguments), and price."""
     owner, cap, price, before = [], [], [], []
     for g, curve in enumerate(cost_curves):
         cum = 0.0
@@ -129,7 +129,7 @@ def _segments(cost_curves: tuple[tuple[tuple[float, float], ...], ...]):
             before.append(cum)
             cum += segment_cap
     return (np.array(owner, dtype=int), np.array(cap, dtype=float),
-            np.array(price, dtype=float), np.array(before, dtype=float))
+            np.array(before, dtype=float), np.array(price, dtype=float))
 
 
 def _segment_bounds(problem: DispatchProblem, seg_owner: np.ndarray, cap: np.ndarray,
@@ -210,7 +210,7 @@ def build_lp(problem: DispatchProblem) -> tuple[LpProblem, _Layout]:
     flow row. Flow row r becomes the ``<=`` rows 2r (+) and 2r + 1 (-); a
     slack-allowed row's slack enters both with coefficient -1.
     """
-    seg_owner, cap, price, before = _segments(problem.cost_curves)
+    seg_owner, cap, before, price = _segments(problem.cost_curves)
     n_segments = len(seg_owner)
     lo, hi = _segment_bounds(problem, seg_owner, cap, before)
     _, b_ub, entries, slack = _lower_rows(problem.flow_rows, problem.gen_bus[seg_owner],
@@ -283,12 +283,12 @@ class DispatchModel:
     ``hold`` brings it to a problem whose flow rows begin with the rows it
     holds (same branches, slack flag and coefficients, in order) and whose
     penalty price, generator buses and cost curves are those of the first
-    problem it held. The first problem's LP is built by ``build_lp``
-    without flow rows; for a later one ``hold`` writes the segment bounds,
-    balance row and the right-hand side of every held row into the LP.
-    Either way it then lowers and appends the problem's remaining rows, so
-    the LP holds the problem's rows in the problem's order. Rows are never
-    deleted.
+    problem it held. ``build_lp`` builds the LP of the first problem
+    without flow rows. For every problem, the first included, ``hold``
+    then writes the segment bounds, balance row and the right-hand side of
+    every held row into the LP, and lowers and appends the problem's
+    remaining rows, so the LP holds the problem's rows in the problem's
+    order. Rows are never deleted.
     """
 
     def __init__(self):
@@ -302,16 +302,13 @@ class DispatchModel:
         rows, held = problem.flow_rows, self.rows
         if len(rows) < len(held) or not all(map(_same_row, held, rows)):
             raise ValueError("the problem's flow rows do not begin with the held rows")
-        if self.lp is None:
-            seg_owner, cap, _, before = _segments(problem.cost_curves)
-            segments = seg_owner, cap, before
-        else:
-            built, segments = self.built, self.segments
-            if (problem.penalty_price != built.penalty_price
-                    or not np.array_equal(problem.gen_bus, built.gen_bus)
-                    or problem.cost_curves != built.cost_curves):
-                raise ValueError("the problem's penalty price, generator buses or cost "
-                                 "curves differ from those the model was built with")
+        built = problem if self.lp is None else self.built
+        if (problem.penalty_price != built.penalty_price
+                or not np.array_equal(problem.gen_bus, built.gen_bus)
+                or problem.cost_curves != built.cost_curves):
+            raise ValueError("the problem's penalty price, generator buses or cost "
+                             "curves differ from those the model was built with")
+        segments = _segments(problem.cost_curves)[:3] if self.lp is None else self.segments
         limit = np.array([row.limit for row in rows[:len(held)]], dtype=float)
         _refuse_non_finite(limit)
         seg_owner = segments[0]
@@ -324,10 +321,9 @@ class DispatchModel:
             self.lp = LpModel(build_lp(replace(problem, flow_rows=()))[0])
             self.built, self.segments = problem, segments
             self.coefficients = np.zeros((0, len(problem.demand)))
-        else:
-            self.lp.set_bounds(*_segment_bounds(problem, *segments),
-                               np.array([float(problem.demand.sum())]),
-                               _flow_rhs(self.coefficients, limit, problem.demand))
+        self.lp.set_bounds(*_segment_bounds(problem, *segments),
+                           np.array([float(problem.demand.sum())]),
+                           _flow_rhs(self.coefficients, limit, problem.demand))
         if new is not None:
             coefficients, b_ub, entries, slack = new
             self.lp.add_rows(b_ub, *entries, slack, problem.penalty_price)
@@ -391,9 +387,8 @@ def solve_penalized_dcopf(problem: DispatchProblem,
     return solve_problem(problem, ptdf=ptdf)
 
 
-def solve_copperplate(network: Network, data: HourData, factors=None,
-                      model: DispatchModel | None = None) -> DispatchResult:
+def solve_copperplate(network: Network, data: HourData, factors=None) -> DispatchResult:
     """Merit-order dispatch with no transmission constraints; flows (when a
     PTDF is supplied) are reported for information only."""
     problem = build_problem(network, data, [])
-    return solve_problem(problem, ptdf=None if factors is None else factors.ptdf, model=model)
+    return solve_problem(problem, ptdf=None if factors is None else factors.ptdf)

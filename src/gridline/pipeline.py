@@ -13,7 +13,8 @@ shared inputs are immutable, HiGHS runs single-threaded, each chunk task
 renders its own rows of the per-hour files (``HOURLY_HEADERS``, the
 iteration trace included) and returns its hours as one ``ChunkRecord`` of
 arrays, and the parent appends the rows in task order, so outputs depend
-only on the inputs and ``CARRY_HOURS``.
+only on the inputs and ``CARRY_HOURS``. An exception out of a chunk, or a
+dead worker (``BrokenProcessPool``), ends the run and cancels the rest.
 
 Cross-regime aggregates (costs, generation, curtailment, emissions and the
 congestion decomposition) are computed only over hours that solved cleanly
@@ -25,15 +26,16 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import datetime
-from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+# solve_copperplate is not called here; bench/tracing.py wraps it by this name
 from .dispatch import DispatchModel, DispatchResult, hour_data, solve_copperplate
 from .errors import GridlineError
 from .factors import build_factors, dump_factors
@@ -184,36 +186,31 @@ def _solve_chunk(state: _WorkerState,
 
 def _solve_task(state: _WorkerState, task: tuple[str, int], model: DispatchModel):
     """One (regime, hour position): its HOUR_* code, dispatch result,
-    ``ChunkRecord.binding`` rows and trace. An exception is its error alone."""
+    ``ChunkRecord.binding`` rows and trace. An exception is its error alone.
+    Uncongested limits are infinite: the loop adds no row to the copperplate LP."""
     regime, pos = task
     hour = state.series.hours[pos]
+    rating = state.ratings.get(regime)
     try:
         data = hour_data(state.network, state.series, hour)
-        if regime == UNCONGESTED:
-            result = solve_copperplate(state.network, data, state.factors, model)
-            flow_rows, converged = (), True
-            trace = ([(0, 0, 0, result.simplex_iterations, result.objective)]
-                     if result.status == OPTIMAL else [])
-        else:
-            rating = state.ratings[regime]
-            solution = solve_scdcopf(
-                state.network, state.factors, data,
-                rating.normal_limit[pos], rating.contingency_limit[pos],
-                state.max_iterations, state.penalty_price, state.slack_base_rows, model=model)
-            result, flow_rows = solution.dispatch, solution.flow_rows
-            converged, trace = solution.converged, solution.trace
+        limits = ((np.full(state.network.n_branches, np.inf),) * 2 if rating is None
+                  else (rating.normal_limit[pos], rating.contingency_limit[pos]))
+        solution = solve_scdcopf(state.network, state.factors, data, *limits,
+                                 state.max_iterations, state.penalty_price,
+                                 state.slack_base_rows, model=model)
     except Exception as exc:  # one failed task must not abort the others
         message = str(exc) if isinstance(exc, GridlineError) else f"{type(exc).__name__}: {exc}"
         return HOUR_ERROR, DispatchResult(hour, ERROR, message=message), _NO_ROWS, []
+    result = solution.dispatch
     if result.status != OPTIMAL:
         code = HOUR_INFEASIBLE if result.status == INFEASIBLE else HOUR_ERROR
-        return code, result, _NO_ROWS, trace
+        return code, result, _NO_ROWS, solution.trace
     bound = np.flatnonzero((np.abs(result.row_duals) > BINDING_DUAL_TOL)
                            | (result.slack_values > BINDING_DUAL_TOL))
-    picked = [flow_rows[r] for r in bound.tolist()]
+    picked = [solution.flow_rows[r] for r in bound.tolist()]
     rows = np.column_stack((np.full(len(picked), pos), [row.monitored_branch for row in picked],
                             np.abs(result.row_duals[bound]) * [row.limit for row in picked]))
-    return (HOUR_OK if converged else HOUR_UNCONVERGED), result, rows, trace
+    return (HOUR_OK if solution.converged else HOUR_UNCONVERGED), result, rows, solution.trace
 
 
 def _solve_chunk_global(chunk: tuple[str, int, int]) -> tuple[ChunkRecord, dict[str, str]]:
@@ -320,9 +317,7 @@ def run(config: RunConfig) -> RunSummary:
         weather = load_weather(config.weather_file)
 
     ratings = {}
-    for regime in config.regimes:
-        if regime == UNCONGESTED:
-            continue
+    for regime in [r for r in config.regimes if r != UNCONGESTED]:
         try:
             ratings[regime] = build_rating_series(network, weather, hours, regime,
                                                   config.params)
@@ -340,9 +335,11 @@ def run(config: RunConfig) -> RunSummary:
         if config.worker_count == 1:
             solved = (_solve_chunk(state, chunk) for chunk in chunks)
         else:
-            pool = stack.enter_context(Pool(min(config.worker_count, len(chunks)),
-                                            initializer=_init_worker, initargs=(state,)))
-            solved = pool.imap(_solve_chunk_global, chunks, chunksize=1)
+            pool = ProcessPoolExecutor(min(config.worker_count, len(chunks)),
+                                       initializer=_init_worker, initargs=(state,))
+            # on an error, the chunks not yet started are cancelled
+            stack.callback(pool.shutdown, cancel_futures=True)
+            solved = pool.map(_solve_chunk_global, chunks)
         for (regime, _, _), (record, texts) in zip(chunks, solved):
             records[regime].append(record)
             for name, text in texts.items():

@@ -83,6 +83,19 @@ def test_run_hours_span(runner, cases_dir, tmp_path):
     assert payload["hours"]["count"] == 6
 
 
+def test_run_refuses_an_out_that_is_not_empty(runner, cases_dir, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()  # an empty --out is used
+    args = ["run", "--case", str(cases_dir / "case3"), "--out", str(out), "--regimes"]
+    assert runner.invoke(main, [*args, "slr"]).exit_code == 0
+    first = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    # a second run would leave the first run's slr/ beside its own files
+    result = runner.invoke(main, [*args, "uncongested"])
+    assert result.exit_code == 2, result.output
+    assert f"Error: output directory {out} is not empty" in result.output
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == first
+
+
 def test_ratings_command(runner, cases_dir, tmp_path):
     out = tmp_path / "ratings_out"
     result = runner.invoke(main, [

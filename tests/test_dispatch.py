@@ -5,8 +5,9 @@ import pytest
 
 import gridline.lp as lp_module
 from gridline.dispatch import (DispatchModel, DispatchProblem, FlowRow, HourData,
-                               base_flow_rows, build_lp, build_problem, hour_data,
+                               audit_result, base_flow_rows, build_lp, build_problem, hour_data,
                                solve_copperplate, solve_penalized_dcopf, solve_problem)
+from gridline.errors import SolverError
 from gridline.factors import build_factors
 from gridline.lp import LpModel, solve_lp
 from gridline.util import parse_hour
@@ -197,6 +198,34 @@ def test_result_feasibility_audited(networks, serieses, factors_map):
         assert np.all(result.p_gen >= data.gen_min - 1e-6)
         assert np.all(result.p_gen <= data.gen_max + 1e-6)
         assert np.all(np.abs(result.flows) <= net.static_rating + 1e-6 * net.static_rating)
+
+
+def test_audit_refuses_a_tampered_result(networks, serieses, factors_map):
+    net, series, factors = networks["case5"], serieses["case5"], factors_map["case5"]
+    data = hour_data(net, series, series.hours[12])
+    problem = build_problem(net, data, base_flow_rows(net, factors.ptdf, net.static_rating))
+    coefficients = np.array([row.coefficients for row in problem.flow_rows])
+    result = solve_problem(problem, ptdf=factors.ptdf)
+    audit_result(problem, result, coefficients)  # the solver's own result passes
+
+    def refusal(problem, p_gen):
+        with pytest.raises(SolverError) as err:
+            audit_result(problem, replace(result, p_gen=p_gen), coefficients)
+        return str(err.value)
+
+    p_gen = result.p_gen
+    assert refusal(problem, p_gen + np.eye(len(p_gen))[0]) == "power balance residual 1.000e+00 MW"
+    # generator 0 one MW past its maximum, the MW taken from generator 1
+    moved = p_gen.copy()
+    moved[0] = data.gen_max[0] + 1.0
+    moved[1] -= moved[0] - p_gen[0]
+    assert refusal(problem, moved) == "generator bounds violated"
+    # the most loaded branch's row limited 1 MW below its flow
+    r = int(np.argmax(np.abs(result.flows)))
+    rows = list(problem.flow_rows)
+    rows[r] = replace(rows[r], limit=abs(result.flows[r]) - 1.0)
+    assert refusal(replace(problem, flow_rows=tuple(rows)), p_gen) == (
+        f"flow row {r} violated by 1.000e+00 MW at {problem.hour}")
 
 
 def test_true_single_bus_copperplate_equals_base():

@@ -118,19 +118,30 @@ def test_cost_curve_validation(cases_dir, tmp_path):
         load_network(case2)
 
 
-@pytest.mark.parametrize("header, row, message", [
+# row 1 of case3's gen.csv replaced; row 2 is generator 2 at bus 3
+@pytest.mark.parametrize("header, row, message, row_number", [
     # a cheaper 50 MW segment at $5 after a blank second segment
     (",seg3_mw,seg3_cost", "1,1,natural_gas,0.0,200.0,200.0,12.0,,,50.0,5.0",
-     "'seg3_mw' given after blank 'seg2_mw'"),
-    ("", "1,1,natural_gas,0.0,200.0,200.0,12.0,,99.0", "'seg2_cost' given after blank 'seg2_mw'"),
-], ids=["later-segment", "cost-without-mw"])
-def test_cost_cell_after_a_blank_segment_is_refused(cases_dir, tmp_path, header, row, message):
+     "'seg3_mw' given after blank 'seg2_mw'", 1),
+    ("", "1,1,natural_gas,0.0,200.0,200.0,12.0,,99.0",
+     "'seg2_cost' given after blank 'seg2_mw'", 1),
+    ("", "1,99,natural_gas,0.0,200.0,100.0,12.0,100.0,18.0",
+     "generator 1 references unknown bus 99", 1),
+    ("", "1,1,peat,0.0,200.0,100.0,12.0,100.0,18.0", "unknown fuel 'peat'", 1),
+    ("", "1,1,natural_gas,300.0,200.0,100.0,12.0,100.0,18.0",
+     "p_min 300.0 exceeds p_max 200.0", 1),
+    ("", "1,1,natural_gas,0.0,200.0,,,,", "generator needs at least one cost segment", 1),
+    ("", "2,1,natural_gas,0.0,200.0,100.0,12.0,100.0,18.0", "duplicate generator id 2", 2),
+], ids=["later-segment", "cost-without-mw", "unknown-bus", "unknown-fuel", "p-min-above-p-max",
+        "no-segment", "repeated-id"])
+def test_cost_cell_after_a_blank_segment_is_refused(cases_dir, tmp_path, header, row, message,
+                                                    row_number):
     case = copy_case(cases_dir, tmp_path)
     edit_csv(case / "gen.csv", lambda lines: [lines[0] + header, row, lines[2]])
     with pytest.raises(CaseError) as err:
         load_network(case)
-    assert str(err.value) == message + " [gen.csv, row 1]"
-    assert (err.value.file, err.value.row) == ("gen.csv", 1)
+    assert str(err.value) == f"{message} [gen.csv, row {row_number}]"
+    assert (err.value.file, err.value.row) == ("gen.csv", row_number)
 
 
 def test_trailing_blank_segments_are_allowed(cases_dir, tmp_path):

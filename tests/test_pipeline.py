@@ -2,7 +2,10 @@ import csv
 import gc
 import importlib.util
 import json
+import os
 import shutil
+import signal
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -828,12 +831,92 @@ def test_held_base_rows_give_the_same_bytes_on_any_worker_count(mesh900_peak, tm
 
 def test_no_more_pool_workers_than_chunks(cases_dir, tmp_path, monkeypatch):
     # 24 hours under 4 regimes are 4 chunks
-    real_pool, started = pipeline.Pool, []
+    real_pool, started = pipeline.ProcessPoolExecutor, []
 
-    def recording_pool(processes, **kwargs):
-        started.append(processes)
-        return real_pool(processes, **kwargs)
+    def recording_pool(max_workers, **kwargs):
+        started.append(max_workers)
+        return real_pool(max_workers, **kwargs)
 
-    monkeypatch.setattr(pipeline, "Pool", recording_pool)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording_pool)
     assert run(case5_config(cases_dir, tmp_path / "out", worker_count=8)).all_ok
     assert started == [4]
+
+
+def run_script(script, *args, timeout=300):
+    """``script`` run with ``args`` in a fresh interpreter in a session of its
+    own, so that on a timeout its whole process group, workers included, is
+    killed: its exit code, stdout and stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    process = subprocess.Popen([sys.executable, "-c", script, *map(str, args)],
+                               env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = process.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(process.pid, signal.SIGKILL)
+        out, err = process.communicate()
+        pytest.fail(f"no end within {timeout} s: {out}{err}")
+    return process.returncode, out, err
+
+
+_RUN_UNDER_START_METHOD = """
+import multiprocessing, sys
+from pathlib import Path
+from gridline.pipeline import RunConfig, run
+method, case, weather, out = sys.argv[1:]
+multiprocessing.set_start_method(method)
+run(RunConfig(case_directory=Path(case), output_directory=Path(out), weather_file=Path(weather),
+              regimes=("slr", "aar", "dlr", "uncongested"), worker_count=2))
+"""
+
+
+def test_outputs_do_not_depend_on_the_start_method(cases_dir, tmp_path):
+    # under fork the workers share the parent's state; under spawn and
+    # forkserver each gets a pickled copy
+    outs = []
+    for method in ("fork", "spawn", "forkserver"):
+        outs.append(tmp_path / method)
+        code, _, err = run_script(_RUN_UNDER_START_METHOD, method, cases_dir / "case5",
+                                  cases_dir / "weather_case5.csv", outs[-1])
+        assert code == 0, err
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert len(files) == 4 * 4 + 3 + 1
+    for out in outs[1:]:
+        assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (out / rel).read_bytes(), (out.name, rel)
+
+
+# a worker that dies at SLR hour 5, in the library and then through the CLI
+_KILL_A_WORKER = """
+import multiprocessing, os, signal, sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+import gridline.pipeline as pipeline
+from gridline.cli import main
+case, weather, out = sys.argv[1:]
+multiprocessing.set_start_method("fork")
+solve_task = pipeline._solve_task
+
+def dying(state, task, model):
+    if task == ("slr", 5):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return solve_task(state, task, model)
+
+pipeline._solve_task = dying
+try:
+    pipeline.run(pipeline.RunConfig(case_directory=Path(case), output_directory=Path(out, "run"),
+                                    weather_file=Path(weather), worker_count=2))
+except BrokenProcessPool:
+    print("BrokenProcessPool", flush=True)
+main(["run", "--case", case, "--weather", weather, "--workers", "2", "--out", f"{out}/cli"])
+"""
+
+
+def test_a_worker_that_dies_ends_the_run(cases_dir, tmp_path):
+    code, out, err = run_script(_KILL_A_WORKER, cases_dir / "case5",
+                                cases_dir / "weather_case5.csv", tmp_path, timeout=60)
+    assert out.splitlines() == ["BrokenProcessPool"], out + err
+    assert code == 1
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("Error: a worker process died: ")
